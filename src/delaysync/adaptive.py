@@ -37,8 +37,9 @@ class ControllerConfig:
 
     ``gamma_theta`` / ``gamma_phi`` are the (l, l) adaptation rate
     matrices (symmetric positive semidefinite; zero freezes adaptation),
-    ``p_matrix`` the (l*n, l*n) positive definite weight from the leader
-    Lyapunov equation, ``r_sign`` the per-agent signs of the ideal
+    ``p_matrix`` the (n, n) positive definite block ``P`` from the leader
+    Lyapunov equation (the fleet weight is ``I_l (x) P``, applied block by
+    block and never formed), ``r_sign`` the per-agent signs of the ideal
     reference gains, and ``tau_x <= tau_u`` the delays in seconds.
 
     ``r_weight`` optionally carries the per-agent magnitudes of the ideal
@@ -70,8 +71,8 @@ class ControllerConfig:
             eigs = linalg.symmetric_eigenvalues(g)
             if eigs[0] < -PSD_TOL:
                 raise ValidationError(f"{name} must be positive semidefinite, min eig {eigs[0]:.3e}")
-        if pm.ndim != 2 or pm.shape[0] != pm.shape[1] or pm.shape[0] % ell != 0:
-            raise DimensionMismatch(f"p_matrix shape {pm.shape} incompatible with {ell} agents")
+        if pm.ndim != 2 or pm.shape[0] != pm.shape[1]:
+            raise DimensionMismatch(f"p_matrix must be a square block, got shape {pm.shape}")
         linalg.cholesky(pm)
         if not 0.0 < self.tau_x <= self.tau_u:
             raise ValidationError(
@@ -92,19 +93,6 @@ class ControllerConfig:
     @property
     def num_agents(self) -> int:
         return self.gamma_theta.shape[0]
-
-
-@dataclass
-class ControllerState:
-    """Adaptive gains: ``theta`` is (l, 2n+p, p), ``phi_phi`` is (l, p, p).
-
-    ``gain_history`` holds the flattened ``theta`` trajectory so the
-    mismatch can look back ``tau_u`` seconds (pre-history: initial gains).
-    """
-
-    theta: np.ndarray
-    phi_phi: np.ndarray
-    gain_history: HistoryBuffer | None = None
 
 
 def regressor(x_now, x_delayed, r_delayed) -> np.ndarray:
@@ -233,7 +221,7 @@ def gain_derivatives(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Adaptation laws, block-diagonal projection.
 
-    With ``s_i = b_m^T [(L (x) I)^T P e_a]_i`` the updates are
+    With ``s_i = b_m^T [(L (x) I)^T (I (x) P) e_a]_i`` the updates are
 
         d theta_i  = -sign(theta_r_i*) (Gamma_theta s)_i eta_i^T
         d phi_phi_i = -(Gamma_phi s)_i phi_i^T
@@ -242,8 +230,8 @@ def gain_derivatives(
     """
     ell = cfg.num_agents
     n = m.state_dim
-    v = cfg.p_matrix @ e_a
-    s = (topo_m.laplacian_like.T @ v.reshape(ell, n)) @ m.b_m
+    v = e_a.reshape(ell, n) @ cfg.p_matrix  # row i is P e_a_i, P symmetric
+    s = (topo_m.laplacian_like.T @ v) @ m.b_m
     g_theta = cfg.gamma_theta @ s
     g_phi = cfg.gamma_phi @ s
     d_theta = -cfg.r_sign[:, None, None] * eta[:, :, None] * g_theta[:, None, :]

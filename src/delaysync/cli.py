@@ -12,9 +12,10 @@ Scenario files are strict line-oriented key = value text. Sections:
 Matrices are flat row-major comma-separated numbers; shapes come from
 state_dim, input_dim, and the agent count.  theta0 is one row of
 (2*state_dim+input_dim)*input_dim numbers per agent, phi_phi0 one row of
-input_dim**2 per agent.  Unknown sections or keys are hard errors; the only
-defaults are the reference waveform (square, amplitude 1, period 40,
-offset 0) and zero initial states.
+input_dim**2 per agent.  Unknown sections or keys, nan/inf numbers and
+non-integer dimensions are hard errors; the only defaults are the
+reference waveform (square, amplitude 1, period 40, offset 0) and zero
+initial states.
 
     delaysync run <builtin|file> [--out DIR] [--set section.key=value ...]
     delaysync validate <builtin|file> [--set ...]
@@ -26,6 +27,7 @@ Exit codes: 0 success, 1 parse or validation failure, 2 runtime failure.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -202,18 +204,26 @@ def _apply_overrides(
 def _floats(raw: str, lineno: int, key: str, count: int | None = None) -> np.ndarray:
     parts = [p.strip() for p in raw.split(",")]
     try:
-        values = np.array([float(p) for p in parts])
+        values = [float(p) for p in parts]
     except ValueError:
         raise ParseError(f"{key} contains a non-numeric entry", line=lineno or None)
-    if count is not None and values.shape[0] != count:
-        raise ParseError(
-            f"{key} needs {count} numbers, got {values.shape[0]}", line=lineno or None
-        )
-    return values
+    if not all(map(math.isfinite, values)):
+        raise ParseError(f"{key} contains a non-finite entry", line=lineno or None)
+    if count is not None and len(values) != count:
+        raise ParseError(f"{key} needs {count} numbers, got {len(values)}", line=lineno or None)
+    return np.array(values)
 
 
 def _scalar(raw: str, lineno: int, key: str) -> float:
     return float(_floats(raw, lineno, key, count=1)[0])
+
+
+def _dimension(sections, key: str) -> int:
+    raw, line = _need(sections, "leader", key)
+    value = _scalar(raw, line, key)
+    if not value.is_integer() or value < 1:
+        raise ParseError(f"{key} must be a positive integer, got {raw}", line=line or None)
+    return int(value)
 
 
 def _need(sections, section: str, key: str) -> tuple[str, int]:
@@ -233,12 +243,8 @@ def build_scenario(sections, name: str = "scenario") -> Scenario:
         if required not in sections:
             raise ParseError(f"missing section [{required}]")
 
-    raw, line = _need(sections, "leader", "state_dim")
-    n = int(_scalar(raw, line, "state_dim"))
-    raw, line = _need(sections, "leader", "input_dim")
-    p = int(_scalar(raw, line, "input_dim"))
-    if n < 1 or p < 1:
-        raise ParseError("state_dim and input_dim must be at least 1")
+    n = _dimension(sections, "state_dim")
+    p = _dimension(sections, "input_dim")
     q = 2 * n + p
 
     raw, line = _need(sections, "leader", "a_m")
@@ -456,7 +462,7 @@ def run_command(inv: CliInvocation) -> int:
 
     try:
         sc = load_scenario(inv.scenario_source, inv.overrides)
-        checks = validate_scenario(sc)
+        checks = validate_scenario(sc) if inv.command == "validate" else []
     except DelaySyncError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
@@ -469,20 +475,15 @@ def run_command(inv: CliInvocation) -> int:
             print(f"error: {c.name}: {c.detail}", file=sys.stderr)
         return 1 if bad else 0
 
-    bad = [c for c in checks if not c.passed]
-    if bad:
-        for c in bad:
-            print(f"error: {c.name}: {c.detail}", file=sys.stderr)
-        return 1
-
     try:
-        trace = run_scenario(sc)
+        trace = run_scenario(sc)  # validates; failed checks ride on the error
         out = Path(inv.output_dir)
         out.mkdir(parents=True, exist_ok=True)
         write_trace_csv(trace, out / "trace.csv")
         write_summary(sc, trace, out / "summary.txt")
     except ValidationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        for line in [f"{c.name}: {c.detail}" for c in exc.failed] or [str(exc)]:
+            print(f"error: {line}", file=sys.stderr)
         return 1
     except (DelaySyncError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -72,4 +72,16 @@ class ParseError(DelaySyncError):
 
 
 class ValidationError(DelaySyncError):
-    """A scenario violates a structural or semantic invariant."""
+    """A scenario violates a structural or semantic invariant.
+
+    ``failed`` carries the failed structural checks (``CheckResult``) when
+    the error comes from the validation gate of a run; it is empty otherwise.
+    """
+
+    def __init__(self, message: str, failed: tuple = ()):
+        super().__init__(message)
+        self.failed = tuple(failed)
+
+
+class TraceTooLarge(DelaySyncError):
+    """A run would record more data than the configured memory ceiling."""

@@ -39,9 +39,10 @@ from .errors import (
     NotSymmetric,
     SingularMatrix,
     SingularWeight,
+    TraceTooLarge,
     ValidationError,
 )
-from .plant import FleetDynamics, LeaderModel, matching_gains
+from .plant import FleetDynamics, LeaderModel, MatchingGains, matching_gains
 from .topology import (
     Topology,
     build_matrices,
@@ -52,6 +53,9 @@ from .topology import (
 
 # Fleet states beyond this magnitude abort the run as divergence.
 DIVERGENCE_LIMIT = 1e6
+# Runs whose recorded arrays (trace, leader table, histories) would exceed
+# this many bytes are refused before anything is allocated.
+MAX_RUN_BYTES = 2**30
 # Reference-gain magnitudes and adaptation rates below this cannot be
 # inverted for the energy monitor.
 WEIGHT_TOL = 1e-12
@@ -385,7 +389,8 @@ def lyapunov_monitor(cfg: ControllerConfig, e_a, theta_err, phi_err) -> float:
         raise SingularWeight(
             f"reference-gain magnitude below {WEIGHT_TOL}: {cfg.r_weight.tolist()}"
         )
-    quad = float(e_a @ cfg.p_matrix @ e_a)
+    blocks = e_a.reshape(-1, cfg.p_matrix.shape[0])
+    quad = float(np.einsum("in,nm,im->", blocks, cfg.p_matrix, blocks))
     w_theta = _rate_weights(cfg.gamma_theta, "theta") / cfg.r_weight
     w_phi = _rate_weights(cfg.gamma_phi, "phi_phi")
     sq_theta = np.einsum("iqp,iqp->i", theta_err, theta_err)
@@ -398,11 +403,12 @@ def lyapunov_monitor(cfg: ControllerConfig, e_a, theta_err, phi_err) -> float:
 def _energy_series(
     sc: Scenario,
     p_block: np.ndarray,
+    gains: MatchingGains,
     e_a: np.ndarray,
     theta: np.ndarray,
     phi_phi: np.ndarray,
 ) -> np.ndarray:
-    """Vectorized energy over a whole trace; needs the matching gains.
+    """Vectorized energy over a whole trace, given the matching gains.
 
     For fleets with more than one input channel the reference-gain weight
     is matrix-valued and not implemented; the quadratic term alone is
@@ -411,7 +417,6 @@ def _energy_series(
     quad = np.einsum("tin,nm,tim->t", e_a, p_block, e_a)
     if sc.input_dim != 1:
         return quad
-    gains = matching_gains(sc.fleet, sc.leader)
     ell = sc.num_agents
     r_star = np.array([gains.theta_r[i][0, 0] for i in range(ell)])
     if np.any(np.abs(r_star) < WEIGHT_TOL):
@@ -432,16 +437,19 @@ def _energy_series(
 def run_scenario(sc: Scenario) -> SimTrace:
     """Validate, integrate, and record one closed-loop run.
 
-    Raises ValidationError listing any failed structural check,
-    DivergenceDetected (with the offending time) if the fleet state
-    magnitude passes 1e6, and propagates integrator errors.
+    Raises ValidationError when a structural check fails; its message lists
+    them and its ``failed`` attribute carries the failed CheckResults.
+    Raises TraceTooLarge before any allocation when the recorded arrays
+    would pass MAX_RUN_BYTES, DivergenceDetected (with the offending time)
+    if the fleet state magnitude passes 1e6, and propagates integrator
+    errors.
     """
-    checks = validate_scenario(sc)
-    failed = [c for c in checks if not c.passed]
+    failed = [c for c in validate_scenario(sc) if not c.passed]
     if failed:
         raise ValidationError(
             "scenario checks failed: "
-            + "; ".join(f"{c.name} ({c.detail})" for c in failed)
+            + "; ".join(f"{c.name} ({c.detail})" for c in failed),
+            failed=failed,
         )
 
     ell, n, p = sc.num_agents, sc.state_dim, sc.input_dim
@@ -462,7 +470,7 @@ def run_scenario(sc: Scenario) -> SimTrace:
     cfg = ControllerConfig(
         sc.gamma_theta,
         sc.gamma_phi,
-        linalg.kron(np.eye(ell), p_block),
+        p_block,
         sc.r_signs,
         sc.tau_x,
         sc.tau_u,
@@ -478,6 +486,16 @@ def run_scenario(sc: Scenario) -> SimTrace:
     total = int(round(sc.duration / h))
     du = int(round(tau_u / h))
     dx = int(round(tau_x / h))
+    # Trace rows (one CSV row each), leader table rows, history rings.
+    row_width = 2 + n + 4 * ln + ell * (3 * p + q * p + p * p)
+    floats = (total + 1) * row_width + (total + du + 1) * n
+    floats += (du + 2) * ell * q * p + (dx + 2) * (ln + n)
+    if 8 * floats > MAX_RUN_BYTES:
+        raise TraceTooLarge(
+            f"run would record {8 * floats / 2**30:.3g} GiB "
+            f"({total + 1} rows of {row_width} values), over the "
+            f"{MAX_RUN_BYTES / 2**30:g} GiB limit"
+        )
 
     # Piecewise-constant references are sampled at the step boundary and
     # held through the RK4 stages.  The final stage lands exactly on the
@@ -609,7 +627,7 @@ def run_scenario(sc: Scenario) -> SimTrace:
             held_r_del = r_vec(state.index * h - tau_u)
         observe(state.index, state.time, state.state)
 
-    v_d = _energy_series(sc, p_block, ea_arr, th_arr, ph_arr)
+    v_d = _energy_series(sc, p_block, gains, ea_arr, th_arr, ph_arr)
     return SimTrace(
         times=t_arr,
         x=x_arr,

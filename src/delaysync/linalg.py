@@ -2,10 +2,11 @@
 
 All routines work on plain numpy ``float64`` arrays: matrices are 2-d and
 row-major, vectors 1-d.  The factorizations and solvers are written out by
-hand rather than delegated to LAPACK so that results are bit-reproducible
-across platforms and the failure thresholds stay exactly the documented
-ones; everything in this package is at most a few dozen rows wide, so speed
-does not matter here.
+hand so that their failure thresholds stay exactly the documented ones.
+Symmetric eigenvalues come from LAPACK instead: set-up needs them of l-by-l
+fleet matrices (the graph's symmetric part, the adaptation rates), where a
+hand-written sweep grows cubically with the fleet, and they only classify
+checks, never entering the integrated trace.
 """
 
 from __future__ import annotations
@@ -45,6 +46,8 @@ def _as_vector(b, name: str = "vector") -> np.ndarray:
 
 
 def _require_symmetric(a: np.ndarray, name: str = "matrix") -> None:
+    if not np.isfinite(a).all():
+        raise NotSymmetric(f"{name} has a non-finite entry")
     skew = np.max(np.abs(a - a.T)) if a.size else 0.0
     if skew > SYMMETRY_TOL:
         raise NotSymmetric(f"{name} is not symmetric: max |a - a^T| = {skew:.3e}")
@@ -129,54 +132,17 @@ def cholesky(a) -> np.ndarray:
 
 
 def symmetric_eigenvalues(a) -> np.ndarray:
-    """Eigenvalues of a symmetric matrix, ascending, by cyclic Jacobi rotations.
+    """Eigenvalues of a symmetric matrix, ascending, from LAPACK (``eigvalsh``).
 
-    Sweeps run until the Frobenius norm of the off-diagonal part drops to
-    ``1e-12`` times its initial value.
+    Raises :class:`NotSymmetric` when ``max |a - a^T| > 1e-10`` or an entry
+    is not finite, and :class:`SingularMatrix` when the LAPACK driver fails.
     """
     a = _as_square(a, "a")
     _require_symmetric(a, "a")
-    w = a.copy()
-    n = w.shape[0]
-    if n == 1:
-        return w.diagonal().copy()
-
-    def off_norm(m):
-        # sum(m*m) - sum(diag^2) cancels catastrophically near convergence
-        # and can stall above any relative target, so norm the off part itself
-        off = m - np.diag(m.diagonal())
-        return np.sqrt(np.sum(off * off))
-
-    target = 1e-12 * off_norm(w)
-    if target == 0.0:
-        return np.sort(w.diagonal())
-
-    for _ in range(60):
-        if off_norm(w) <= target:
-            break
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = w[p, q]
-                if apq == 0.0:
-                    continue
-                theta = (w[q, q] - w[p, p]) / (2.0 * apq)
-                if abs(theta) > 1.0e150:
-                    t = 0.5 / theta  # theta*theta would overflow
-                else:
-                    t = (1.0 if theta >= 0.0 else -1.0) / (abs(theta) + np.sqrt(theta * theta + 1.0))
-                c = 1.0 / np.sqrt(t * t + 1.0)
-                s = t * c
-                rp, rq = w[p, :].copy(), w[q, :].copy()
-                w[p, :] = c * rp - s * rq
-                w[q, :] = s * rp + c * rq
-                cp, cq = w[:, p].copy(), w[:, q].copy()
-                w[:, p] = c * cp - s * cq
-                w[:, q] = s * cp + c * cq
-                w[p, q] = 0.0
-                w[q, p] = 0.0
-    else:
-        raise SingularMatrix("jacobi sweep limit reached without convergence")
-    return np.sort(w.diagonal())
+    try:
+        return np.linalg.eigvalsh(a)
+    except np.linalg.LinAlgError as exc:
+        raise SingularMatrix(f"symmetric eigensolve failed: {exc}") from exc
 
 
 def solve_lyapunov(a_m, q_tilde) -> np.ndarray:

@@ -1,8 +1,11 @@
 """Scenario text format, overrides, and the three subcommands."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from delaysync import cli, harness
 from delaysync.cli import (
     BUILTINS,
     CliInvocation,
@@ -280,6 +283,69 @@ def test_run_invalid_scenario_exits_one(tmp_path, capsys):
     bad = tmp_path / "bad.cfg"
     bad.write_text(TINY.replace("r_signs = 1", "r_signs = -1"))
     assert run_cli("run", str(bad), "--out", str(tmp_path / "x")) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert err == ["error: matching: declared r_signs [-1.0] but computed [1.0]"]
+    assert not (tmp_path / "x").exists()
+
+
+def test_run_validates_once_and_solves_gains_at_most_twice(tmp_path, monkeypatch):
+    calls = {"validate": 0, "gains": 0}
+
+    def counting(fn, key):
+        def wrapped(*args, **kwargs):
+            calls[key] += 1
+            return fn(*args, **kwargs)
+
+        return wrapped
+
+    validate = counting(harness.validate_scenario, "validate")
+    monkeypatch.setattr(harness, "validate_scenario", validate)
+    monkeypatch.setattr(cli, "validate_scenario", validate)
+    monkeypatch.setattr(harness, "matching_gains", counting(harness.matching_gains, "gains"))
+    code = run_cli(
+        "run", "example2", "--set", "simulation.duration=1", "--out", str(tmp_path / "o")
+    )
+    assert code == 0
+    assert calls["validate"] == 1
+    assert calls["gains"] <= 2
+
+
+def test_run_refuses_oversized_trace_before_allocating(tmp_path, capsys):
+    tracemalloc.start()
+    try:
+        code = run_cli(
+            "run", "example1", "--set", "simulation.duration=1e7", "--out", str(tmp_path / "o")
+        )
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == 2
+    assert "GiB" in capsys.readouterr().err
+    assert peak < 64 * 2**20
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize(
+    "override, message",
+    [
+        ("simulation.tau_u=inf", "non-finite"),
+        ("simulation.duration=nan", "non-finite"),
+        ("agent.1.a=nan, 1, -3, -2", "non-finite"),
+        ("reference.amplitude=inf", "non-finite"),
+        ("leader.state_dim=2.5", "positive integer"),
+        (
+            "topology.follower_weights=0, nan, 0, 0.3, 0.3, 0, 0.3, 0, "
+            "0, 0.3, 0, 0.3, 0.3, 0, 0.3, 0",
+            "non-finite",
+        ),
+    ],
+    ids=["tau_u_inf", "duration_nan", "agent_a_nan", "amplitude_inf", "state_dim_fraction", "weight_nan"],
+)
+def test_validate_rejects_non_finite_and_fractional_input(override, message, capsys):
+    assert run_cli("validate", "example2", "--set", override) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and message in captured.err
 
 
 def test_run_unwritable_output_exits_two(tmp_path, capsys):

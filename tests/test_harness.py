@@ -154,8 +154,9 @@ def test_validator_catches_declared_sign_conflict():
     sc = tiny_scenario(r_signs=np.array([-1.0]))
     failed = {c.name for c in validate_scenario(sc) if not c.passed}
     assert failed == {"matching"}
-    with pytest.raises(ValidationError):
+    with pytest.raises(ValidationError) as info:
         run_scenario(sc)
+    assert [c.name for c in info.value.failed] == ["matching"]
 
 
 def test_validator_reports_unstable_leader():

@@ -90,6 +90,22 @@ def test_symmetric_eigenvalues_rejects_asymmetric():
         linalg.symmetric_eigenvalues(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
 
+def test_symmetric_eigenvalues_rejects_non_finite():
+    with pytest.raises(NotSymmetric):
+        linalg.symmetric_eigenvalues(np.array([[1.0, np.nan], [np.nan, 1.0]]))
+    with pytest.raises(NotSymmetric):
+        linalg.symmetric_eigenvalues(np.diag([1.0, np.inf]))
+
+
+def test_symmetric_eigenvalues_maps_lapack_failure(monkeypatch):
+    def no_convergence(a):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(linalg.np.linalg, "eigvalsh", no_convergence)
+    with pytest.raises(SingularMatrix, match="did not converge"):
+        linalg.symmetric_eigenvalues(np.eye(3))
+
+
 def test_kron_block_structure():
     a = np.array([[1.0, 2.0], [0.0, -1.0]])
     b = np.eye(2)

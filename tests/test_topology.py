@@ -122,6 +122,19 @@ def test_threshold_ring_spectrum():
     assert rep.passed
 
 
+def test_threshold_large_ring_spectrum():
+    """The symmetric part of a 0.3/0.3/0.4 ring's L has eigenvalues
+    1 - 0.6 cos(2 pi k / l); the smallest, at k = 0, is the leader weight."""
+    ell = 256
+    w = np.zeros((ell, ell))
+    idx = np.arange(ell)
+    w[idx, (idx - 1) % ell] = 0.3
+    w[idx, (idx + 1) % ell] = 0.3
+    rep = check_threshold(build_matrices(Topology(ell, w, np.full(ell, 0.4), 0.1), 2), 0.1)
+    assert abs(rep.min_nonzero_eigenvalue - 0.4) < 1e-9
+    assert rep.passed
+
+
 def test_threshold_pinned_spectrum():
     rep = check_threshold(build_matrices(pinned4(), 2), 0.1)
     assert abs(rep.min_nonzero_eigenvalue - 1.0) <= 1e-12
