@@ -31,7 +31,7 @@ print("  reconstruction error = %.3e" % np.max(np.abs(low @ low.T - spd)))
 ring = load_scenario("example2")
 from delaysync import build_matrices  # noqa: E402  (kept near its one use)
 
-mats = build_matrices(ring.topology, ring.leader.state_dim)
+mats = build_matrices(ring.topology)
 sym = 0.5 * (mats.laplacian_like + mats.laplacian_like.T)
 print("\neigenvalues of the ring structure matrix (symmetric part):")
 print(" ", symmetric_eigenvalues(sym))

@@ -13,8 +13,8 @@ from delaysync import (
 from delaysync.cli import load_scenario
 
 
-def show(label, topo, block_dim=2):
-    m = build_matrices(topo, block_dim)
+def show(label, topo):
+    m = build_matrices(topo)
     print(f"== {label}: {topo.num_agents} agents, threshold {topo.threshold}")
     print("agent-to-agent weights:")
     print(topo.follower_weights)

@@ -9,6 +9,11 @@ leader model and the reference are known.  A mismatch signal between the
 current virtual input and the actually applied one drives an auxiliary
 compensator so that the gain adaptation sees a delay-free error system.
 
+The signal functions (``regressor``, ``control``, ``applied_input``,
+``mismatch``, ``auxiliary_input``, ``augmented_error``) accept any leading
+axes in front of the per-agent ones, so the closed-loop right-hand side
+evaluates them on one state and the trace recording on a block of rows.
+
 The controller only ever touches the leader model, the graph matrices, and
 the signs of the reference-matching gains; no follower dynamics enter.
 """
@@ -21,7 +26,7 @@ from typing import Callable
 import numpy as np
 
 from . import linalg
-from .dde import GRID_TOL, HistoryBuffer, rk4_ode_step
+from .dde import GRID_TOL, rk4_ode_step
 from .errors import DimensionMismatch, ValidationError
 from .plant import LeaderModel
 from .topology import TopologyMatrices
@@ -39,21 +44,14 @@ class ControllerConfig:
     matrices (symmetric positive semidefinite; zero freezes adaptation),
     ``p_matrix`` the (n, n) positive definite block ``P`` from the leader
     Lyapunov equation (the fleet weight is ``I_l (x) P``, applied block by
-    block and never formed), ``r_sign`` the per-agent signs of the ideal
-    reference gains, and ``tau_x <= tau_u`` the delays in seconds.
-
-    ``r_weight`` optionally carries the per-agent magnitudes of the ideal
-    reference gains.  The control law never reads it; it only feeds the
-    energy monitor, which is the one diagnostic allowed plant-side data.
+    block and never formed), and ``r_sign`` the per-agent signs of the
+    ideal reference gains.
     """
 
     gamma_theta: np.ndarray
     gamma_phi: np.ndarray
     p_matrix: np.ndarray
     r_sign: np.ndarray
-    tau_x: float
-    tau_u: float
-    r_weight: np.ndarray | None = None
 
     def __post_init__(self):
         gt = np.asarray(self.gamma_theta, dtype=float)
@@ -74,17 +72,6 @@ class ControllerConfig:
         if pm.ndim != 2 or pm.shape[0] != pm.shape[1]:
             raise DimensionMismatch(f"p_matrix must be a square block, got shape {pm.shape}")
         linalg.cholesky(pm)
-        if not 0.0 < self.tau_x <= self.tau_u:
-            raise ValidationError(
-                f"delays must satisfy 0 < tau_x <= tau_u, got tau_x={self.tau_x}, tau_u={self.tau_u}"
-            )
-        if self.r_weight is not None:
-            rw = np.asarray(self.r_weight, dtype=float)
-            if rw.shape != (ell,):
-                raise DimensionMismatch(f"r_weight shape {rw.shape}, expected {(ell,)}")
-            if np.any(rw < 0.0):
-                raise ValidationError("r_weight magnitudes must be nonnegative")
-            object.__setattr__(self, "r_weight", rw)
         object.__setattr__(self, "gamma_theta", gt)
         object.__setattr__(self, "gamma_phi", gp)
         object.__setattr__(self, "p_matrix", pm)
@@ -96,13 +83,25 @@ class ControllerConfig:
 
 
 def regressor(x_now, x_delayed, r_delayed) -> np.ndarray:
-    """Stack ``[x(t); x(t - tau_x); r(t - tau_u)]`` into one vector."""
-    x_now = np.asarray(x_now, dtype=float).reshape(-1)
-    x_delayed = np.asarray(x_delayed, dtype=float).reshape(-1)
-    r_delayed = np.asarray(r_delayed, dtype=float).reshape(-1)
+    """Stack ``[x(t); x(t - tau_x); r(t - tau_u)]`` along the last axis.
+
+    ``x_now`` and ``x_delayed`` share a shape (..., n); ``r_delayed``
+    (..., p) broadcasts against their leading axes, so one reference value
+    serves a whole fleet.
+    """
+    x_now = np.asarray(x_now, dtype=float)
+    x_delayed = np.asarray(x_delayed, dtype=float)
+    r_delayed = np.asarray(r_delayed, dtype=float)
     if x_now.shape != x_delayed.shape:
-        raise DimensionMismatch("current and delayed states differ in length")
-    return np.concatenate([x_now, x_delayed, r_delayed])
+        raise DimensionMismatch(
+            f"current state shape {x_now.shape} differs from delayed {x_delayed.shape}"
+        )
+    n = x_now.shape[-1]
+    eta = np.empty(x_now.shape[:-1] + (2 * n + r_delayed.shape[-1],))
+    eta[..., :n] = x_now
+    eta[..., n:2 * n] = x_delayed
+    eta[..., 2 * n:] = r_delayed
+    return eta
 
 
 def leader_block_derivative(m: LeaderModel, x_m: np.ndarray, r_value: np.ndarray) -> np.ndarray:
@@ -160,55 +159,47 @@ def predict_leader_regressor(
     return np.concatenate([y, x_mid, np.asarray(r_of(t), dtype=float).reshape(-1)])
 
 
-def control(theta: np.ndarray, eta_m_pred: np.ndarray) -> np.ndarray:
-    """Commanded inputs ``u_i = theta_i^T eta``, shape (l, p); the same
-    predicted leader regressor drives every agent."""
-    return np.einsum("iqp,q->ip", theta, eta_m_pred)
+def control(theta: np.ndarray, eta_m: np.ndarray) -> np.ndarray:
+    """Inputs ``u_i = theta_i^T eta_m`` from gains (..., l, q, p) and one
+    leader regressor (..., q) shared by every agent; shape (..., l, p)."""
+    return np.einsum("...iqp,...q->...ip", theta, eta_m)
 
 
-def mismatch(
-    theta_now: np.ndarray,
-    gain_history: HistoryBuffer,
-    eta: np.ndarray,
-    eta_m_now: np.ndarray,
-    t: float,
-    tau_u: float,
-) -> np.ndarray:
-    """Input mismatch ``theta_i(t)^T eta_i(t) - theta_i(t - tau_u)^T eta_m(t)``.
+def applied_input(theta_delayed, eta_m, t, tau_u: float) -> np.ndarray:
+    """Input reaching the plant at time ``t`` (scalar or (...,) array).
 
-    The delayed gains come from ``gain_history`` (pre-history: the initial
-    gains), the second factor is the current leader regressor; shape (l, p).
+    What was commanded ``tau_u`` ago against the predicted leader regressor
+    equals, by construction of the predictor, the delayed gains applied to
+    the current leader regressor: ``theta_i(t - tau_u)^T eta_m(t)``.  Before
+    ``tau_u`` nothing commanded has arrived and the input is zero.
     """
-    ell, q, p = theta_now.shape
-    th_delayed = gain_history.sample(t - tau_u).reshape(ell, q, p)
-    virtual = np.einsum("iqp,iq->ip", theta_now, eta)
-    applied = np.einsum("iqp,q->ip", th_delayed, eta_m_now)
-    return virtual - applied
+    arrived = np.asarray(t >= tau_u - GRID_TOL)
+    return np.where(arrived[..., None, None], control(theta_delayed, eta_m), 0.0)
+
+
+def mismatch(theta: np.ndarray, eta: np.ndarray, u_applied: np.ndarray) -> np.ndarray:
+    """Input mismatch ``theta_i(t)^T eta_i(t) - u_i``: the virtual input of
+    the current gains minus the applied one; shape (..., l, p)."""
+    return np.einsum("...iqp,...iq->...ip", theta, eta) - u_applied
 
 
 def auxiliary_input(phi_phi: np.ndarray, phi: np.ndarray) -> np.ndarray:
-    """Auxiliary drive ``phi_phi_i @ phi_i`` per agent, shape (l, p)."""
-    return np.einsum("ipj,ij->ip", phi_phi, phi)
+    """Auxiliary drive ``phi_phi_i @ phi_i`` per agent, shape (..., l, p)."""
+    return np.einsum("...ipj,...ij->...ip", phi_phi, phi)
 
 
 def augmented_error(topo_m: TopologyMatrices, x, x_m, x_a) -> np.ndarray:
-    """Graph tracking error plus auxiliary state.
+    """Graph tracking error plus auxiliary state, ``L x_i - g_i x_m + x_a_i``.
 
-    ``(L (x) I) x - (diag(g) (x) I) x_m + x_a`` with ``x_m`` given either
-    stacked per agent (length l*n) or as the single leader block (length n).
+    ``x`` and ``x_a`` are fleet states (..., l, n), ``x_m`` the single
+    leader block (..., n); no lifted block matrices are formed.
     """
-    x = np.asarray(x, dtype=float).reshape(-1)
-    x_a = np.asarray(x_a, dtype=float).reshape(-1)
-    x_m = np.asarray(x_m, dtype=float).reshape(-1)
-    total = topo_m.laplacian_lifted.shape[0]
-    if x.shape[0] != total or x_a.shape[0] != total:
-        raise DimensionMismatch(f"states must have length {total}")
-    if x_m.shape[0] != total:
-        ell = topo_m.laplacian_like.shape[0]
-        if x_m.shape[0] * ell != total:
-            raise DimensionMismatch(f"x_m length {x_m.shape[0]} fits neither n nor l*n")
-        x_m = np.tile(x_m, ell)
-    return topo_m.laplacian_lifted @ x - topo_m.leader_lifted @ x_m + x_a
+    if x.shape != x_a.shape or x.shape[-1:] != x_m.shape[-1:]:
+        raise DimensionMismatch(
+            f"fleet {x.shape}, auxiliary {x_a.shape} and leader {x_m.shape} states disagree"
+        )
+    pin = topo_m.leader_diag.diagonal()
+    return topo_m.laplacian_like @ x - pin[:, None] * x_m[..., None, :] + x_a
 
 
 def gain_derivatives(

@@ -110,11 +110,6 @@ class HistoryBuffer:
         return (1.0 - w) * lo + w * hi
 
 
-def sample(buf: HistoryBuffer, t: float) -> np.ndarray:
-    """Functional alias for :meth:`HistoryBuffer.sample`."""
-    return buf.sample(t)
-
-
 # A recorder maps (time, state) to the vector appended to its named history
 # after every accepted step.
 Recorder = tuple[str, Callable[[float, np.ndarray], np.ndarray]]

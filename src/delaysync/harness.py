@@ -7,12 +7,17 @@ integrates one coupled delay system whose state stacks
     [fleet states; leader state; auxiliary states; gains; aux gains]
 
 with history buffers for the fleet states, the leader state, and the gains.
-Every derivative evaluation rewires the same chain: regressors from current
-and delayed states, the applied input reconstructed from the gains one
-input-delay back against the current leader regressor (what was commanded
-then is, by construction of the predictor, exactly this product), the
-input mismatch, the auxiliary compensator, the graph tracking error, and
-finally the gain updates.
+
+The controller's signal chain is written once, in ``adaptive`` and
+``plant``, as array functions that take any leading axes: regressors from
+current and delayed states, the applied input (the gains one input-delay
+back against the current leader regressor, zero before the first command
+arrives), the input mismatch, the auxiliary input, and the augmented graph
+error.  ``_chain`` strings them together.  The RK4 right-hand side calls it
+on each stage state and feeds the result to the fleet, leader, auxiliary
+and gain derivatives.  The loop stores only the state after each step; the
+recorded signals come afterwards from the same ``_chain`` over blocks of
+stored rows, with delayed values read ``tau_x`` and ``tau_u`` rows back.
 
 The commanded input recorded in the trace is computed against a leader
 trajectory table integrated once over [0, duration + tau_u] with the same
@@ -28,7 +33,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import adaptive, linalg
-from .adaptive import ControllerConfig, leader_block_derivative
+from .adaptive import (
+    ControllerConfig,
+    applied_input,
+    augmented_error,
+    auxiliary_input,
+    control,
+    leader_block_derivative,
+    mismatch,
+    regressor,
+)
 from .dde import GRID_TOL, DdeState, HistoryBuffer, rk4_ode_step, step_rk4
 from .errors import (
     DimensionMismatch,
@@ -42,7 +56,7 @@ from .errors import (
     TraceTooLarge,
     ValidationError,
 )
-from .plant import FleetDynamics, LeaderModel, MatchingGains, matching_gains
+from .plant import FleetDynamics, LeaderModel, MatchingGains, aux_derivative, matching_gains
 from .topology import (
     Topology,
     build_matrices,
@@ -51,7 +65,8 @@ from .topology import (
     leader_reachable,
 )
 
-# Fleet states beyond this magnitude abort the run as divergence.
+# Integrated states (fleet, leader, auxiliary, gains) beyond this magnitude
+# abort the run as divergence.
 DIVERGENCE_LIMIT = 1e6
 # Runs whose recorded arrays (trace, leader table, histories) would exceed
 # this many bytes are refused before anything is allocated.
@@ -59,6 +74,9 @@ MAX_RUN_BYTES = 2**30
 # Reference-gain magnitudes and adaptation rates below this cannot be
 # inverted for the energy monitor.
 WEIGHT_TOL = 1e-12
+# The trace recording evaluates the signal chain over this many stored rows
+# at a time, which bounds its temporaries.
+RECORD_BLOCK = 256
 
 REFERENCE_KINDS = ("constant", "sine", "square")
 
@@ -165,6 +183,19 @@ class Scenario:
             if arr.shape != want:
                 raise DimensionMismatch(f"{field_name} shape {arr.shape}, expected {want}")
             object.__setattr__(self, field_name, arr)
+        ref = self.reference
+        numbers = [(name, getattr(self, name)) for name in shapes] + [
+            ("fleet", fleet.a), ("fleet", fleet.a_zeta), ("fleet", fleet.b),
+            ("leader", self.leader.a_m), ("leader", self.leader.b_m),
+            ("topology", self.topology.follower_weights),
+            ("topology", self.topology.leader_weights),
+            ("reference", (ref.amplitude, ref.period, ref.offset)),
+            ("tau_x", self.tau_x), ("tau_u", self.tau_u),
+            ("step", self.step), ("duration", self.duration),
+        ]
+        if not np.isfinite(np.concatenate([np.ravel(v) for _, v in numbers])).all():
+            bad = [name for name, value in numbers if not np.all(np.isfinite(value))]
+            raise ValidationError(f"non-finite values in {', '.join(dict.fromkeys(bad))}")
         if not self.step > 0.0:
             raise ValidationError(f"step must be positive, got {self.step}")
         if self.duration < 0.0:
@@ -258,7 +289,7 @@ class TraceMetrics:
 
 def validate_scenario(sc: Scenario) -> list[CheckResult]:
     """Run the five structural checks; failures are reported, not raised."""
-    m = build_matrices(sc.topology, sc.leader.state_dim)
+    m = build_matrices(sc.topology)
     out = []
 
     ok = check_balanced(m)
@@ -337,7 +368,7 @@ def validate_scenario(sc: Scenario) -> list[CheckResult]:
     return out
 
 
-def _rate_weights(gamma: np.ndarray, label: str) -> np.ndarray:
+def _rate_weights(gamma: np.ndarray) -> np.ndarray:
     """Diagonal of the inverse rate matrix; zero diagonal entries map to inf
     (meaning: only admissible when the matching gain error is exactly zero)."""
     off = gamma - np.diag(np.diag(gamma))
@@ -370,61 +401,37 @@ def _gain_energy(
     return squares @ weights
 
 
-def lyapunov_monitor(cfg: ControllerConfig, e_a, theta_err, phi_err) -> float:
-    """Pointwise energy: quadratic graph-error term plus weighted gain errors.
-
-    theta_err and phi_err are gains minus their ideal values, shaped
-    (l, 2n+p, p) and (l, p, p).  cfg.r_weight must carry the per-agent
-    magnitudes of the ideal reference gains (plant-side, diagnostic only);
-    the theta term is weighted by their inverses.  Raises SingularWeight
-    when any magnitude is below 1e-12, or when a frozen (zero-rate)
-    adaptation channel carries a nonzero gain error.
-    """
-    e_a = np.asarray(e_a, dtype=float).reshape(-1)
-    theta_err = np.asarray(theta_err, dtype=float)
-    phi_err = np.asarray(phi_err, dtype=float)
-    if cfg.r_weight is None:
-        raise ValidationError("cfg.r_weight is required for the energy monitor")
-    if np.any(cfg.r_weight < WEIGHT_TOL):
-        raise SingularWeight(
-            f"reference-gain magnitude below {WEIGHT_TOL}: {cfg.r_weight.tolist()}"
-        )
-    blocks = e_a.reshape(-1, cfg.p_matrix.shape[0])
-    quad = float(np.einsum("in,nm,im->", blocks, cfg.p_matrix, blocks))
-    w_theta = _rate_weights(cfg.gamma_theta, "theta") / cfg.r_weight
-    w_phi = _rate_weights(cfg.gamma_phi, "phi_phi")
-    sq_theta = np.einsum("iqp,iqp->i", theta_err, theta_err)
-    sq_phi = np.einsum("ipj,ipj->i", phi_err, phi_err)
-    return quad + float(_gain_energy(w_theta, sq_theta, "theta")) + float(
-        _gain_energy(w_phi, sq_phi, "phi_phi")
-    )
-
-
 def _energy_series(
-    sc: Scenario,
-    p_block: np.ndarray,
+    cfg: ControllerConfig,
     gains: MatchingGains,
     e_a: np.ndarray,
     theta: np.ndarray,
     phi_phi: np.ndarray,
 ) -> np.ndarray:
-    """Vectorized energy over a whole trace, given the matching gains.
+    """Energy monitor ``V_d`` over trace rows, given the matching gains.
+
+    ``e_a`` is (t, l, n), ``theta`` (t, l, 2n+p, p), ``phi_phi`` (t, l, p, p).
+    ``V_d`` is the quadratic graph-error term ``sum_i e_a_i^T P e_a_i`` plus
+    the gain errors weighted by the inverse adaptation rates, the theta term
+    also by the inverse magnitude of the ideal reference gain.  Raises
+    SingularWeight when an ideal reference gain is below 1e-12, or when a
+    frozen (zero-rate) adaptation channel carries a nonzero gain error.
 
     For fleets with more than one input channel the reference-gain weight
     is matrix-valued and not implemented; the quadratic term alone is
     returned then.
     """
-    quad = np.einsum("tin,nm,tim->t", e_a, p_block, e_a)
-    if sc.input_dim != 1:
+    quad = np.einsum("tin,nm,tim->t", e_a, cfg.p_matrix, e_a)
+    if theta.shape[-1] != 1:
         return quad
-    ell = sc.num_agents
+    ell = cfg.num_agents
     r_star = np.array([gains.theta_r[i][0, 0] for i in range(ell)])
     if np.any(np.abs(r_star) < WEIGHT_TOL):
         raise SingularWeight("an ideal reference gain is numerically zero")
     theta_star = np.stack([gains.stacked_regressor_gain(i) for i in range(ell)])
     phi_star = (1.0 / r_star)[:, None, None]
-    w_theta = _rate_weights(sc.gamma_theta, "theta") / np.abs(r_star)
-    w_phi = _rate_weights(sc.gamma_phi, "phi_phi")
+    w_theta = _rate_weights(cfg.gamma_theta) / np.abs(r_star)
+    w_phi = _rate_weights(cfg.gamma_phi)
     dth = theta - theta_star[None]
     dph = phi_phi - phi_star[None]
     sq_theta = np.einsum("tiqp,tiqp->ti", dth, dth)
@@ -434,6 +441,29 @@ def _energy_series(
     )
 
 
+def _chain(matrices, tau_u, t, x, x_m, x_a, theta, phi_phi, x_del, x_m_del, theta_del, r_del):
+    """The controller's signals from states and their delayed values.
+
+    Leading axes pass through: one stage state in the right-hand side, a
+    block of stored rows in the recording (``t`` then holds their times).
+    Returns the fleet regressor, the applied input, the mismatch, the
+    auxiliary input and the augmented error.
+    """
+    eta = regressor(x, x_del, r_del[..., None, :])
+    u_app = applied_input(theta_del, regressor(x_m, x_m_del, r_del), t, tau_u)
+    phi = mismatch(theta, eta, u_app)
+    e_a = augmented_error(matrices, x, x_m, x_a)
+    return eta, u_app, phi, auxiliary_input(phi_phi, phi), e_a
+
+
+def _lagged(rows: np.ndarray, start: int, stop: int, lag: int) -> np.ndarray:
+    """``rows[k - lag]`` for k in [start, stop); row 0 is the constant
+    pre-history, so it stands in for every k below ``lag``."""
+    if start >= lag:
+        return rows[start - lag:stop - lag]
+    return rows[np.maximum(np.arange(start, stop) - lag, 0)]
+
+
 def run_scenario(sc: Scenario) -> SimTrace:
     """Validate, integrate, and record one closed-loop run.
 
@@ -441,8 +471,8 @@ def run_scenario(sc: Scenario) -> SimTrace:
     them and its ``failed`` attribute carries the failed CheckResults.
     Raises TraceTooLarge before any allocation when the recorded arrays
     would pass MAX_RUN_BYTES, DivergenceDetected (with the offending time)
-    if the fleet state magnitude passes 1e6, and propagates integrator
-    errors.
+    if any integrated state (fleet, leader, auxiliary, gains) passes 1e6 in
+    magnitude, and propagates integrator errors.
     """
     failed = [c for c in validate_scenario(sc) if not c.passed]
     if failed:
@@ -457,25 +487,11 @@ def run_scenario(sc: Scenario) -> SimTrace:
     ln = ell * n
     h = sc.step
     m = sc.leader
-    a_m, b_m = m.a_m, m.b_m
     fleet = sc.fleet
-    matrices = build_matrices(sc.topology, n)
-    lap = matrices.laplacian_like
-    pin = np.diag(matrices.leader_diag).copy()
-    p_block = linalg.solve_lyapunov(a_m, sc.q_tilde)
+    matrices = build_matrices(sc.topology)
+    p_block = linalg.solve_lyapunov(m.a_m, sc.q_tilde)
     gains = matching_gains(fleet, m)
-    r_weight = None
-    if p == 1:
-        r_weight = np.array([abs(gains.theta_r[i][0, 0]) for i in range(ell)])
-    cfg = ControllerConfig(
-        sc.gamma_theta,
-        sc.gamma_phi,
-        p_block,
-        sc.r_signs,
-        sc.tau_x,
-        sc.tau_u,
-        r_weight=r_weight,
-    )
+    cfg = ControllerConfig(sc.gamma_theta, sc.gamma_phi, p_block, sc.r_signs)
     ref = sc.reference
     tau_x, tau_u = sc.tau_x, sc.tau_u
     hold = ref.piecewise_constant
@@ -534,76 +550,37 @@ def run_scenario(sc: Scenario) -> SimTrace:
     z0 = np.concatenate(
         [sc.x0, sc.xm0, sc.xa0, sc.theta0.reshape(-1), sc.phi_phi0.reshape(-1)]
     )
-    u_start = tau_u - GRID_TOL  # commanded values begin arriving here
 
-    def pieces(t: float, y: np.ndarray):
-        """Signal chain shared by stage derivatives and per-step recording."""
+    def rhs(t: float, y: np.ndarray, hist) -> np.ndarray:
         x = y[:ln].reshape(ell, n)
         xm = y[i_xm:i_xa]
         xa = y[i_xa:i_th].reshape(ell, n)
-        th = y[i_th:i_ph].reshape(ell, q, p)
-        ph = y[i_ph:].reshape(ell, p, p)
+        r_del = held_r_del if hold else r_vec(t - tau_u)
         x_del = hist_x.sample(t - tau_x).reshape(ell, n)
         xm_del = hist_xm.sample(t - tau_x)
-        r_del = held_r_del if hold else r_vec(t - tau_u)
-        eta = np.concatenate([x, x_del, np.broadcast_to(r_del, (ell, p))], axis=1)
-        eta_m = np.concatenate([xm, xm_del, r_del])
-        if t < u_start:
-            u_app = np.zeros((ell, p))
-        else:
-            th_del = hist_th.sample(t - tau_u).reshape(ell, q, p)
-            u_app = np.einsum("iqp,q->ip", th_del, eta_m)
-        phi = np.einsum("iqp,iq->ip", th, eta) - u_app
-        e_a = lap @ x - pin[:, None] * xm[None, :] + xa
-        return x, xm, xa, th, ph, x_del, r_del, eta, u_app, phi, e_a
-
-    def wire(t: float, y: np.ndarray, hist) -> np.ndarray:
-        x, xm, xa, th, ph, x_del, r_del, eta, u_app, phi, e_a = pieces(t, y)
-        d_x = fleet.derivative(x, x_del, u_app)
-        d_xm = leader_block_derivative(m, xm, r_del)
-        u_aux = np.einsum("ipj,ij->ip", ph, phi)
-        d_xa = xa @ a_m.T + (lap @ u_aux) @ b_m.T
-        d_th, d_ph = adaptive.gain_derivatives(
-            cfg, matrices, m, e_a.reshape(-1), eta, phi
+        th_del = hist_th.sample(t - tau_u).reshape(ell, q, p)
+        eta, u_app, phi, u_aux, e_a = _chain(
+            matrices, tau_u, t, x, xm, xa, y[i_th:i_ph].reshape(ell, q, p),
+            y[i_ph:].reshape(ell, p, p), x_del, xm_del, th_del, r_del,
         )
-        return np.concatenate(
-            [d_x.reshape(-1), d_xm, d_xa.reshape(-1), d_th.reshape(-1), d_ph.reshape(-1)]
-        )
+        d_th, d_ph = adaptive.gain_derivatives(cfg, matrices, m, e_a.reshape(-1), eta, phi)
+        return np.concatenate([
+            fleet.derivative(x, x_del, u_app).reshape(-1),
+            leader_block_derivative(m, xm, r_del),
+            aux_derivative(m, matrices, xa, u_aux).reshape(-1),
+            d_th.reshape(-1),
+            d_ph.reshape(-1),
+        ])
 
-    t_arr = np.empty(total + 1)
-    x_arr = np.empty((total + 1, ell, n))
-    xm_arr = np.empty((total + 1, n))
-    xa_arr = np.empty((total + 1, ell, n))
-    e_arr = np.empty((total + 1, ell, n))
-    ea_arr = np.empty((total + 1, ell, n))
-    u_arr = np.empty((total + 1, ell, p))
-    uaux_arr = np.empty((total + 1, ell, p))
-    phi_arr = np.empty((total + 1, ell, p))
-    th_arr = np.empty((total + 1, ell, q, p))
-    ph_arr = np.empty((total + 1, ell, p, p))
-
-    def observe(k: int, t: float, y: np.ndarray) -> None:
-        x, xm, xa, th, ph, x_del, r_del, eta, u_app, phi, e_a = pieces(t, y)
-        worst = float(np.max(np.abs(x)))
+    def check_divergence(s: DdeState) -> None:
+        worst = float(np.max(np.abs(s.state)))
         if worst > DIVERGENCE_LIMIT:
             raise DivergenceDetected(
-                f"fleet state magnitude {worst:.3e} at t={t:.6g} exceeds {DIVERGENCE_LIMIT:.0e}",
-                time=t,
+                f"state magnitude {worst:.3e} at t={s.time:.6g} exceeds {DIVERGENCE_LIMIT:.0e}",
+                time=s.time,
             )
-        t_arr[k] = t
-        x_arr[k] = x
-        xm_arr[k] = xm
-        xa_arr[k] = xa
-        e_arr[k] = e_a - xa
-        ea_arr[k] = e_a
-        eta_pred = np.concatenate([table[k + du], table[k + du - dx], r_vec(t)])
-        u_arr[k] = np.einsum("iqp,q->ip", th, eta_pred)
-        uaux_arr[k] = np.einsum("ipj,ij->ip", ph, phi)
-        phi_arr[k] = phi
-        th_arr[k] = th
-        ph_arr[k] = ph
 
-    observe(0, 0.0, z0)
+    states = np.empty((total + 1, z0.shape[0]))
     state = DdeState(
         state=z0,
         histories={"x": hist_x, "x_m": hist_xm, "theta": hist_th},
@@ -618,18 +595,48 @@ def run_scenario(sc: Scenario) -> SimTrace:
     # be re-anchored at every boundary; the final RK4 stage shares its time
     # stamp with the next step's first stage, so no wrapper around r alone
     # can tell which step it is serving.
+    check_divergence(state)
+    states[0] = z0
     for k in range(total):
         if hold:
             held_r_del = r_vec(k * h - tau_u)  # level across [k·h, (k+1)·h)
-        state = step_rk4(wire, state)
-        if hold:
-            # rows snapshot the right-continuous level at their own time
-            held_r_del = r_vec(state.index * h - tau_u)
-        observe(state.index, state.time, state.state)
+        state = step_rk4(rhs, state)
+        check_divergence(state)
+        states[k + 1] = state.state
 
-    v_d = _energy_series(sc, p_block, gains, ea_arr, th_arr, ph_arr)
+    times = np.arange(total + 1) * h
+    x_arr = states[:, :ln].reshape(-1, ell, n)
+    xm_arr = states[:, i_xm:i_xa]
+    xa_arr = states[:, i_xa:i_th].reshape(-1, ell, n)
+    th_arr = states[:, i_th:i_ph].reshape(-1, ell, q, p)
+    ph_arr = states[:, i_ph:].reshape(-1, ell, p, p)
+    e_arr = np.empty((total + 1, ell, n))
+    ea_arr = np.empty((total + 1, ell, n))
+    u_arr = np.empty((total + 1, ell, p))
+    uaux_arr = np.empty((total + 1, ell, p))
+    phi_arr = np.empty((total + 1, ell, p))
+    for a in range(0, total + 1, RECORD_BLOCK):
+        b = min(a + RECORD_BLOCK, total + 1)
+        xa = xa_arr[a:b]
+        # Rows read the right-continuous reference level at their own time.
+        r_del = np.array([r_vec(t) for t in times[a:b] - tau_u])
+        r_now = np.array([r_vec(t) for t in times[a:b]])
+        _, _, phi, u_aux, e_a = _chain(
+            matrices, tau_u, times[a:b], x_arr[a:b], xm_arr[a:b], xa, th_arr[a:b],
+            ph_arr[a:b], _lagged(x_arr, a, b, dx), _lagged(xm_arr, a, b, dx),
+            _lagged(th_arr, a, b, du), r_del,
+        )
+        e_arr[a:b] = e_a - xa
+        ea_arr[a:b] = e_a
+        phi_arr[a:b] = phi
+        uaux_arr[a:b] = u_aux
+        # commanded input: current gains against the leader regressor tau_u ahead
+        eta_pred = regressor(table[a + du:b + du], table[a + du - dx:b + du - dx], r_now)
+        u_arr[a:b] = control(th_arr[a:b], eta_pred)
+
+    v_d = _energy_series(cfg, gains, ea_arr, th_arr, ph_arr)
     return SimTrace(
-        times=t_arr,
+        times=times,
         x=x_arr,
         x_m=xm_arr,
         x_a=xa_arr,

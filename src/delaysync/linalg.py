@@ -53,22 +53,6 @@ def _require_symmetric(a: np.ndarray, name: str = "matrix") -> None:
         raise NotSymmetric(f"{name} is not symmetric: max |a - a^T| = {skew:.3e}")
 
 
-def kron(a, b) -> np.ndarray:
-    """Kronecker product of two matrices.
-
-    Parameters
-    ----------
-    a, b : (m, n) and (p, q) arrays
-
-    Returns
-    -------
-    (m*p, n*q) array with blocks ``a[i, j] * b``.
-    """
-    a = _as_matrix(a, "a")
-    b = _as_matrix(b, "b")
-    return np.kron(a, b)
-
-
 def solve_linear(a, b) -> np.ndarray:
     """Solve ``a @ x = b`` by Gaussian elimination with partial pivoting.
 
@@ -174,7 +158,7 @@ def solve_lyapunov(a_m, q_tilde) -> np.ndarray:
 
     n = a_m.shape[0]
     eye = np.eye(n)
-    coeff = kron(eye, a_m.T) + kron(a_m.T, eye)
+    coeff = np.kron(eye, a_m.T) + np.kron(a_m.T, eye)
     rhs = -q_tilde.flatten(order="F")
     p = solve_linear(coeff, rhs).reshape((n, n), order="F")
     p = 0.5 * (p + p.T)

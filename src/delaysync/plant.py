@@ -136,55 +136,18 @@ class FleetDynamics:
         return self.num_agents
 
     def derivative(self, x_now: np.ndarray, x_delayed: np.ndarray, u_delayed: np.ndarray) -> np.ndarray:
-        """Blockwise fleet derivative; inputs/outputs shaped (l, n) and (l, p)."""
-        out = np.einsum("ijk,ik->ij", self.a, x_now)
-        out += np.einsum("ijk,ik->ij", self.a_zeta, x_delayed)
-        out += np.einsum("ijk,ik->ij", self.b, u_delayed)
+        """Blockwise fleet derivative; states (..., l, n), inputs (..., l, p)."""
+        out = np.einsum("ijk,...ik->...ij", self.a, x_now)
+        out += np.einsum("ijk,...ik->...ij", self.a_zeta, x_delayed)
+        out += np.einsum("ijk,...ik->...ij", self.b, u_delayed)
         return out
-
-
-def agent_derivative(fleet, x_now, x_delayed, u_delayed) -> np.ndarray:
-    """Stacked fleet state derivative.
-
-    ``x_now`` and ``x_delayed`` are the stacked fleet states (length l*n)
-    at the current time and ``tau_x`` ago; ``u_delayed`` the stacked inputs
-    (length l*p) from ``tau_u`` ago.  No lifted block matrices are formed.
-    """
-    dyn = fleet if isinstance(fleet, FleetDynamics) else FleetDynamics(fleet)
-    ell, n, p = dyn.num_agents, dyn.state_dim, dyn.input_dim
-    x_now = _reshape_stacked(x_now, ell, n, "x_now")
-    x_delayed = _reshape_stacked(x_delayed, ell, n, "x_delayed")
-    u_delayed = _reshape_stacked(u_delayed, ell, p, "u_delayed")
-    return dyn.derivative(x_now, x_delayed, u_delayed).reshape(-1)
-
-
-def leader_derivative(m: LeaderModel, x_m, r) -> np.ndarray:
-    """Stacked leader derivative: blockwise ``a_m x_m_i + b_m r``.
-
-    ``x_m`` is the stacked vector of identical leader copies (length l*n
-    for any l >= 1); ``r`` the current delayed reference value, length p.
-    """
-    n = m.state_dim
-    x_m = np.asarray(x_m, dtype=float)
-    r = np.asarray(r, dtype=float).reshape(-1)
-    if r.shape[0] != m.input_dim:
-        raise DimensionMismatch(f"r has length {r.shape[0]}, expected {m.input_dim}")
-    if x_m.ndim != 1 or x_m.shape[0] % n != 0:
-        raise DimensionMismatch(f"x_m length {x_m.shape} is not a multiple of n={n}")
-    blocks = x_m.reshape(-1, n)
-    return (blocks @ m.a_m.T + (m.b_m @ r)[None, :]).reshape(-1)
 
 
 def aux_derivative(m: LeaderModel, topo_m: TopologyMatrices, x_a, u_a) -> np.ndarray:
     """Auxiliary compensator derivative: leader-shaped dynamics driven
-    through the follower graph, ``a_m x_a_i + b_m (L u_a)_i`` blockwise."""
-    n = m.state_dim
-    p = m.input_dim
-    lap = topo_m.laplacian_like
-    ell = lap.shape[0]
-    x_a = _reshape_stacked(x_a, ell, n, "x_a")
-    u_a = _reshape_stacked(u_a, ell, p, "u_a")
-    return (x_a @ m.a_m.T + (lap @ u_a) @ m.b_m.T).reshape(-1)
+    through the follower graph, ``a_m x_a_i + b_m (L u_a)_i`` blockwise;
+    ``x_a`` is (..., l, n), ``u_a`` (..., l, p)."""
+    return x_a @ m.a_m.T + (topo_m.laplacian_like @ u_a) @ m.b_m.T
 
 
 def matching_gains(fleet, leader: LeaderModel) -> MatchingGains:
@@ -228,9 +191,3 @@ def _lstsq_columns(basis: np.ndarray, target: np.ndarray, idx: int, label: str) 
         )
     return coeff
 
-
-def _reshape_stacked(v, ell: int, width: int, name: str) -> np.ndarray:
-    v = np.asarray(v, dtype=float)
-    if v.shape != (ell * width,):
-        raise DimensionMismatch(f"{name} shape {v.shape}, expected ({ell * width},)")
-    return v.reshape(ell, width)

@@ -62,35 +62,24 @@ class Topology:
 
 @dataclass(frozen=True)
 class TopologyMatrices:
-    """Matrix form of a :class:`Topology`, plus block-lifted copies.
+    """Matrix form of a :class:`Topology`.
 
-    ``laplacian_like`` is ``I - W`` and ``leader_diag`` is ``diag(g)``; the
-    lifted fields are their Kronecker products with ``I_n`` for an
-    ``n``-dimensional agent state.
+    ``laplacian_like`` is ``I - W`` and ``leader_diag`` is ``diag(g)``, both
+    (l, l); they act on fleet states blockwise, one n-vector per agent.
     """
 
     laplacian_like: np.ndarray
     leader_diag: np.ndarray
-    laplacian_lifted: np.ndarray
-    leader_lifted: np.ndarray
 
 
-def build_matrices(topo: Topology, block_dim: int) -> TopologyMatrices:
-    """Assemble the graph matrices of ``topo`` for agents of state size ``block_dim``."""
+def build_matrices(topo: Topology) -> TopologyMatrices:
+    """Assemble the graph matrices of ``topo``."""
     w = topo.follower_weights
     g = topo.leader_weights
     deviation = np.max(np.abs(w.sum(axis=1) + g - 1.0))
     if deviation > BALANCE_TOL:
         raise UnbalancedTopology(f"row weight sums deviate from 1 by {deviation:.3e}")
-    lap = np.eye(topo.num_agents) - w
-    lead = np.diag(g)
-    eye = np.eye(block_dim)
-    return TopologyMatrices(
-        laplacian_like=lap,
-        leader_diag=lead,
-        laplacian_lifted=linalg.kron(lap, eye),
-        leader_lifted=linalg.kron(lead, eye),
-    )
+    return TopologyMatrices(laplacian_like=np.eye(topo.num_agents) - w, leader_diag=np.diag(g))
 
 
 def check_balanced(m: TopologyMatrices) -> bool:

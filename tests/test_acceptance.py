@@ -174,7 +174,7 @@ def test_07_topology_checks_and_ring_spectrum(ex1, ex2):
         assert len(checks) == 5
         assert not failed
 
-    m = build_matrices(sc2.topology, sc2.leader.state_dim)
+    m = build_matrices(sc2.topology)
     rep = check_threshold(m, sc2.topology.threshold)
     print(f"ring min nonzero eigenvalue {rep.min_nonzero_eigenvalue!r} (expected 0.4)")
     assert abs(rep.min_nonzero_eigenvalue - 0.4) <= 1e-9

@@ -1,4 +1,6 @@
-"""Controller pieces: regressor, prediction, control, mismatch, adaptation."""
+"""Controller signal chain: regressor, prediction, control, applied input,
+mismatch, auxiliary input, augmented error, adaptation.  These are the
+functions the closed-loop right-hand side and the trace recording call."""
 
 import inspect
 
@@ -8,15 +10,16 @@ import pytest
 import delaysync.adaptive as adaptive_module
 from delaysync.adaptive import (
     ControllerConfig,
+    applied_input,
     augmented_error,
     auxiliary_input,
     control,
     gain_derivatives,
+    leader_block_derivative,
     mismatch,
     predict_leader_regressor,
     regressor,
 )
-from delaysync.dde import HistoryBuffer
 from delaysync.errors import DimensionMismatch, NotPositiveDefinite, ValidationError
 from delaysync.plant import LeaderModel
 from delaysync.topology import Topology, build_matrices
@@ -27,14 +30,12 @@ P_BLOCK = np.array([[0.25, 0.05], [0.05, 0.05]])
 
 def single_agent_setup():
     topo = Topology(1, np.zeros((1, 1)), np.ones(1), 0.1)
-    m = build_matrices(topo, 2)
+    m = build_matrices(topo)
     cfg = ControllerConfig(
         gamma_theta=np.eye(1),
         gamma_phi=np.eye(1),
         p_matrix=P_BLOCK,
         r_sign=np.array([-1.0]),
-        tau_x=3.0,
-        tau_u=5.0,
     )
     return cfg, m
 
@@ -70,8 +71,6 @@ def test_config_rejects_indefinite_rates():
             gamma_phi=np.eye(1),
             p_matrix=P_BLOCK,
             r_sign=np.array([-1.0]),
-            tau_x=3.0,
-            tau_u=5.0,
         )
 
 
@@ -82,20 +81,6 @@ def test_config_rejects_non_sign_entries():
             gamma_phi=np.eye(1),
             p_matrix=P_BLOCK,
             r_sign=np.array([0.5]),
-            tau_x=3.0,
-            tau_u=5.0,
-        )
-
-
-def test_config_rejects_delay_disorder():
-    with pytest.raises(ValidationError):
-        ControllerConfig(
-            gamma_theta=np.eye(1),
-            gamma_phi=np.eye(1),
-            p_matrix=P_BLOCK,
-            r_sign=np.array([-1.0]),
-            tau_x=6.0,
-            tau_u=5.0,
         )
 
 
@@ -106,8 +91,6 @@ def test_config_rejects_indefinite_weight():
             gamma_phi=np.eye(1),
             p_matrix=np.array([[1.0, 2.0], [2.0, 1.0]]),
             r_sign=np.array([-1.0]),
-            tau_x=3.0,
-            tau_u=5.0,
         )
 
 
@@ -117,8 +100,6 @@ def test_config_accepts_zero_rates():
         gamma_phi=np.zeros((1, 1)),
         p_matrix=P_BLOCK,
         r_sign=np.array([-1.0]),
-        tau_x=3.0,
-        tau_u=5.0,
     )
     assert cfg.num_agents == 1
 
@@ -177,15 +158,14 @@ def test_control_with_uniform_small_gains():
     assert u[0, 0] == -0.0625
 
 
-def constant_gain_history(theta, tau_u=5.0):
-    return HistoryBuffer(0.1, 0.0, theta.reshape(-1), tau_u)
+TAU_U = 5.0
 
 
 def test_mismatch_vanishes_for_frozen_gains_on_track():
     theta = np.full((2, 5, 1), 0.3)
     eta = np.tile(np.array([1.0, 2.0, 3.0, 4.0, 5.0]), (2, 1))
-    hist = constant_gain_history(theta)
-    out = mismatch(theta, hist, eta, eta[0], 0.0, 5.0)
+    u_app = applied_input(theta, eta[0], TAU_U, TAU_U)
+    out = mismatch(theta, eta, u_app)
     assert np.array_equal(out, np.zeros((2, 1)))
 
 
@@ -193,8 +173,8 @@ def test_mismatch_is_linear_in_the_regressor():
     theta = np.zeros((1, 5, 1))
     theta[0, :, 0] = [0.5, -1.0, 0.0, 2.0, 0.25]
     eta_m = np.array([1.0, 2.0, -1.0, 0.5, 4.0])
-    hist = constant_gain_history(theta)
-    out = mismatch(theta, hist, 2.0 * eta_m[None, :], eta_m, 0.0, 5.0)
+    u_app = applied_input(theta, eta_m, 7.5, TAU_U)
+    out = mismatch(theta, 2.0 * eta_m[None, :], u_app)
     expected = theta[0, :, 0] @ eta_m
     assert abs(out[0, 0] - expected) < 1e-15
 
@@ -208,9 +188,21 @@ def test_mismatch_separates_current_and_delayed_gains():
     eta[0, 0] = 2.0
     eta_m = np.zeros(5)
     eta_m[4] = 3.0
-    hist = constant_gain_history(old)
-    out = mismatch(now, hist, eta, eta_m, 0.0, 5.0)
+    out = mismatch(now, eta, applied_input(old, eta_m, TAU_U, TAU_U))
     assert out[0, 0] == -1.0
+
+
+def test_applied_input_is_zero_before_tau_u():
+    """Nothing commanded reaches the plant before one input delay; from
+    then on (a float rounding early included) the delayed gains act."""
+    theta = np.full((2, 5, 1), 0.3)
+    eta_m = np.ones(5)
+    assert np.array_equal(applied_input(theta, eta_m, 0.0, TAU_U), np.zeros((2, 1)))
+    assert np.array_equal(applied_input(theta, eta_m, TAU_U - 0.01, TAU_U), np.zeros((2, 1)))
+    assert np.array_equal(applied_input(theta, eta_m, TAU_U - 1e-12, TAU_U), control(theta, eta_m))
+    rows = applied_input(np.stack([theta] * 3), np.stack([eta_m] * 3), np.array([4.0, 5.0, 6.0]), TAU_U)
+    assert np.array_equal(rows[0], np.zeros((2, 1)))
+    assert np.array_equal(rows[1:], np.stack([control(theta, eta_m)] * 2))
 
 
 def test_auxiliary_input_examples():
@@ -228,7 +220,7 @@ def test_auxiliary_input_examples():
 def test_augmented_error_zero_when_matched():
     _, m = single_agent_setup()
     x = np.array([1.0, -2.0])
-    assert np.array_equal(augmented_error(m, x, x, np.zeros(2)), np.zeros(2))
+    assert np.array_equal(augmented_error(m, x[None], x, np.zeros((1, 2))), np.zeros((1, 2)))
 
 
 def test_augmented_error_balanced_ring_cancels_constant_states():
@@ -236,24 +228,58 @@ def test_augmented_error_balanced_ring_cancels_constant_states():
     for i in range(4):
         w[i, (i - 1) % 4] = 0.3
         w[i, (i + 1) % 4] = 0.3
-    m = build_matrices(Topology(4, w, np.full(4, 0.4), 0.1), 2)
-    ones = np.ones(8)
-    out = augmented_error(m, ones, np.ones(2), np.zeros(8))
+    m = build_matrices(Topology(4, w, np.full(4, 0.4), 0.1))
+    out = augmented_error(m, np.ones((4, 2)), np.ones(2), np.zeros((4, 2)))
     assert np.max(np.abs(out)) < 1e-15
 
 
 def test_augmented_error_single_block_leader_broadcast():
     _, m = single_agent_setup()
-    out = augmented_error(m, np.array([1.0, 0.0]), np.zeros(2), np.zeros(2))
-    assert np.array_equal(out, [1.0, 0.0])
+    out = augmented_error(m, np.array([[1.0, 0.0]]), np.zeros(2), np.zeros((1, 2)))
+    assert np.array_equal(out, [[1.0, 0.0]])
 
 
 def test_augmented_error_rejects_wrong_lengths():
     _, m = single_agent_setup()
     with pytest.raises(DimensionMismatch):
-        augmented_error(m, np.zeros(3), np.zeros(2), np.zeros(2))
+        augmented_error(m, np.zeros((1, 3)), np.zeros(2), np.zeros((1, 2)))
     with pytest.raises(DimensionMismatch):
-        augmented_error(m, np.zeros(2), np.zeros(3), np.zeros(2))
+        augmented_error(m, np.zeros((1, 2)), np.zeros(3), np.zeros((1, 2)))
+
+
+def test_signal_functions_accept_leading_axes():
+    """Evaluated over stacked rows, every chain function reproduces its
+    one-row values bit for bit; the trace recording relies on this."""
+    rng = np.random.default_rng(7)
+    w = np.array([[0.0, 0.3, 0.3], [0.5, 0.0, 0.0], [0.0, 0.6, 0.0]])
+    m = build_matrices(Topology(3, w, np.array([0.4, 0.5, 0.4]), 0.1))
+    rows = 4
+    x, x_del, x_a = (rng.normal(size=(rows, 3, 2)) for _ in range(3))
+    x_m, x_m_del = (rng.normal(size=(rows, 2)) for _ in range(2))
+    theta, theta_del = (rng.normal(size=(rows, 3, 5, 1)) for _ in range(2))
+    phi_phi = rng.normal(size=(rows, 3, 1, 1))
+    r = rng.normal(size=(rows, 1))
+    t = np.array([1.0, 4.0, 5.0, 6.0])
+
+    def chain(sl, r_fleet):
+        eta = regressor(x[sl], x_del[sl], r_fleet)
+        u_app = applied_input(theta_del[sl], regressor(x_m[sl], x_m_del[sl], r[sl]), t[sl], TAU_U)
+        phi = mismatch(theta[sl], eta, u_app)
+        e_a = augmented_error(m, x[sl], x_m[sl], x_a[sl])
+        return eta, u_app, phi, auxiliary_input(phi_phi[sl], phi), e_a
+
+    stacked = chain(np.s_[:], r[:, None, :])
+    for k in range(rows):
+        for whole, one in zip(stacked, chain(k, r[k])):
+            assert np.array_equal(whole[k], one)
+
+
+def test_leader_block_derivative_hand_values():
+    # [0*1 + 1*0, -2*1 - 3*0] + b_m * 0.5 and [1, -3] + b_m * 0.5
+    out = leader_block_derivative(LEADER, np.array([1.0, 0.0]), np.array([0.5]))
+    assert np.array_equal(out, [0.0, -3.0])
+    out = leader_block_derivative(LEADER, np.array([0.0, 1.0]), np.array([0.5]))
+    assert np.array_equal(out, [1.0, -4.0])
 
 
 def test_gain_derivatives_vanish_at_zero_error():

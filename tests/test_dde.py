@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from delaysync.dde import DdeState, HistoryBuffer, rk4_ode_step, run, sample, step_rk4
+from delaysync.dde import DdeState, HistoryBuffer, rk4_ode_step, run, step_rk4
 from delaysync.errors import FutureQuery, NonFiniteState, StaleQuery, ValidationError
 
 
@@ -99,12 +99,6 @@ def test_buffer_validation():
     buf = HistoryBuffer(0.1, 0.0, np.array([1.0, 2.0]), 0.1)
     with pytest.raises(ValidationError):
         buf.append(np.array([1.0]))
-
-
-def test_sample_function_matches_method():
-    buf = HistoryBuffer(0.1, 0.0, np.array([0.0]), 0.2)
-    buf.append(np.array([2.0]))
-    assert sample(buf, 0.05) == buf.sample(0.05)
 
 
 # -------------------------------------------------------------- integration

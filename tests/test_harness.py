@@ -13,18 +13,27 @@ from delaysync.errors import (
     SingularWeight,
     ValidationError,
 )
-from delaysync.adaptive import ControllerConfig
+from delaysync.adaptive import (
+    ControllerConfig,
+    applied_input,
+    augmented_error,
+    auxiliary_input,
+    control,
+    mismatch,
+    regressor,
+)
+from delaysync.cli import load_scenario
 from delaysync.harness import (
     ReferenceSignal,
     Scenario,
     SimTrace,
-    lyapunov_monitor,
+    _energy_series,
     metrics,
     run_scenario,
     validate_scenario,
 )
-from delaysync.plant import AgentDynamics, LeaderModel
-from delaysync.topology import Topology
+from delaysync.plant import AgentDynamics, LeaderModel, MatchingGains
+from delaysync.topology import Topology, build_matrices
 
 P_BLOCK = np.array([[0.25, 0.05], [0.05, 0.05]])
 
@@ -138,6 +147,34 @@ def test_scenario_rejects_wrong_gain_shape():
         tiny_scenario(theta0=np.zeros((1, 4, 1)))
 
 
+def _nan_topology():
+    topo = load_scenario("example2").topology
+    w = topo.follower_weights.copy()
+    w[0, 1] = math.nan
+    return Topology(topo.num_agents, w, topo.leader_weights, topo.threshold)
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("tau_u", math.inf),
+        ("duration", math.nan),
+        ("step", math.inf),
+        ("x0", np.array([math.nan] + [0.0] * 7)),
+        ("theta0", np.full((4, 5, 1), math.inf)),
+        ("gamma_theta", np.full((4, 4), math.nan)),
+        ("reference", ReferenceSignal(kind="sine", amplitude=math.inf)),
+        ("leader", LeaderModel(a_m=[[0.0, 1.0], [-2.0, math.nan]], b_m=[[0.0], [-2.0]])),
+        ("topology", _nan_topology()),
+    ],
+)
+def test_scenario_rejects_non_finite_fields(field, value):
+    """Python-API scenarios get the parser's guarantee: no NaN or inf
+    reaches a run, and the refusal is a ValidationError."""
+    with pytest.raises(ValidationError, match=f"non-finite values in {field}"):
+        dataclasses.replace(load_scenario("example2"), **{field: value})
+
+
 def test_validator_names_and_results():
     checks = validate_scenario(tiny_scenario())
     assert [c.name for c in checks] == [
@@ -221,10 +258,10 @@ def test_reruns_match_bitwise():
 
 
 def test_divergence_reports_offending_time():
-    # the applied input switches on at tau_u; enormous frozen gains then
-    # kick the fleet past the plausible-state limit within a step or two
+    # the applied input switches on at tau_u; large frozen gains (below the
+    # limit themselves, since gains are checked too) then drive the fleet past it
     sc = tiny_scenario(
-        theta0=np.full((1, 3, 1), 1e8),
+        theta0=np.full((1, 3, 1), 9e5),
         gamma_theta=np.zeros((1, 1)),
         gamma_phi=np.zeros((1, 1)),
         duration=5.0,
@@ -241,75 +278,119 @@ def test_divergence_catches_bad_initial_state():
     assert info.value.time == 0.0
 
 
+def test_divergence_covers_gains_and_auxiliary_states():
+    for over in ({"theta0": np.full((1, 3, 1), 2e6)}, {"xa0": np.array([-2e6])}):
+        with pytest.raises(DivergenceDetected) as info:
+            run_scenario(tiny_scenario(**over))
+        assert info.value.time == 0.0
+
+
+# ------------------------------------------------- recording matches the RHS
+
+
+def test_recorded_signals_match_the_chain_functions():
+    """The trace's signals, recorded in blocks after the loop, equal the
+    public chain functions evaluated one row at a time, as the right-hand
+    side evaluates them, on the trace's own state rows: before tau_x,
+    between the delays, after tau_u, and on both sides of square edges."""
+    two = AgentDynamics(a=[[-1.0]], a_zeta=[[0.2]], b=[[2.0]])
+    sc = tiny_scenario(
+        fleet=[AgentDynamics(a=[[-2.0]], a_zeta=[[0.1]], b=[[1.0]]), two],
+        topology=Topology(2, np.array([[0.0, 0.5], [0.5, 0.0]]), np.full(2, 0.5), 0.1),
+        gamma_theta=np.eye(2),
+        gamma_phi=np.eye(2),
+        theta0=np.full((2, 3, 1), 0.1),
+        phi_phi0=np.full((2, 1, 1), -0.5),
+        r_signs=np.ones(2),
+        x0=np.array([0.5, -0.3]),
+        xm0=np.array([0.4]),
+        xa0=np.array([0.2, 0.1]),
+        reference=ReferenceSignal(kind="square", amplitude=1.0, period=4.0),
+        duration=7.0,
+    )
+    trace = run_scenario(sc)
+    matrices = build_matrices(sc.topology)
+    h = sc.step
+    dx, du = round(sc.tau_x / h), round(sc.tau_u / h)
+    # t = 0.5 (< tau_x), 1.5 (between), 3 (> tau_u); r(t) flips at t = 2,
+    # r(t - tau_u) at t = 4
+    for k in (0, 50, 150, 199, 200, 300, 399, 400, 500):
+        t = trace.times[k]
+        r_del = np.array([sc.reference(t - sc.tau_u)])
+        eta = regressor(trace.x[k], trace.x[max(k - dx, 0)], r_del)
+        eta_m = regressor(trace.x_m[k], trace.x_m[max(k - dx, 0)], r_del)
+        u_app = applied_input(trace.theta[max(k - du, 0)], eta_m, t, sc.tau_u)
+        phi = mismatch(trace.theta[k], eta, u_app)
+        e_a = augmented_error(matrices, trace.x[k], trace.x_m[k], trace.x_a[k])
+        eta_pred = regressor(trace.x_m[k + du], trace.x_m[k + du - dx], [sc.reference(t)])
+        assert np.array_equal(trace.phi[k], phi)
+        assert np.array_equal(trace.u_aux[k], auxiliary_input(trace.phi_phi[k], phi))
+        assert np.array_equal(trace.e_a[k], e_a)
+        assert np.array_equal(trace.e[k], e_a - trace.x_a[k])
+        assert np.array_equal(trace.u[k], control(trace.theta[k], eta_pred))
+    assert np.any(trace.phi[:du] != 0.0) and np.any(trace.u[:du] != 0.0)
+
+
 # ------------------------------------------------------------------ monitor
 
 
-def monitor_config(r_weight):
+def monitor_config(gamma_theta=np.eye(1)):
     return ControllerConfig(
-        gamma_theta=np.eye(1),
+        gamma_theta=gamma_theta,
         gamma_phi=np.eye(1),
         p_matrix=P_BLOCK,
         r_sign=np.array([-1.0]),
-        tau_x=3.0,
-        tau_u=5.0,
-        r_weight=np.asarray(r_weight, dtype=float),
     )
 
 
+def monitor_gains(r_star=-2.0 / 3.0):
+    """Ideal gains of agent 1 of the builtin fleets (n = 2, p = 1)."""
+    return MatchingGains(
+        theta_x=(np.array([[1.0 / 3.0], [-1.0 / 3.0]]),),
+        theta_zeta=(np.array([[-0.1], [-0.05]]),),
+        theta_r=(np.array([[r_star]]),),
+        theta_phi=(np.array([[-1.5]]),),
+    )
+
+
+def monitor(cfg, gains, e_a=np.zeros(2), theta_err=np.zeros((5, 1)), phi_err=0.0):
+    """V_d of a one-row, one-agent trace whose gains sit the given errors
+    away from the ideal ones (theta*, and 1/r* for the input scale)."""
+    theta = gains.stacked_regressor_gain(0) + theta_err
+    phi_phi = np.full((1, 1), 1.0 / gains.theta_r[0][0, 0] + phi_err)
+    v_d = _energy_series(cfg, gains, np.reshape(e_a, (1, 1, 2)), theta[None, None], phi_phi[None, None])
+    return float(v_d[0])
+
+
 def test_monitor_zero_at_equilibrium():
-    cfg = monitor_config([2.0 / 3.0])
-    assert lyapunov_monitor(cfg, np.zeros(2), np.zeros((1, 5, 1)), np.zeros((1, 1, 1))) == 0.0
+    assert monitor(monitor_config(), monitor_gains()) == 0.0
 
 
 def test_monitor_weights_gain_error_by_inverse_reference_gain():
-    cfg = monitor_config([2.0 / 3.0])
-    theta_err = np.zeros((1, 5, 1))
-    theta_err[0, 0, 0] = 1.0
-    v = lyapunov_monitor(cfg, np.zeros(2), theta_err, np.zeros((1, 1, 1)))
+    theta_err = np.zeros((5, 1))
+    theta_err[4, 0] = 1.0
+    v = monitor(monitor_config(), monitor_gains(), theta_err=theta_err)
     assert abs(v - 1.5) < 1e-12
 
 
 def test_monitor_quadratic_term():
-    cfg = monitor_config([2.0 / 3.0])
-    v = lyapunov_monitor(cfg, np.array([1.0, 0.0]), np.zeros((1, 5, 1)), np.zeros((1, 1, 1)))
-    assert v == 0.25
+    assert monitor(monitor_config(), monitor_gains(), e_a=np.array([1.0, 0.0])) == 0.25
 
 
 def test_monitor_rejects_vanishing_weight():
-    cfg = monitor_config([0.0])
+    gains = monitor_gains(r_star=0.0)
+    rows = (np.zeros((1, 1, 2)), np.zeros((1, 1, 5, 1)), np.zeros((1, 1, 1, 1)))
     with pytest.raises(SingularWeight):
-        lyapunov_monitor(cfg, np.zeros(2), np.zeros((1, 5, 1)), np.zeros((1, 1, 1)))
-
-
-def test_monitor_requires_weight_vector():
-    cfg = ControllerConfig(
-        gamma_theta=np.eye(1),
-        gamma_phi=np.eye(1),
-        p_matrix=P_BLOCK,
-        r_sign=np.array([-1.0]),
-        tau_x=3.0,
-        tau_u=5.0,
-    )
-    with pytest.raises(ValidationError):
-        lyapunov_monitor(cfg, np.zeros(2), np.zeros((1, 5, 1)), np.zeros((1, 1, 1)))
+        _energy_series(monitor_config(), gains, *rows)
 
 
 def test_monitor_frozen_channel_must_carry_no_error():
-    cfg = ControllerConfig(
-        gamma_theta=np.zeros((1, 1)),
-        gamma_phi=np.eye(1),
-        p_matrix=P_BLOCK,
-        r_sign=np.array([-1.0]),
-        tau_x=3.0,
-        tau_u=5.0,
-        r_weight=np.array([2.0 / 3.0]),
-    )
-    ok = lyapunov_monitor(cfg, np.zeros(2), np.zeros((1, 5, 1)), np.zeros((1, 1, 1)))
-    assert ok == 0.0
-    bad = np.zeros((1, 5, 1))
-    bad[0, 1, 0] = 0.1
+    cfg = monitor_config(gamma_theta=np.zeros((1, 1)))
+    assert monitor(cfg, monitor_gains()) == 0.0
+    bad = np.zeros((5, 1))
+    bad[1, 0] = 0.1
     with pytest.raises(SingularWeight):
-        lyapunov_monitor(cfg, np.zeros(2), bad, np.zeros((1, 1, 1)))
+        monitor(cfg, monitor_gains(), theta_err=bad)
 
 
 # ------------------------------------------------------------------ metrics

@@ -106,16 +106,6 @@ def test_symmetric_eigenvalues_maps_lapack_failure(monkeypatch):
         linalg.symmetric_eigenvalues(np.eye(3))
 
 
-def test_kron_block_structure():
-    a = np.array([[1.0, 2.0], [0.0, -1.0]])
-    b = np.eye(2)
-    k = linalg.kron(a, b)
-    assert k.shape == (4, 4)
-    assert np.array_equal(k[:2, 2:], 2.0 * b)
-    assert np.array_equal(k[2:, :2], np.zeros((2, 2)))
-    assert np.array_equal(k[2:, 2:], -b)
-
-
 def test_lyapunov_hand_solution():
     a = np.array([[0.0, 1.0], [-2.0, -3.0]])
     p = linalg.solve_lyapunov(a, 0.2 * np.eye(2))

@@ -1,4 +1,4 @@
-"""Agent and leader models, stacked derivatives, ideal-gain solving."""
+"""Agent and leader models, fleet and auxiliary derivatives, ideal-gain solving."""
 
 import numpy as np
 import pytest
@@ -8,9 +8,7 @@ from delaysync.plant import (
     AgentDynamics,
     FleetDynamics,
     LeaderModel,
-    agent_derivative,
     aux_derivative,
-    leader_derivative,
     matching_gains,
 )
 from delaysync.topology import Topology, build_matrices
@@ -77,52 +75,45 @@ def test_fleet_stacking():
 
 def test_agent_derivative_scalar_hand_case():
     ag = AgentDynamics(a=[[-1.0]], a_zeta=[[0.5]], b=[[2.0]])
-    out = agent_derivative([ag], np.array([1.0]), np.array([2.0]), np.array([3.0]))
+    out = FleetDynamics([ag]).derivative(np.array([[1.0]]), np.array([[2.0]]), np.array([[3.0]]))
     # -1*1 + 0.5*2 + 2*3
-    assert out[0] == 6.0
+    assert out[0, 0] == 6.0
 
 
 def test_agent_derivative_matches_per_agent_loop():
     rng = np.random.default_rng(31)
     dyn = FleetDynamics(FLEET)
     for _ in range(10):
-        x = rng.normal(size=8)
-        xd = rng.normal(size=8)
-        ud = rng.normal(size=4)
-        stacked = agent_derivative(dyn, x, xd, ud)
+        x = rng.normal(size=(4, 2))
+        xd = rng.normal(size=(4, 2))
+        ud = rng.normal(size=(4, 1))
+        stacked = dyn.derivative(x, xd, ud)
         for i, ag in enumerate(FLEET):
-            direct = ag.a @ x[2 * i : 2 * i + 2] + ag.a_zeta @ xd[2 * i : 2 * i + 2]
-            direct = direct + ag.b @ ud[i : i + 1]
-            assert np.max(np.abs(stacked[2 * i : 2 * i + 2] - direct)) < 1e-14
+            direct = ag.a @ x[i] + ag.a_zeta @ xd[i] + ag.b @ ud[i]
+            assert np.max(np.abs(stacked[i] - direct)) < 1e-14
 
 
-def test_agent_derivative_shape_checks():
-    with pytest.raises(DimensionMismatch):
-        agent_derivative(FLEET, np.zeros(7), np.zeros(8), np.zeros(4))
-
-
-def test_leader_derivative_blocks():
-    x_m = np.array([1.0, 0.0, 0.0, 1.0])  # two stacked copies
-    out = leader_derivative(LEADER, x_m, np.array([0.5]))
-    # block 1: [0*1+1*0, -2*1-3*0] + [0, -1]; block 2: [1, -3] + [0, -1]
-    assert np.array_equal(out, [0.0, -3.0, 1.0, -4.0])
-    with pytest.raises(DimensionMismatch):
-        leader_derivative(LEADER, np.zeros(3), np.array([0.5]))
-    with pytest.raises(DimensionMismatch):
-        leader_derivative(LEADER, np.zeros(4), np.array([0.5, 0.5]))
+def test_fleet_derivative_accepts_leading_axes():
+    rng = np.random.default_rng(5)
+    dyn = FleetDynamics(FLEET)
+    x, xd = rng.normal(size=(2, 3, 4, 2))
+    ud = rng.normal(size=(3, 4, 1))
+    rows = dyn.derivative(x, xd, ud)
+    for k in range(3):
+        assert np.array_equal(rows[k], dyn.derivative(x[k], xd[k], ud[k]))
 
 
 def test_aux_derivative_routes_inputs_through_graph():
     topo = Topology(2, np.array([[0.0, 0.5], [0.5, 0.0]]), np.array([0.5, 0.5]), 0.1)
-    m = build_matrices(topo, 2)
-    x_a = np.zeros(4)
-    u_a = np.array([1.0, 0.0])
+    m = build_matrices(topo)
+    x_a = np.zeros((2, 2))
+    u_a = np.array([[1.0], [0.0]])
     out = aux_derivative(LEADER, m, x_a, u_a)
     # L @ u_a = [1, -0.5]; each block is b_m times that entry
-    assert np.array_equal(out, [0.0, -2.0, 0.0, 1.0])
+    assert np.array_equal(out, [[0.0, -2.0], [0.0, 1.0]])
     # state part is blockwise a_m
-    out = aux_derivative(LEADER, m, np.array([1.0, 0.0, 0.0, 0.0]), np.zeros(2))
-    assert np.array_equal(out, [0.0, -2.0, 0.0, 0.0])
+    out = aux_derivative(LEADER, m, np.array([[1.0, 0.0], [0.0, 0.0]]), np.zeros((2, 1)))
+    assert np.array_equal(out, [[0.0, -2.0], [0.0, 0.0]])
 
 
 # ----------------------------------------------------------------- matching

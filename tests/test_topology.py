@@ -69,26 +69,22 @@ def test_rejects_bad_shapes():
 
 def test_matrices_are_identity_minus_weights():
     topo = ring4()
-    m = build_matrices(topo, 2)
+    m = build_matrices(topo)
     assert np.array_equal(m.laplacian_like, np.eye(4) - topo.follower_weights)
     assert np.array_equal(m.leader_diag, 0.4 * np.eye(4))
-    assert np.array_equal(m.laplacian_lifted, np.kron(m.laplacian_like, np.eye(2)))
-    assert np.array_equal(m.leader_lifted, np.kron(m.leader_diag, np.eye(2)))
 
 
 def test_balanced_for_valid_topologies():
-    assert check_balanced(build_matrices(ring4(), 2))
-    assert check_balanced(build_matrices(pinned4(), 2))
+    assert check_balanced(build_matrices(ring4()))
+    assert check_balanced(build_matrices(pinned4()))
 
 
 def test_balanced_detects_tampering():
     # bypass the constructor check by assembling matrices directly
-    m = build_matrices(ring4(), 1)
+    m = build_matrices(ring4())
     bad = TopologyMatrices(
         laplacian_like=m.laplacian_like + 0.01,
         leader_diag=m.leader_diag,
-        laplacian_lifted=m.laplacian_lifted,
-        leader_lifted=m.leader_lifted,
     )
     assert not check_balanced(bad)
 
@@ -103,7 +99,7 @@ def test_balance_identity_holds_exactly_for_dyadic_weights():
         g = 1.0 - w.sum(axis=1)
         if np.any(g < 0.0):
             continue
-        m = build_matrices(Topology(ell, w, g, 0.01), 1)
+        m = build_matrices(Topology(ell, w, g, 0.01))
         gap = (m.laplacian_like - m.leader_diag) @ np.ones(ell)
         assert np.array_equal(gap, np.zeros(ell))
         assert check_balanced(m)
@@ -113,7 +109,7 @@ def test_balance_identity_holds_exactly_for_dyadic_weights():
 
 
 def test_threshold_ring_spectrum():
-    rep = check_threshold(build_matrices(ring4(), 2), 0.1)
+    rep = check_threshold(build_matrices(ring4()), 0.1)
     # cycle of four with weight 0.3 per side: symmetric-part eigenvalues
     # 1 - 0.6 cos(2 pi k / 4) for k = 0..3, nonzero minimum 0.4
     assert abs(rep.min_nonzero_eigenvalue - 0.4) <= 1e-9
@@ -130,20 +126,20 @@ def test_threshold_large_ring_spectrum():
     idx = np.arange(ell)
     w[idx, (idx - 1) % ell] = 0.3
     w[idx, (idx + 1) % ell] = 0.3
-    rep = check_threshold(build_matrices(Topology(ell, w, np.full(ell, 0.4), 0.1), 2), 0.1)
+    rep = check_threshold(build_matrices(Topology(ell, w, np.full(ell, 0.4), 0.1)), 0.1)
     assert abs(rep.min_nonzero_eigenvalue - 0.4) < 1e-9
     assert rep.passed
 
 
 def test_threshold_pinned_spectrum():
-    rep = check_threshold(build_matrices(pinned4(), 2), 0.1)
+    rep = check_threshold(build_matrices(pinned4()), 0.1)
     assert abs(rep.min_nonzero_eigenvalue - 1.0) <= 1e-12
     assert rep.min_nonzero_leader_weight == 1.0
     assert rep.passed
 
 
 def test_threshold_can_fail_on_level():
-    rep = check_threshold(build_matrices(ring4(), 2), 0.5)
+    rep = check_threshold(build_matrices(ring4()), 0.5)
     assert not rep.passed
 
 
@@ -152,7 +148,7 @@ def test_threshold_flags_unpinned_agents():
     w[0, 1] = w[0, 2] = 0.3
     w[2, 0] = w[2, 1] = 0.5  # agent 3 has no leader link
     g = np.array([0.4, 1.0, 0.0])
-    rep = check_threshold(build_matrices(Topology(3, w, g, 0.1), 1), 0.1)
+    rep = check_threshold(build_matrices(Topology(3, w, g, 0.1)), 0.1)
     assert rep.zero_leader_weights == (2,)
     assert not rep.passed
 
