@@ -21,6 +21,7 @@ the signs of the reference-matching gains; no follower dynamics enter.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
@@ -80,6 +81,13 @@ class ControllerConfig:
     @property
     def num_agents(self) -> int:
         return self.gamma_theta.shape[0]
+
+    @cached_property
+    def signed_rates(self) -> np.ndarray:
+        """``[-sign(theta_r*) Gamma_theta; -Gamma_phi]`` stacked (2l, l): one
+        product with the projected error gives both adaptation drives, their
+        signs included (negating and flipping rows by +-1 is exact)."""
+        return -np.vstack([self.r_sign[:, None] * self.gamma_theta, self.gamma_phi])
 
 
 def regressor(x_now, x_delayed, r_delayed) -> np.ndarray:
@@ -162,7 +170,7 @@ def predict_leader_regressor(
 def control(theta: np.ndarray, eta_m: np.ndarray) -> np.ndarray:
     """Inputs ``u_i = theta_i^T eta_m`` from gains (..., l, q, p) and one
     leader regressor (..., q) shared by every agent; shape (..., l, p)."""
-    return np.einsum("...iqp,...q->...ip", theta, eta_m)
+    return (eta_m[..., None, None, :] @ theta)[..., 0, :]
 
 
 def applied_input(theta_delayed, eta_m, t, tau_u: float) -> np.ndarray:
@@ -173,19 +181,21 @@ def applied_input(theta_delayed, eta_m, t, tau_u: float) -> np.ndarray:
     the current leader regressor: ``theta_i(t - tau_u)^T eta_m(t)``.  Before
     ``tau_u`` nothing commanded has arrived and the input is zero.
     """
-    arrived = np.asarray(t >= tau_u - GRID_TOL)
-    return np.where(arrived[..., None, None], control(theta_delayed, eta_m), 0.0)
+    u = control(theta_delayed, eta_m)
+    if isinstance(t, np.ndarray):
+        return u * (t >= tau_u - GRID_TOL)[..., None, None]
+    return u if t >= tau_u - GRID_TOL else np.zeros_like(u)
 
 
 def mismatch(theta: np.ndarray, eta: np.ndarray, u_applied: np.ndarray) -> np.ndarray:
     """Input mismatch ``theta_i(t)^T eta_i(t) - u_i``: the virtual input of
     the current gains minus the applied one; shape (..., l, p)."""
-    return np.einsum("...iqp,...iq->...ip", theta, eta) - u_applied
+    return (eta[..., None, :] @ theta)[..., 0, :] - u_applied
 
 
 def auxiliary_input(phi_phi: np.ndarray, phi: np.ndarray) -> np.ndarray:
     """Auxiliary drive ``phi_phi_i @ phi_i`` per agent, shape (..., l, p)."""
-    return np.einsum("...ipj,...ij->...ip", phi_phi, phi)
+    return (phi_phi @ phi[..., None])[..., 0]
 
 
 def augmented_error(topo_m: TopologyMatrices, x, x_m, x_a) -> np.ndarray:
@@ -198,14 +208,13 @@ def augmented_error(topo_m: TopologyMatrices, x, x_m, x_a) -> np.ndarray:
         raise DimensionMismatch(
             f"fleet {x.shape}, auxiliary {x_a.shape} and leader {x_m.shape} states disagree"
         )
-    pin = topo_m.leader_diag.diagonal()
-    return topo_m.laplacian_like @ x - pin[:, None] * x_m[..., None, :] + x_a
+    return topo_m.laplacian_like @ x - topo_m.pinning * x_m[..., None, :] + x_a
 
 
 def gain_derivatives(
     cfg: ControllerConfig,
     topo_m: TopologyMatrices,
-    m: LeaderModel,
+    p_b: np.ndarray,
     e_a: np.ndarray,
     eta: np.ndarray,
     phi: np.ndarray,
@@ -217,14 +226,11 @@ def gain_derivatives(
         d theta_i  = -sign(theta_r_i*) (Gamma_theta s)_i eta_i^T
         d phi_phi_i = -(Gamma_phi s)_i phi_i^T
 
-    returning arrays shaped like ``theta`` (l, q, p) and ``phi_phi`` (l, p, p).
+    ``p_b`` is the (n, p) product ``P b_m``, ``e_a`` the (l, n) augmented
+    errors; returns arrays shaped like ``theta`` (l, q, p) and ``phi_phi``
+    (l, p, p).
     """
-    ell = cfg.num_agents
-    n = m.state_dim
-    v = e_a.reshape(ell, n) @ cfg.p_matrix  # row i is P e_a_i, P symmetric
-    s = (topo_m.laplacian_like.T @ v) @ m.b_m
-    g_theta = cfg.gamma_theta @ s
-    g_phi = cfg.gamma_phi @ s
-    d_theta = -cfg.r_sign[:, None, None] * eta[:, :, None] * g_theta[:, None, :]
-    d_phi = -g_phi[:, :, None] * phi[:, None, :]
-    return d_theta, d_phi
+    s = topo_m.laplacian_like.T @ (e_a @ p_b)
+    g = cfg.signed_rates @ s
+    ell = eta.shape[0]
+    return eta[:, :, None] * g[:ell, None, :], g[ell:, :, None] * phi[:, None, :]

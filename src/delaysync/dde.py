@@ -10,7 +10,7 @@ the method never extrapolates.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -156,10 +156,10 @@ def step_rk4(derivative: Derivative, s: DdeState) -> DdeState:
     k4 = derivative(t + h, y + h * k3, hist)
     y_new = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
-    if not np.all(np.isfinite(y_new)):
+    if not np.isfinite(y_new).all():
         raise NonFiniteState(f"non-finite state after step to t={t + h!r}")
 
-    out = replace(s, state=y_new, index=s.index + 1)
+    out = DdeState(y_new, hist, s.recorders, h, s.origin, s.index + 1)
     t_new = out.time
     for name, extract in s.recorders:
         hist[name].append(extract(t_new, y_new))

@@ -4,9 +4,16 @@ A Scenario bundles the follower fleet, the leader, the graph, the adaptation
 settings, and the run geometry.  run_scenario validates everything, then
 integrates one coupled delay system whose state stacks
 
-    [fleet states; leader state; auxiliary states; gains; aux gains]
+    [fleet states; auxiliary states; gains; aux gains]
 
-with history buffers for the fleet states, the leader state, and the gains.
+The leader is driven by the reference alone, so it stays outside that
+state: the same stepper integrates it over [0, duration + tau_u], a block
+of steps ahead of the loop, and records its regressor at every RK4 stage
+for the loop to read.  The delays are whole multiples of the step, so
+every delayed value the loop reads is a row of the states it has already
+stored: ``tau_x`` or ``tau_u`` rows back at a step's first and last stage,
+the mean of two neighbouring rows at its midpoint stages, and row 0
+standing in as the constant pre-history.
 
 The controller's signal chain is written once, in ``adaptive`` and
 ``plant``, as array functions that take any leading axes: regressors from
@@ -14,15 +21,13 @@ current and delayed states, the applied input (the gains one input-delay
 back against the current leader regressor, zero before the first command
 arrives), the input mismatch, the auxiliary input, and the augmented graph
 error.  ``_chain`` strings them together.  The RK4 right-hand side calls it
-on each stage state and feeds the result to the fleet, leader, auxiliary
-and gain derivatives.  The loop stores only the state after each step; the
-recorded signals come afterwards from the same ``_chain`` over blocks of
-stored rows, with delayed values read ``tau_x`` and ``tau_u`` rows back.
+on each stage state and feeds the result to the fleet, auxiliary and gain
+derivatives.  The loop stores only the state after each step; the recorded
+signals come afterwards from the same ``_chain`` over blocks of stored
+rows, with delayed values read ``tau_x`` and ``tau_u`` rows back.
 
-The commanded input recorded in the trace is computed against a leader
-trajectory table integrated once over [0, duration + tau_u] with the same
-stepper, which reproduces the in-loop leader samples bit for bit, so no
-per-step forward integration is needed.
+The commanded input recorded in the trace is computed against the leader
+rows ``tau_u`` ahead, so no per-step forward prediction is needed.
 """
 
 from __future__ import annotations
@@ -43,7 +48,7 @@ from .adaptive import (
     mismatch,
     regressor,
 )
-from .dde import GRID_TOL, DdeState, HistoryBuffer, rk4_ode_step, step_rk4
+from .dde import GRID_TOL, DdeState, rk4_ode_step, step_rk4
 from .errors import (
     DimensionMismatch,
     DivergenceDetected,
@@ -68,15 +73,15 @@ from .topology import (
 # Integrated states (fleet, leader, auxiliary, gains) beyond this magnitude
 # abort the run as divergence.
 DIVERGENCE_LIMIT = 1e6
-# Runs whose recorded arrays (trace, leader table, histories) would exceed
-# this many bytes are refused before anything is allocated.
+# Runs whose recorded arrays (trace, leader table) would exceed this many
+# bytes are refused before anything is allocated.
 MAX_RUN_BYTES = 2**30
 # Reference-gain magnitudes and adaptation rates below this cannot be
 # inverted for the energy monitor.
 WEIGHT_TOL = 1e-12
-# The trace recording evaluates the signal chain over this many stored rows
-# at a time, which bounds its temporaries.
-RECORD_BLOCK = 256
+# The leader pass and the trace recording work through this many steps or
+# stored rows at a time, which bounds their temporaries.
+BLOCK = 256
 
 REFERENCE_KINDS = ("constant", "sine", "square")
 
@@ -441,18 +446,21 @@ def _energy_series(
     )
 
 
-def _chain(matrices, tau_u, t, x, x_m, x_a, theta, phi_phi, x_del, x_m_del, theta_del, r_del):
+def _chain(matrices, tau_u, t, x, x_a, theta, phi_phi, x_del, theta_del, eta_m):
     """The controller's signals from states and their delayed values.
 
-    Leading axes pass through: one stage state in the right-hand side, a
-    block of stored rows in the recording (``t`` then holds their times).
-    Returns the fleet regressor, the applied input, the mismatch, the
-    auxiliary input and the augmented error.
+    ``eta_m`` is the leader regressor ``[x_m(t); x_m(t - tau_x);
+    r(t - tau_u)]``, which also supplies the current leader state and the
+    delayed reference.  Leading axes pass through: one stage state in the
+    right-hand side, a block of stored rows in the recording (``t`` then
+    holds their times).  Returns the fleet regressor, the applied input, the
+    mismatch, the auxiliary input and the augmented error.
     """
-    eta = regressor(x, x_del, r_del[..., None, :])
-    u_app = applied_input(theta_del, regressor(x_m, x_m_del, r_del), t, tau_u)
+    n = x.shape[-1]
+    eta = regressor(x, x_del, eta_m[..., None, 2 * n:])
+    u_app = applied_input(theta_del, eta_m, t, tau_u)
     phi = mismatch(theta, eta, u_app)
-    e_a = augmented_error(matrices, x, x_m, x_a)
+    e_a = augmented_error(matrices, x, eta_m[..., :n], x_a)
     return eta, u_app, phi, auxiliary_input(phi_phi, phi), e_a
 
 
@@ -462,6 +470,71 @@ def _lagged(rows: np.ndarray, start: int, stop: int, lag: int) -> np.ndarray:
     if start >= lag:
         return rows[start - lag:stop - lag]
     return rows[np.maximum(np.arange(start, stop) - lag, 0)]
+
+
+def _delayed(rows: np.ndarray, k, lag: int):
+    """Values ``lag`` steps back at the start, midpoint and end of step ``k``.
+
+    ``rows`` holds one sample per grid point.  The delays are whole steps,
+    so the start and end read rows ``k - lag`` and ``k - lag + 1`` and the
+    RK4 midpoint reads their mean, the linear interpolant halfway.  Row 0 is
+    the constant pre-history and stands in for every negative row, as in
+    :func:`_lagged`.  ``k`` is one step or an integer array of steps.
+    """
+    lo = rows[np.maximum(k - lag, 0)]
+    hi = rows[np.maximum(k - lag + 1, 0)]
+    return lo, 0.5 * (lo + hi), hi
+
+
+def _levels(ref: ReferenceSignal, times: np.ndarray, p: int) -> np.ndarray:
+    """Reference levels at ``times``, one row of ``p`` equal channels each."""
+    values = np.fromiter(map(ref, times.ravel()), float, times.size)
+    return np.repeat(values.reshape(times.shape + (1,)), p, axis=-1)
+
+
+def _leader_pass(m: LeaderModel, ref: ReferenceSignal, table: np.ndarray, start: int,
+                 stop: int, h: float, tau_u: float, lag: int) -> np.ndarray:
+    """Integrate the leader from ``table[start]`` into rows ``start + 1``
+    to ``stop`` of ``table``, one RK4 step of ``h`` per row.
+
+    The leader is driven by the reference alone, so it needs nothing from
+    the closed loop and runs with the same stepper just ahead of it.
+    Returns the leader regressor ``[x_m; x_m(t - tau_x); r(t - tau_u)]`` at
+    every RK4 stage of those steps, (stop - start, 4, 2n + p), with
+    ``tau_x`` ``lag`` rows back, read as :func:`_delayed` reads it.
+
+    Piecewise-constant references are sampled at the step boundary and
+    held through the RK4 stages.  The final stage lands exactly on the next
+    boundary, where a square wave may have just switched; evaluated there
+    it would feed the post-edge level into a step whose true vector field
+    uses the pre-edge level throughout, and that one inconsistent stage is
+    what shows up as spurious upticks in the energy monitor.  Held at the
+    left sample the wave is reproduced exactly on every half-open step
+    interval.  Smooth references keep stage-time evaluation and with it the
+    integrator's full order.
+    """
+    n, p = m.state_dim, m.input_dim
+    eta_m = np.empty((stop - start, 4, 2 * n + p))
+    starts = np.arange(start, stop) * h
+    if ref.piecewise_constant:
+        eta_m[:, :, 2 * n:] = _levels(ref, starts - tau_u, p)[:, None, :]
+    else:
+        mids = starts + 0.5 * h
+        stage_times = np.stack([starts, mids, mids, starts + h], axis=1)
+        eta_m[:, :, 2 * n:] = _levels(ref, stage_times - tau_u, p)
+    rows = iter(eta_m.reshape(-1, 2 * n + p))
+
+    def leader_rhs(s: float, y: np.ndarray) -> np.ndarray:
+        row = next(rows)  # rk4_ode_step evaluates its four stages in order
+        row[:n] = y
+        return leader_block_derivative(m, y, row[2 * n:])
+
+    for j in range(start, stop):
+        table[j + 1] = rk4_ode_step(leader_rhs, j * h, table[j], h)
+    lo, mid, hi = _delayed(table, np.arange(start, stop), lag)
+    for i, lagged in enumerate((lo, mid, mid, hi)):
+        eta_m[:, i, n:2 * n] = lagged
+    return eta_m
 
 
 def run_scenario(sc: Scenario) -> SimTrace:
@@ -490,22 +563,20 @@ def run_scenario(sc: Scenario) -> SimTrace:
     fleet = sc.fleet
     matrices = build_matrices(sc.topology)
     p_block = linalg.solve_lyapunov(m.a_m, sc.q_tilde)
+    p_b = p_block @ m.b_m
     gains = matching_gains(fleet, m)
     cfg = ControllerConfig(sc.gamma_theta, sc.gamma_phi, p_block, sc.r_signs)
     ref = sc.reference
     tau_x, tau_u = sc.tau_x, sc.tau_u
-    hold = ref.piecewise_constant
-
-    def r_vec(t: float) -> np.ndarray:
-        return np.full(p, ref(t))
 
     total = int(round(sc.duration / h))
     du = int(round(tau_u / h))
     dx = int(round(tau_x / h))
-    # Trace rows (one CSV row each), leader table rows, history rings.
+    lead = total + du  # leader steps: the commanded input looks tau_u ahead
+    # Trace rows (one CSV row each; the leader columns are the table's) and
+    # the leader table.
     row_width = 2 + n + 4 * ln + ell * (3 * p + q * p + p * p)
-    floats = (total + 1) * row_width + (total + du + 1) * n
-    floats += (du + 2) * ell * q * p + (dx + 2) * (ln + n)
+    floats = (total + 1) * (row_width - n) + (lead + 1) * n
     if 8 * floats > MAX_RUN_BYTES:
         raise TraceTooLarge(
             f"run would record {8 * floats / 2**30:.3g} GiB "
@@ -513,125 +584,83 @@ def run_scenario(sc: Scenario) -> SimTrace:
             f"{MAX_RUN_BYTES / 2**30:g} GiB limit"
         )
 
-    # Piecewise-constant references are sampled at the step boundary and
-    # held through the RK4 stages.  The final stage lands exactly on the
-    # next boundary, where a square wave may have just switched; evaluated
-    # there it would feed the post-edge level into a step whose true vector
-    # field uses the pre-edge level throughout, and that one inconsistent
-    # stage is what shows up as spurious upticks in the energy monitor.
-    # Held at the left sample the wave is reproduced exactly on every
-    # half-open step interval.  Smooth references keep stage-time
-    # evaluation and with it the integrator's full order.
-    held_r_del = r_vec(-tau_u)
-
-    # Leader trajectory over [0, duration + tau_u], one pass, same stepper,
-    # same hold policy, and same derivative expression as the in-loop
-    # leader block: the table therefore matches the integrated leader
-    # samples bit for bit and plays the role of the per-step forward
-    # prediction at zero marginal cost.
-    table = np.empty((total + du + 1, n))
+    table = np.empty((lead + 1, n))
     table[0] = sc.xm0
-    for j in range(total + du):
-        if hold:
-            r_j = r_vec(j * h - tau_u)
-            leader_rhs = lambda s, y, r=r_j: leader_block_derivative(m, y, r)
-        else:
-            leader_rhs = lambda s, y: leader_block_derivative(m, y, r_vec(s - tau_u))
-        table[j + 1] = rk4_ode_step(leader_rhs, j * h, table[j], h)
 
-    hist_x = HistoryBuffer(h, 0.0, sc.x0, tau_x)
-    hist_xm = HistoryBuffer(h, 0.0, sc.xm0, tau_x)
-    hist_th = HistoryBuffer(h, 0.0, sc.theta0.reshape(-1), tau_u)
-
-    i_xm = ln
-    i_xa = ln + n
+    i_xa = ln
     i_th = i_xa + ln
     i_ph = i_th + ell * q * p
-    z0 = np.concatenate(
-        [sc.x0, sc.xm0, sc.xa0, sc.theta0.reshape(-1), sc.phi_phi0.reshape(-1)]
-    )
+    z0 = np.concatenate([sc.x0, sc.xa0, sc.theta0.reshape(-1), sc.phi_phi0.reshape(-1)])
+    states = np.empty((total + 1, z0.shape[0]))
+    x_arr = states[:, :ln].reshape(-1, ell, n)
+    th_arr = states[:, i_th:i_ph].reshape(-1, ell, q, p)
+    stages = []  # operands of the current step's RK4 stages, in order
 
     def rhs(t: float, y: np.ndarray, hist) -> np.ndarray:
+        # step_rk4 evaluates its four stages in order; each takes its
+        # delayed fleet states and gains and its leader regressor.
+        x_del, th_del, eta_m_s = stages.pop(0)
         x = y[:ln].reshape(ell, n)
-        xm = y[i_xm:i_xa]
         xa = y[i_xa:i_th].reshape(ell, n)
-        r_del = held_r_del if hold else r_vec(t - tau_u)
-        x_del = hist_x.sample(t - tau_x).reshape(ell, n)
-        xm_del = hist_xm.sample(t - tau_x)
-        th_del = hist_th.sample(t - tau_u).reshape(ell, q, p)
         eta, u_app, phi, u_aux, e_a = _chain(
-            matrices, tau_u, t, x, xm, xa, y[i_th:i_ph].reshape(ell, q, p),
-            y[i_ph:].reshape(ell, p, p), x_del, xm_del, th_del, r_del,
+            matrices, tau_u, t, x, xa, y[i_th:i_ph].reshape(ell, q, p),
+            y[i_ph:].reshape(ell, p, p), x_del, th_del, eta_m_s,
         )
-        d_th, d_ph = adaptive.gain_derivatives(cfg, matrices, m, e_a.reshape(-1), eta, phi)
-        return np.concatenate([
-            fleet.derivative(x, x_del, u_app).reshape(-1),
-            leader_block_derivative(m, xm, r_del),
-            aux_derivative(m, matrices, xa, u_aux).reshape(-1),
-            d_th.reshape(-1),
-            d_ph.reshape(-1),
-        ])
+        d_th, d_ph = adaptive.gain_derivatives(cfg, matrices, p_b, e_a, eta, phi)
+        d_x = fleet.derivative(x, x_del, u_app)
+        d_xa = aux_derivative(m, matrices, xa, u_aux)
+        return np.concatenate((d_x.ravel(), d_xa.ravel(), d_th.ravel(), d_ph.ravel()))
 
     def check_divergence(s: DdeState) -> None:
-        worst = float(np.max(np.abs(s.state)))
-        if worst > DIVERGENCE_LIMIT:
+        worst = max(float(np.abs(s.state).max()), float(np.abs(table[s.index]).max()))
+        if not worst <= DIVERGENCE_LIMIT:
             raise DivergenceDetected(
                 f"state magnitude {worst:.3e} at t={s.time:.6g} exceeds {DIVERGENCE_LIMIT:.0e}",
                 time=s.time,
             )
 
-    states = np.empty((total + 1, z0.shape[0]))
-    state = DdeState(
-        state=z0,
-        histories={"x": hist_x, "x_m": hist_xm, "theta": hist_th},
-        recorders=(
-            ("x", lambda t, y: y[:ln]),
-            ("x_m", lambda t, y: y[i_xm:i_xa]),
-            ("theta", lambda t, y: y[i_th:i_ph]),
-        ),
-        step=h,
-    )
-    # Stepped by hand rather than through dde.run so the reference hold can
-    # be re-anchored at every boundary; the final RK4 stage shares its time
-    # stamp with the next step's first stage, so no wrapper around r alone
-    # can tell which step it is serving.
+    state = DdeState(state=z0, histories={}, recorders=(), step=h)
     check_divergence(state)
     states[0] = z0
-    for k in range(total):
-        if hold:
-            held_r_del = r_vec(k * h - tau_u)  # level across [k·h, (k+1)·h)
-        state = step_rk4(rhs, state)
-        check_divergence(state)
-        states[k + 1] = state.state
+    for a in range(0, lead, BLOCK):
+        b = min(a + BLOCK, lead)
+        eta_m = _leader_pass(m, ref, table, a, b, h, tau_u, dx)
+        for k in range(a, min(b, total)):
+            x_lo, x_mid, x_hi = _delayed(x_arr, k, dx)
+            th_lo, th_mid, th_hi = _delayed(th_arr, k, du)
+            stages.extend(
+                zip((x_lo, x_mid, x_mid, x_hi), (th_lo, th_mid, th_mid, th_hi), eta_m[k - a])
+            )
+            state = step_rk4(rhs, state)
+            check_divergence(state)
+            states[k + 1] = state.state
 
     times = np.arange(total + 1) * h
-    x_arr = states[:, :ln].reshape(-1, ell, n)
-    xm_arr = states[:, i_xm:i_xa]
+    xm_arr = table[:total + 1]
     xa_arr = states[:, i_xa:i_th].reshape(-1, ell, n)
-    th_arr = states[:, i_th:i_ph].reshape(-1, ell, q, p)
     ph_arr = states[:, i_ph:].reshape(-1, ell, p, p)
+    # Rows read the right-continuous reference level at their own time.
+    r_del = _levels(ref, times - tau_u, p)
+    r_now = _levels(ref, times, p)
     e_arr = np.empty((total + 1, ell, n))
     ea_arr = np.empty((total + 1, ell, n))
     u_arr = np.empty((total + 1, ell, p))
     uaux_arr = np.empty((total + 1, ell, p))
     phi_arr = np.empty((total + 1, ell, p))
-    for a in range(0, total + 1, RECORD_BLOCK):
-        b = min(a + RECORD_BLOCK, total + 1)
+    for a in range(0, total + 1, BLOCK):
+        b = min(a + BLOCK, total + 1)
         xa = xa_arr[a:b]
-        # Rows read the right-continuous reference level at their own time.
-        r_del = np.array([r_vec(t) for t in times[a:b] - tau_u])
-        r_now = np.array([r_vec(t) for t in times[a:b]])
+        eta_m_rows = regressor(xm_arr[a:b], _lagged(xm_arr, a, b, dx), r_del[a:b])
         _, _, phi, u_aux, e_a = _chain(
-            matrices, tau_u, times[a:b], x_arr[a:b], xm_arr[a:b], xa, th_arr[a:b],
-            ph_arr[a:b], _lagged(x_arr, a, b, dx), _lagged(xm_arr, a, b, dx),
-            _lagged(th_arr, a, b, du), r_del,
+            matrices, tau_u, times[a:b], x_arr[a:b], xa, th_arr[a:b], ph_arr[a:b],
+            _lagged(x_arr, a, b, dx), _lagged(th_arr, a, b, du), eta_m_rows,
         )
         e_arr[a:b] = e_a - xa
         ea_arr[a:b] = e_a
         phi_arr[a:b] = phi
         uaux_arr[a:b] = u_aux
         # commanded input: current gains against the leader regressor tau_u ahead
-        eta_pred = regressor(table[a + du:b + du], table[a + du - dx:b + du - dx], r_now)
+        eta_pred = regressor(table[a + du:b + du], table[a + du - dx:b + du - dx], r_now[a:b])
         u_arr[a:b] = control(th_arr[a:b], eta_pred)
 
     v_d = _energy_series(cfg, gains, ea_arr, th_arr, ph_arr)

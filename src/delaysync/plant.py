@@ -111,7 +111,12 @@ class MatchingGains:
 
 
 class FleetDynamics:
-    """Stacked array form of a follower fleet for blockwise evaluation."""
+    """Stacked array form of a follower fleet for blockwise evaluation.
+
+    ``a``, ``a_zeta`` and ``b`` stack the agents' matrices, (l, n, n),
+    (l, n, n) and (l, n, p); ``stacked`` is ``[a | a_zeta | b]`` per agent,
+    (l, n, 2n+p), so one product evaluates the whole derivative.
+    """
 
     def __init__(self, fleet: list[AgentDynamics] | tuple[AgentDynamics, ...]):
         if not fleet:
@@ -128,6 +133,7 @@ class FleetDynamics:
         self.a = np.stack([ag.a for ag in fleet])
         self.a_zeta = np.stack([ag.a_zeta for ag in fleet])
         self.b = np.stack([ag.b for ag in fleet])
+        self.stacked = np.concatenate([self.a, self.a_zeta, self.b], axis=2)
 
     def __iter__(self):
         return iter(self.agents)
@@ -137,10 +143,8 @@ class FleetDynamics:
 
     def derivative(self, x_now: np.ndarray, x_delayed: np.ndarray, u_delayed: np.ndarray) -> np.ndarray:
         """Blockwise fleet derivative; states (..., l, n), inputs (..., l, p)."""
-        out = np.einsum("ijk,...ik->...ij", self.a, x_now)
-        out += np.einsum("ijk,...ik->...ij", self.a_zeta, x_delayed)
-        out += np.einsum("ijk,...ik->...ij", self.b, u_delayed)
-        return out
+        operand = np.concatenate((x_now, x_delayed, u_delayed), axis=-1)
+        return (self.stacked @ operand[..., None])[..., 0]
 
 
 def aux_derivative(m: LeaderModel, topo_m: TopologyMatrices, x_a, u_a) -> np.ndarray:

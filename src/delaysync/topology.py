@@ -8,8 +8,9 @@ controller is ``L = I - W`` with ``W`` the follower weight matrix.
 
 from __future__ import annotations
 
+import math
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -28,8 +29,9 @@ class Topology:
 
     ``follower_weights[i, j]`` is how strongly agent ``i`` weighs agent
     ``j``; ``leader_weights[i]`` is agent ``i``'s direct leader weight.
-    Weights are nonnegative, the diagonal of ``follower_weights`` is zero,
-    and each row of combined weights sums to one.
+    Weights are finite and nonnegative, the diagonal of ``follower_weights``
+    is zero, each row of combined weights sums to one, and the threshold is
+    finite and positive.
     """
 
     num_agents: int
@@ -47,12 +49,14 @@ class Topology:
             raise DimensionMismatch(f"follower_weights shape {w.shape}, expected {(n, n)}")
         if g.shape != (n,):
             raise DimensionMismatch(f"leader_weights shape {g.shape}, expected {(n,)}")
+        if not (np.isfinite(w).all() and np.isfinite(g).all()):
+            raise UnbalancedTopology("weights must be finite")
         if np.any(w < 0.0) or np.any(g < 0.0):
             raise UnbalancedTopology("weights must be nonnegative")
         if np.any(w.diagonal() != 0.0):
             raise UnbalancedTopology("self-weights must be zero")
-        if not self.threshold > 0.0:
-            raise UnbalancedTopology(f"threshold must be positive, got {self.threshold}")
+        if not 0.0 < self.threshold < math.inf:
+            raise UnbalancedTopology(f"threshold must be finite and positive, got {self.threshold}")
         deviation = np.max(np.abs(w.sum(axis=1) + g - 1.0))
         if deviation > BALANCE_TOL:
             raise UnbalancedTopology(f"row weight sums deviate from 1 by {deviation:.3e}")
@@ -66,10 +70,15 @@ class TopologyMatrices:
 
     ``laplacian_like`` is ``I - W`` and ``leader_diag`` is ``diag(g)``, both
     (l, l); they act on fleet states blockwise, one n-vector per agent.
+    ``pinning`` is the (l, 1) column ``g`` that scales the leader block.
     """
 
     laplacian_like: np.ndarray
     leader_diag: np.ndarray
+    pinning: np.ndarray = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "pinning", self.leader_diag.diagonal()[:, None].copy())
 
 
 def build_matrices(topo: Topology) -> TopologyMatrices:

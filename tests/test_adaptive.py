@@ -26,6 +26,7 @@ from delaysync.topology import Topology, build_matrices
 
 LEADER = LeaderModel(a_m=np.array([[0.0, 1.0], [-2.0, -3.0]]), b_m=np.array([[0.0], [-2.0]]))
 P_BLOCK = np.array([[0.25, 0.05], [0.05, 0.05]])
+P_B = P_BLOCK @ LEADER.b_m  # the (n, p) product the adaptation laws take
 
 
 def single_agent_setup():
@@ -285,7 +286,7 @@ def test_leader_block_derivative_hand_values():
 def test_gain_derivatives_vanish_at_zero_error():
     cfg, m = single_agent_setup()
     d_theta, d_phi = gain_derivatives(
-        cfg, m, LEADER, np.zeros(2), np.ones((1, 5)), np.ones((1, 1))
+        cfg, m, P_B, np.zeros((1, 2)), np.ones((1, 5)), np.ones((1, 1))
     )
     assert np.array_equal(d_theta, np.zeros((1, 5, 1)))
     assert np.array_equal(d_phi, np.zeros((1, 1, 1)))
@@ -298,7 +299,7 @@ def test_gain_derivatives_hand_chain():
     eta = np.zeros((1, 5))
     eta[0, 0] = 1.0
     phi = np.array([[2.0]])
-    d_theta, d_phi = gain_derivatives(cfg, m, LEADER, np.array([1.0, 0.0]), eta, phi)
+    d_theta, d_phi = gain_derivatives(cfg, m, P_B, np.array([[1.0, 0.0]]), eta, phi)
     # s = b_m^T P e_a = -2 * 0.05 = -0.1
     assert np.max(np.abs(d_theta[0, :, 0] - [-0.1, 0.0, 0.0, 0.0, 0.0])) < 1e-15
     assert abs(d_phi[0, 0, 0] - 0.2) < 1e-15
@@ -308,7 +309,7 @@ def test_gain_derivatives_scale_with_eta():
     cfg, m = single_agent_setup()
     eta = np.zeros((1, 5))
     eta[0, :] = [1.0, 0.0, 0.0, 0.0, 2.0]
-    d_theta, _ = gain_derivatives(cfg, m, LEADER, np.array([1.0, 0.0]), eta, np.zeros((1, 1)))
+    d_theta, _ = gain_derivatives(cfg, m, P_B, np.array([[1.0, 0.0]]), eta, np.zeros((1, 1)))
     assert np.max(np.abs(d_theta[0, :, 0] - [-0.1, 0.0, 0.0, 0.0, -0.2])) < 1e-15
 
 

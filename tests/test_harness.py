@@ -23,10 +23,12 @@ from delaysync.adaptive import (
     regressor,
 )
 from delaysync.cli import load_scenario
+from delaysync.dde import HistoryBuffer
 from delaysync.harness import (
     ReferenceSignal,
     Scenario,
     SimTrace,
+    _delayed,
     _energy_series,
     metrics,
     run_scenario,
@@ -148,10 +150,13 @@ def test_scenario_rejects_wrong_gain_shape():
 
 
 def _nan_topology():
+    """A topology whose weights turned NaN after construction (the
+    constructor itself refuses NaN weights)."""
     topo = load_scenario("example2").topology
     w = topo.follower_weights.copy()
     w[0, 1] = math.nan
-    return Topology(topo.num_agents, w, topo.leader_weights, topo.threshold)
+    object.__setattr__(topo, "follower_weights", w)
+    return topo
 
 
 @pytest.mark.parametrize(
@@ -329,6 +334,83 @@ def test_recorded_signals_match_the_chain_functions():
         assert np.array_equal(trace.e[k], e_a - trace.x_a[k])
         assert np.array_equal(trace.u[k], control(trace.theta[k], eta_pred))
     assert np.any(trace.phi[:du] != 0.0) and np.any(trace.u[:du] != 0.0)
+
+
+# ------------------------------------------------------ delays as row offsets
+
+
+def test_delayed_rows_match_the_history_buffer():
+    """A delay of whole steps, read as rows back, agrees with the
+    interpolating history buffer fed the same rows at every RK4 stage time
+    of every step: exactly at the step's start and end, to 1e-15 at its
+    midpoint, with row 0 as the pre-history (steps with k - lag = -1 and 0)
+    and through the first steps after tau_x and tau_u."""
+    h, tau_x, tau_u = 0.005, 0.05, 0.1
+    t = np.arange(60) * h
+    rows = np.stack([np.sin(3.0 * t), np.cos(2.0 * t) - 0.5, 0.2 * t], axis=1)
+    for tau in (tau_x, tau_u):
+        lag = round(tau / h)
+        buf = HistoryBuffer(h, 0.0, rows[0], tau)
+        for k in range(len(rows) - 1):
+            start = k * h  # stage times as step_rk4 forms them
+            lo, mid, hi = _delayed(rows, k, lag)
+            assert np.array_equal(lo, buf.sample(start - tau))
+            assert np.max(np.abs(mid - buf.sample(start + 0.5 * h - tau))) <= 1e-15
+            assert np.array_equal(hi, buf.sample(start + h - tau))
+            buf.append(rows[k + 1])
+        assert all(np.array_equal(v, rows[0]) for v in _delayed(rows, lag - 1, lag))
+        assert np.array_equal(_delayed(rows, lag, lag)[2], rows[1])
+        # the leader pass reads a block of steps at once, with the same values
+        steps = np.arange(len(rows) - 1)
+        for whole, k in zip(zip(*_delayed(rows, steps, lag)), steps):
+            for a, b in zip(whole, _delayed(rows, int(k), lag)):
+                assert np.array_equal(a, b)
+
+
+# Samples of 12 s runs of example1 and of example2 with a sine reference,
+# recorded when the delayed values were still read through interpolating
+# history buffers and the leader was integrated inside the coupled state.
+RECORDED = {
+    ("example1", "square"): {
+        ("x", (1100, 0, 0)): -0.002317316707043964,
+        ("x", (1500, 1, 1)): 0.0012559689100280424,
+        ("x", (2000, 2, 0)): 0.006183937401497623,
+        ("x", (2400, 3, 1)): -0.08172387021997382,
+        ("theta", (1200, 0, 0, 0)): -0.012345374473529886,
+        ("theta", (1600, 1, 4, 0)): -0.25212600323160245,
+        ("theta", (2000, 2, 1, 0)): -0.0081793101222864,
+        ("theta", (2400, 3, 2, 0)): -0.004813446819115242,
+        ("v_d", (1100,)): 23.25719295362556,
+        ("v_d", (1600,)): 22.207260576044778,
+        ("v_d", (2000,)): 20.90924101086144,
+        ("v_d", (2400,)): 19.73898005551207,
+    },
+    ("example2", "sine"): {
+        ("x", (1100, 0, 0)): -7.349155101861151e-05,
+        ("x", (1500, 1, 1)): -6.552183957937679e-05,
+        ("x", (2000, 2, 0)): 0.0003832166647340699,
+        ("x", (2400, 3, 1)): 0.0003631706396453147,
+        ("theta", (1200, 0, 0, 0)): -0.012499901009816967,
+        ("theta", (1600, 1, 4, 0)): -0.012607211636998772,
+        ("theta", (2000, 2, 1, 0)): -0.0075074886895462245,
+        ("theta", (2400, 3, 2, 0)): -0.004988681386150242,
+        ("v_d", (1100,)): 23.303991122204508,
+        ("v_d", (1600,)): 23.295668454915482,
+        ("v_d", (2000,)): 23.252086660904443,
+        ("v_d", (2400,)): 23.14367824156036,
+    },
+}
+
+
+@pytest.mark.parametrize("builtin, kind", list(RECORDED))
+def test_runs_reproduce_recorded_samples(builtin, kind):
+    """A change to how the loop is evaluated keeps the traces within 1e-12
+    of the recorded samples: after tau_u, around 2 tau_u and at the end."""
+    sc = load_scenario(builtin, ("simulation.duration=12", f"reference.kind={kind}"))
+    trace = run_scenario(sc)
+    assert trace.num_rows == 2401
+    for (field, index), value in RECORDED[builtin, kind].items():
+        assert abs(getattr(trace, field)[index] - value) <= 1e-12, (field, index)
 
 
 # ------------------------------------------------------------------ monitor

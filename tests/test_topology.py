@@ -1,5 +1,7 @@
 """Graph construction, balance and connectivity checks, reachability."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -53,6 +55,22 @@ def test_rejects_unbalanced_rows():
 def test_rejects_bad_threshold():
     with pytest.raises(UnbalancedTopology):
         Topology(1, np.zeros((1, 1)), np.ones(1), 0.0)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_rejects_non_finite_weights(bad):
+    """A NaN compares False against every sign and balance check, so
+    finiteness is checked on its own."""
+    with pytest.raises(UnbalancedTopology, match="finite"):
+        Topology(2, np.array([[0.0, bad], [0.5, 0.0]]), np.array([0.5, 0.5]), 0.1)
+    with pytest.raises(UnbalancedTopology, match="finite"):
+        Topology(2, np.array([[0.0, 0.5], [0.5, 0.0]]), np.array([0.5, bad]), 0.1)
+
+
+@pytest.mark.parametrize("bad", [math.inf, math.nan])
+def test_rejects_non_finite_threshold(bad):
+    with pytest.raises(UnbalancedTopology, match="finite"):
+        Topology(1, np.zeros((1, 1)), np.ones(1), bad)
 
 
 def test_rejects_bad_shapes():
