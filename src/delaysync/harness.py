@@ -492,6 +492,12 @@ def _levels(ref: ReferenceSignal, times: np.ndarray, p: int) -> np.ndarray:
     return np.repeat(values.reshape(times.shape + (1,)), p, axis=-1)
 
 
+def _diverged(worst: float, t: float) -> DivergenceDetected:
+    return DivergenceDetected(
+        f"state magnitude {worst:.3e} at t={t:.6g} exceeds {DIVERGENCE_LIMIT:.0e}", time=t
+    )
+
+
 def _leader_pass(m: LeaderModel, ref: ReferenceSignal, table: np.ndarray, start: int,
                  stop: int, h: float, tau_u: float, lag: int) -> np.ndarray:
     """Integrate the leader from ``table[start]`` into rows ``start + 1``
@@ -545,7 +551,8 @@ def run_scenario(sc: Scenario) -> SimTrace:
     Raises TraceTooLarge before any allocation when the recorded arrays
     would pass MAX_RUN_BYTES, DivergenceDetected (with the offending time)
     if any integrated state (fleet, leader, auxiliary, gains) passes 1e6 in
-    magnitude, and propagates integrator errors.
+    magnitude, the leader rows read ``tau_u`` past the last step included,
+    and propagates integrator errors.
     """
     failed = [c for c in validate_scenario(sc) if not c.passed]
     if failed:
@@ -611,13 +618,15 @@ def run_scenario(sc: Scenario) -> SimTrace:
         d_xa = aux_derivative(m, matrices, xa, u_aux)
         return np.concatenate((d_x.ravel(), d_xa.ravel(), d_th.ravel(), d_ph.ravel()))
 
+    # Largest |x_m| entry of each leader row, filled block by block as the
+    # leader pass writes the rows.
+    leader_worst = np.empty(lead + 1)
+    leader_worst[0] = np.abs(table[0]).max()
+
     def check_divergence(s: DdeState) -> None:
-        worst = max(float(np.abs(s.state).max()), float(np.abs(table[s.index]).max()))
-        if not worst <= DIVERGENCE_LIMIT:
-            raise DivergenceDetected(
-                f"state magnitude {worst:.3e} at t={s.time:.6g} exceeds {DIVERGENCE_LIMIT:.0e}",
-                time=s.time,
-            )
+        worst = float(np.abs(s.state).max())
+        if not (worst <= DIVERGENCE_LIMIT and leader_worst[s.index] <= DIVERGENCE_LIMIT):
+            raise _diverged(float(np.max([worst, leader_worst[s.index]])), s.time)
 
     state = DdeState(state=z0, histories={}, recorders=(), step=h)
     check_divergence(state)
@@ -625,6 +634,7 @@ def run_scenario(sc: Scenario) -> SimTrace:
     for a in range(0, lead, BLOCK):
         b = min(a + BLOCK, lead)
         eta_m = _leader_pass(m, ref, table, a, b, h, tau_u, dx)
+        leader_worst[a + 1:b + 1] = np.abs(table[a + 1:b + 1]).max(axis=1)
         for k in range(a, min(b, total)):
             x_lo, x_mid, x_hi = _delayed(x_arr, k, dx)
             th_lo, th_mid, th_hi = _delayed(th_arr, k, du)
@@ -634,6 +644,11 @@ def run_scenario(sc: Scenario) -> SimTrace:
             state = step_rk4(rhs, state)
             check_divergence(state)
             states[k + 1] = state.state
+    # The commanded input reads the leader rows up to tau_u past the last step.
+    beyond = np.flatnonzero(~(leader_worst[total + 1:] <= DIVERGENCE_LIMIT))
+    if beyond.size:
+        j = total + 1 + int(beyond[0])
+        raise _diverged(leader_worst[j], j * h)
 
     times = np.arange(total + 1) * h
     xm_arr = table[:total + 1]

@@ -1,5 +1,8 @@
 """Scenario text format, overrides, and the three subcommands."""
 
+import io
+import os
+import signal
 import tracemalloc
 
 import numpy as np
@@ -359,3 +362,158 @@ def test_run_unwritable_output_exits_two(tmp_path, capsys):
 def test_main_requires_subcommand(capsys):
     with pytest.raises(SystemExit):
         main([])
+
+
+@pytest.mark.parametrize(
+    "overrides, when",
+    [
+        # The commanded input reads leader rows tau_u past the last step; a
+        # leader that blows up there (from t=5.005, the first row driven by
+        # the reference) must stop the run like any other state.
+        (("reference.amplitude=1e308", "simulation.duration=1"), 5.005),
+        (("reference.amplitude=1e9", "simulation.duration=1"), 5.005),
+        # An unstable agent passes the limit at t=4.21, before the leader
+        # rows computed in the same look-ahead block: the earlier time wins.
+        (
+            ("agent.1.a=0,1,3,2", "simulation.x0=3e-3,0,0,0,0,0,0,0",
+             "reference.amplitude=1e9", "simulation.duration=8"),
+            4.21,
+        ),
+    ],
+    ids=["leader_1e308", "leader_1e9", "fleet_first"],
+)
+def test_divergence_exits_two_at_its_first_time(tmp_path, capsys, overrides, when):
+    sets = [arg for o in overrides for arg in ("--set", o)]
+    with np.errstate(over="ignore", invalid="ignore"):
+        code = run_cli("run", "example1", "--out", str(tmp_path), *sets)
+    assert code == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: state magnitude")
+    assert f"at t={when:g} " in err[0]
+    assert not (tmp_path / "trace.csv").exists()
+
+
+# --------------------------------------------------------------- trace.csv
+
+
+def savetxt_bytes(trace):
+    """trace.csv as np.savetxt writes the whole trace stacked into one array."""
+    rows = trace.num_rows
+    data = np.column_stack(
+        [trace.times]
+        + [
+            a.reshape(rows, -1)
+            for a in (
+                trace.x, trace.x_m, trace.x_a, trace.e, trace.e_a, trace.u,
+                trace.u_aux, trace.phi, trace.theta, trace.phi_phi,
+            )
+        ]
+        + [trace.v_d]
+    )
+    buf = io.BytesIO()
+    np.savetxt(
+        buf, data, fmt="%.17g", delimiter=",", header=",".join(trace_columns(trace)), comments=""
+    )
+    return buf.getvalue()
+
+
+def ring_text(ell, duration):
+    """A ring of ``ell`` second-order agents, each leaning 0.3 on both
+    neighbours and 0.4 on the leader, with four stiffness levels."""
+    def nums(values):
+        return ", ".join(f"{v:g}" for v in values)
+
+    ring = [[0.0] * ell for _ in range(ell)]
+    for i in range(ell):
+        ring[i][i - 1] = ring[i][(i + 1) % ell] = 0.3
+    eye = nums(float(i == j) for i in range(ell) for j in range(ell))
+    parts = [
+        f"[simulation]\ntau_x = 3\ntau_u = 5\nstep = 0.01\nduration = {duration}",
+        "[leader]\nstate_dim = 2\ninput_dim = 1\na_m = 0, 1, -2, -3\nb_m = 0, -2",
+    ]
+    for i in range(ell):
+        k = 3 + i % 4
+        parts.append(
+            f"[agent.{i + 1}]\na = 0, 1, {-k}, {1 - k}\n"
+            f"a_zeta = 0, 0, {0.1 * k:g}, {0.05 * k:g}\nb = 0, {k}"
+        )
+    parts.append(
+        f"[topology]\nfollower_weights = {nums(v for row in ring for v in row)}\n"
+        f"leader_weights = {nums([0.4] * ell)}\nthreshold = 0.1"
+    )
+    parts.append(
+        f"[controller]\ngamma_theta = {eye}\ngamma_phi = {eye}\nq_tilde = 0.2, 0, 0, 0.2\n"
+        f"theta0 = {nums([-0.01] * 5 * ell)}\nphi_phi0 = {nums([-0.2] * ell)}\n"
+        f"r_signs = {nums([-1] * ell)}"
+    )
+    return "\n\n".join(parts) + "\n"
+
+
+@pytest.fixture(scope="module")
+def traces():
+    """example1 over 12 s (2401 rows of 72 values: blocks of 910, 910 and
+    581 rows), a 64-agent ring (1501 rows of 1156: 26 blocks of 56 rows and
+    one of 45), and a single row."""
+    return {
+        "example1": run_scenario(load_scenario("example1", ("simulation.duration=12",))),
+        "ring64": run_scenario(parse_scenario_file(ring_text(64, 15), "ring64")),
+        "one_row": run_scenario(load_scenario("example1", ("simulation.duration=0",))),
+    }
+
+
+@pytest.mark.parametrize(
+    "name, cpus",
+    [("example1", None), ("ring64", None), ("one_row", None), ("example1", 1), ("ring64", 3)],
+    ids=["example1", "ring64", "one_row", "example1_in_process", "ring64_three_workers"],
+)
+def test_trace_csv_matches_savetxt(traces, name, cpus, tmp_path, monkeypatch):
+    trace = traces[name]
+    if cpus is not None:
+        monkeypatch.setattr(cli, "_usable_cpus", lambda: cpus)
+    write_trace_csv(trace, tmp_path / "trace.csv")
+    assert (tmp_path / "trace.csv").read_bytes() == savetxt_bytes(trace)
+    assert os.listdir(tmp_path) == ["trace.csv"]
+
+
+def test_trace_csv_memory_is_bounded_by_a_block(traces, tmp_path, monkeypatch):
+    """In process, the write holds one block, not a copy of the trace."""
+    trace = traces["ring64"]
+    arrays = (
+        trace.times, trace.x, trace.x_m, trace.x_a, trace.e, trace.e_a, trace.u,
+        trace.u_aux, trace.phi, trace.theta, trace.phi_phi, trace.v_d,
+    )
+    monkeypatch.setattr(cli, "_usable_cpus", lambda: 1)
+    tracemalloc.start()
+    try:
+        write_trace_csv(trace, tmp_path / "trace.csv")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.25 * sum(a.nbytes for a in arrays)
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="the writer forks only where os.fork exists")
+@pytest.mark.parametrize("failure", ["raise", "die"])
+def test_trace_csv_worker_failure_exits_two_and_leaves_no_file(
+    failure, tmp_path, capsys, monkeypatch
+):
+    """A worker that raises or is killed on its block leaves a short stream;
+    the run fails with one error line and no trace file, whole or partial."""
+    csv_rows = cli._csv_rows
+
+    def failing(trace, a, b):
+        if 0 < a and b < trace.num_rows:  # the middle one of three blocks
+            if failure == "raise":
+                raise RuntimeError("formatting failed")
+            os.kill(os.getpid(), signal.SIGKILL)
+        return csv_rows(trace, a, b)
+
+    monkeypatch.setattr(cli, "_csv_rows", failing)
+    monkeypatch.setattr(cli, "_usable_cpus", lambda: 2)
+    out_dir = tmp_path / "out"
+    code = run_cli("run", "example1", "--out", str(out_dir), "--set", "simulation.duration=12")
+    assert code == 2
+    err = capsys.readouterr().err.splitlines()
+    how = "exited with code 1" if failure == "raise" else "killed by signal 9"
+    assert err == [f"error: trace.csv worker 1 {how} before block 2 of 3"]
+    assert os.listdir(out_dir) == []
