@@ -11,8 +11,12 @@ compensator so that the gain adaptation sees a delay-free error system.
 
 The signal functions (``regressor``, ``control``, ``applied_input``,
 ``mismatch``, ``auxiliary_input``, ``augmented_error``) accept any leading
-axes in front of the per-agent ones, so the closed-loop right-hand side
-evaluates them on one state and the trace recording on a block of rows.
+axes in front of the per-agent ones.  The parts that read delayed or leader
+values only (``delayed_regressor``, ``applied_input``, ``leader_pinning``)
+are split from the ones that need the current state (``mismatch``,
+``auxiliary_input``, ``pinned_error``), so a run evaluates the first over a
+block of steps and RK4 stages at once and the second per stage, and the
+trace recording evaluates both over blocks of rows.
 
 The controller only ever touches the leader model, the graph matrices, and
 the signs of the reference-matching gains; no follower dynamics enter.
@@ -104,17 +108,24 @@ def regressor(x_now, x_delayed, r_delayed) -> np.ndarray:
         raise DimensionMismatch(
             f"current state shape {x_now.shape} differs from delayed {x_delayed.shape}"
         )
-    n = x_now.shape[-1]
-    eta = np.empty(x_now.shape[:-1] + (2 * n + r_delayed.shape[-1],))
-    eta[..., :n] = x_now
-    eta[..., n:2 * n] = x_delayed
-    eta[..., 2 * n:] = r_delayed
-    return eta
+    return np.concatenate((x_now, delayed_regressor(x_delayed, r_delayed)), axis=-1)
+
+
+def delayed_regressor(x_delayed: np.ndarray, r_delayed) -> np.ndarray:
+    """The delayed entries ``[x(t - tau_x); r(t - tau_u)]`` of the regressor,
+    (..., n + p); ``r_delayed`` broadcasts as in :func:`regressor`.
+
+    They are stored values only, so a run evaluates them for a block of
+    steps and stages at once and puts the current state in front per stage.
+    """
+    r = np.broadcast_to(r_delayed, x_delayed.shape[:-1] + np.shape(r_delayed)[-1:])
+    return np.concatenate((x_delayed, r), axis=-1)
 
 
 def leader_block_derivative(m: LeaderModel, x_m: np.ndarray, r_value: np.ndarray) -> np.ndarray:
-    """Single leader block derivative ``a_m x_m + b_m r``; shared by the
-    predictor and the closed-loop integration so both see identical arithmetic."""
+    """Single leader block derivative ``a_m x_m + b_m r``, as the predictor
+    integrates it; a run steps the leader by ``LeaderModel.rk4_matrices``,
+    the same RK4 step written as matrices."""
     return m.a_m @ x_m + m.b_m @ r_value
 
 
@@ -208,7 +219,18 @@ def augmented_error(topo_m: TopologyMatrices, x, x_m, x_a) -> np.ndarray:
         raise DimensionMismatch(
             f"fleet {x.shape}, auxiliary {x_a.shape} and leader {x_m.shape} states disagree"
         )
-    return topo_m.laplacian_like @ x - topo_m.pinning * x_m[..., None, :] + x_a
+    return pinned_error(topo_m, x, leader_pinning(topo_m, x_m), x_a)
+
+
+def leader_pinning(topo_m: TopologyMatrices, x_m) -> np.ndarray:
+    """The leader's term ``g_i x_m`` of every agent's graph error, (..., l, n)."""
+    return topo_m.pinning * x_m[..., None, :]
+
+
+def pinned_error(topo_m: TopologyMatrices, x, pinned, x_a) -> np.ndarray:
+    """:func:`augmented_error` with the leader term ``pinned`` from
+    :func:`leader_pinning` given: ``L x_i - pinned_i + x_a_i``."""
+    return topo_m.laplacian_like @ x - pinned + x_a
 
 
 def gain_derivatives(

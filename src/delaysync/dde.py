@@ -1,10 +1,13 @@
 """Fixed-step RK4 integration of delay differential systems.
 
-State histories live on a uniform time grid in ring buffers and are read
-back with linear interpolation; before the start time a buffer reports a
-constant pre-history.  The step size must divide every delay exactly, so
-all delayed stage queries land at or before the newest stored sample and
-the method never extrapolates.
+``step_rk4`` advances one step; a scenario run calls it once per step and
+reads its delays as row offsets into the states it stores (see
+``harness``).  The history ring buffers below serve ``run`` and the delay
+integrator oracle (acceptance test_08) only: state histories live on a
+uniform time grid and are read back with linear interpolation; before the
+start time a buffer reports a constant pre-history.  The step size must
+divide every delay exactly, so all delayed stage queries land at or before
+the newest stored sample and the method never extrapolates.
 """
 
 from __future__ import annotations

@@ -7,24 +7,32 @@ integrates one coupled delay system whose state stacks
     [fleet states; auxiliary states; gains; aux gains]
 
 The leader is driven by the reference alone, so it stays outside that
-state: the same stepper integrates it over [0, duration + tau_u], a block
-of steps ahead of the loop, and records its regressor at every RK4 stage
-for the loop to read.  The delays are whole multiples of the step, so
-every delayed value the loop reads is a row of the states it has already
-stored: ``tau_x`` or ``tau_u`` rows back at a step's first and last stage,
-the mean of two neighbouring rows at its midpoint stages, and row 0
-standing in as the constant pre-history.
+state.  It is linear and time-invariant, so its RK4 step is a matrix
+(``LeaderModel.rk4_matrices``): the pass over [0, duration + tau_u] costs
+one matrix-vector product per row, and runs a block of steps ahead of the
+loop.  The delays are whole multiples of the step, so every delayed value
+the loop reads is a row of the states it has already stored: ``tau_x`` or
+``tau_u`` rows back at a step's first and last stage, the mean of two
+neighbouring rows at its midpoint stages, and row 0 standing in as the
+constant pre-history.
 
 The controller's signal chain is written once, in ``adaptive`` and
-``plant``, as array functions that take any leading axes: regressors from
-current and delayed states, the applied input (the gains one input-delay
-back against the current leader regressor, zero before the first command
-arrives), the input mismatch, the auxiliary input, and the augmented graph
-error.  ``_chain`` strings them together.  The RK4 right-hand side calls it
-on each stage state and feeds the result to the fleet, auxiliary and gain
-derivatives.  The loop stores only the state after each step; the recorded
-signals come afterwards from the same ``_chain`` over blocks of stored
-rows, with delayed values read ``tau_x`` and ``tau_u`` rows back.
+``plant``, as array functions that take any leading axes, and is split in
+two halves.  ``_delay_half`` forms what reads stored values only: the
+applied input (the gains one input-delay back against the leader
+regressor, zero before the first command arrives), the regressor's delayed
+entries and the leader term of the graph error; the fleet's delayed drive
+``a_zeta x(t - tau_x) + b u(t - tau_u)`` joins them.  All of these are
+precomputed for a block of steps and their four RK4 stages at once
+(``_stage_operands``); a block is at most ``tau_x`` long, so every row it
+reads is stored before it starts, and holds about OPERAND_VALUES values.
+``_stage_half`` forms what needs the current state: the regressor, the
+input mismatch, the auxiliary input and the augmented graph error.  The
+RK4 right-hand side calls it on each stage state and feeds the result to
+the fleet, auxiliary and gain derivatives.  The loop stores only the state
+after each step; the recorded signals come afterwards from the same two
+halves over blocks of stored rows, with delayed values read ``tau_x`` and
+``tau_u`` rows back.
 
 The commanded input recorded in the trace is computed against the leader
 rows ``tau_u`` ahead, so no per-step forward prediction is needed.
@@ -41,14 +49,15 @@ from . import adaptive, linalg
 from .adaptive import (
     ControllerConfig,
     applied_input,
-    augmented_error,
     auxiliary_input,
     control,
-    leader_block_derivative,
+    delayed_regressor,
+    leader_pinning,
     mismatch,
+    pinned_error,
     regressor,
 )
-from .dde import GRID_TOL, DdeState, rk4_ode_step, step_rk4
+from .dde import GRID_TOL, DdeState, step_rk4
 from .errors import (
     DimensionMismatch,
     DivergenceDetected,
@@ -79,9 +88,10 @@ MAX_RUN_BYTES = 2**30
 # Reference-gain magnitudes and adaptation rates below this cannot be
 # inverted for the energy monitor.
 WEIGHT_TOL = 1e-12
-# The leader pass and the trace recording work through this many steps or
-# stored rows at a time, which bounds their temporaries.
-BLOCK = 256
+# The loop forms the stage operands of a block of steps at once, and the
+# recording the signals of a block of stored rows; a block holds about this
+# many values with its temporaries (see _block_values).
+OPERAND_VALUES = 2**16
 
 REFERENCE_KINDS = ("constant", "sine", "square")
 
@@ -446,22 +456,33 @@ def _energy_series(
     )
 
 
-def _chain(matrices, tau_u, t, x, x_a, theta, phi_phi, x_del, theta_del, eta_m):
-    """The controller's signals from states and their delayed values.
+def _delay_half(matrices, tau_u, t, x_del, theta_del, eta_m):
+    """The signals that read stored values only: delayed states and gains
+    and the leader regressor.
 
     ``eta_m`` is the leader regressor ``[x_m(t); x_m(t - tau_x);
     r(t - tau_u)]``, which also supplies the current leader state and the
-    delayed reference.  Leading axes pass through: one stage state in the
-    right-hand side, a block of stored rows in the recording (``t`` then
-    holds their times).  Returns the fleet regressor, the applied input, the
-    mismatch, the auxiliary input and the augmented error.
+    delayed reference.  Leading axes pass through: a block of steps and RK4
+    stages in a run, a block of stored rows in the recording (``t`` holds
+    their times).  Returns the applied input, the regressor's delayed
+    entries and the leader term of the graph error, the operands of
+    :func:`_stage_half`.
     """
-    n = x.shape[-1]
-    eta = regressor(x, x_del, eta_m[..., None, 2 * n:])
+    n = x_del.shape[-1]
     u_app = applied_input(theta_del, eta_m, t, tau_u)
+    eta_del = delayed_regressor(x_del, eta_m[..., None, 2 * n:])
+    return u_app, eta_del, leader_pinning(matrices, eta_m[..., :n])
+
+
+def _stage_half(matrices, x, x_a, theta, phi_phi, u_app, eta_del, pinned):
+    """The signals that need the current state, given the operands from
+    :func:`_delay_half`: one RK4 stage in a run, a block of rows in the
+    recording.  Returns the fleet regressor, the mismatch, the auxiliary
+    input and the augmented error.
+    """
+    eta = np.concatenate((x, eta_del), axis=-1)
     phi = mismatch(theta, eta, u_app)
-    e_a = augmented_error(matrices, x, eta_m[..., :n], x_a)
-    return eta, u_app, phi, auxiliary_input(phi_phi, phi), e_a
+    return eta, phi, auxiliary_input(phi_phi, phi), pinned_error(matrices, x, pinned, x_a)
 
 
 def _lagged(rows: np.ndarray, start: int, stop: int, lag: int) -> np.ndarray:
@@ -498,16 +519,10 @@ def _diverged(worst: float, t: float) -> DivergenceDetected:
     )
 
 
-def _leader_pass(m: LeaderModel, ref: ReferenceSignal, table: np.ndarray, start: int,
-                 stop: int, h: float, tau_u: float, lag: int) -> np.ndarray:
-    """Integrate the leader from ``table[start]`` into rows ``start + 1``
-    to ``stop`` of ``table``, one RK4 step of ``h`` per row.
-
-    The leader is driven by the reference alone, so it needs nothing from
-    the closed loop and runs with the same stepper just ahead of it.
-    Returns the leader regressor ``[x_m; x_m(t - tau_x); r(t - tau_u)]`` at
-    every RK4 stage of those steps, (stop - start, 4, 2n + p), with
-    ``tau_x`` ``lag`` rows back, read as :func:`_delayed` reads it.
+def _stage_inputs(ref: ReferenceSignal, start: int, stop: int, h: float, tau_u: float,
+                  p: int) -> np.ndarray:
+    """The leader's input ``r(t - tau_u)`` at the four RK4 stages of steps
+    ``start`` to ``stop - 1``, (stop - start, 4, p).
 
     Piecewise-constant references are sampled at the step boundary and
     held through the RK4 stages.  The final stage lands exactly on the next
@@ -519,28 +534,81 @@ def _leader_pass(m: LeaderModel, ref: ReferenceSignal, table: np.ndarray, start:
     interval.  Smooth references keep stage-time evaluation and with it the
     integrator's full order.
     """
-    n, p = m.state_dim, m.input_dim
-    eta_m = np.empty((stop - start, 4, 2 * n + p))
     starts = np.arange(start, stop) * h
     if ref.piecewise_constant:
-        eta_m[:, :, 2 * n:] = _levels(ref, starts - tau_u, p)[:, None, :]
-    else:
-        mids = starts + 0.5 * h
-        stage_times = np.stack([starts, mids, mids, starts + h], axis=1)
-        eta_m[:, :, 2 * n:] = _levels(ref, stage_times - tau_u, p)
-    rows = iter(eta_m.reshape(-1, 2 * n + p))
+        held = _levels(ref, starts - tau_u, p)[:, None, :]
+        return np.repeat(held, 4, axis=1)
+    mids = starts + 0.5 * h
+    return _levels(ref, np.stack([starts, mids, mids, starts + h], axis=1) - tau_u, p)
 
-    def leader_rhs(s: float, y: np.ndarray) -> np.ndarray:
-        row = next(rows)  # rk4_ode_step evaluates its four stages in order
-        row[:n] = y
-        return leader_block_derivative(m, y, row[2 * n:])
 
-    for j in range(start, stop):
-        table[j + 1] = rk4_ode_step(leader_rhs, j * h, table[j], h)
-    lo, mid, hi = _delayed(table, np.arange(start, stop), lag)
-    for i, lagged in enumerate((lo, mid, mid, hi)):
-        eta_m[:, i, n:2 * n] = lagged
-    return eta_m
+def _leader_pass(step: np.ndarray, r_in: np.ndarray, table: np.ndarray, start: int,
+                 stop: int) -> None:
+    """Integrate the leader from ``table[start]`` into rows ``start + 1``
+    to ``stop`` of ``table``, one RK4 step per row.
+
+    ``step`` is the step matrix of :meth:`LeaderModel.rk4_matrices` and
+    ``r_in`` the stage inputs from :func:`_stage_inputs`.  The leader is
+    driven by the reference alone, so it needs nothing from the closed loop
+    and runs just ahead of it.  Overflow is left silent: the run reports a
+    leader that passes DIVERGENCE_LIMIT from the rows written here.
+    """
+    n = table.shape[1]
+    free = step[:, :n]
+    with np.errstate(over="ignore", invalid="ignore"):
+        driven = r_in.reshape(stop - start, -1) @ step[:, n:].T
+        for j in range(start, stop):
+            table[j + 1] = free @ table[j] + driven[j - start]
+
+
+def _block_values(ell: int, n: int, p: int) -> int:
+    """Values :func:`_stage_operands` holds at most per step of a block.
+
+    Per agent, the delayed gains and states are read at a step's start,
+    midpoint and end and copied to its four stages, 7 (qp + n) values, and
+    the four operands with their temporaries take 4 (3n + 2p); the leader's
+    stage states and regressors add 16 q per step.  A recorded row, one
+    time instead of four stages, needs fewer.
+    """
+    q = 2 * n + p
+    return ell * (7 * (q * p + n) + 4 * (3 * n + 2 * p)) + 16 * q
+
+
+def _stage_operands(sc: Scenario, matrices, stages: np.ndarray, r_in: np.ndarray,
+                    table: np.ndarray, x_arr: np.ndarray, th_arr: np.ndarray, start: int,
+                    stop: int) -> tuple[np.ndarray, ...]:
+    """Operands of every RK4 stage of steps ``start`` to ``stop - 1`` that
+    read stored rows only: the applied input, the fleet's delayed drive,
+    the regressor's delayed entries and the leader term of the graph error.
+
+    ``stages`` are the leader's stage matrices from
+    :meth:`LeaderModel.rk4_matrices` and ``r_in`` the steps' stage inputs.
+    Delayed states and gains are read as :func:`_delayed` reads them, so
+    ``stop - start`` may not exceed the state delay in steps: every row read
+    must already be stored.  Each operand is (4 (stop - start), l, ...), one
+    entry per stage in the order ``step_rk4`` evaluates them.
+    """
+    h = sc.step
+    n = sc.state_dim
+    steps = np.arange(start, stop)
+
+    def staged(rows, lag):
+        lo, mid, hi = _delayed(rows, steps, lag)
+        return np.stack((lo, mid, mid, hi), axis=1)
+
+    t = steps * h
+    mid = t + 0.5 * h
+    times = np.stack((t, mid, mid, t + h), axis=1)
+    operand = np.concatenate((table[start:stop], r_in.reshape(stop - start, -1)), axis=1)
+    leader = (operand @ stages.reshape(4 * n, -1).T).reshape(stop - start, 4, n)
+    dx = int(round(sc.tau_x / h))
+    eta_m = regressor(leader, staged(table, dx), r_in)
+    x_del = staged(x_arr, dx)
+    th_del = staged(th_arr, int(round(sc.tau_u / h)))
+    u_app, eta_del, pinned = _delay_half(matrices, sc.tau_u, times, x_del, th_del, eta_m)
+    del th_del  # the largest temporary: gone before the drive is formed
+    drive = sc.fleet.delayed_drive(x_del, u_app)
+    return tuple(v.reshape((-1,) + v.shape[2:]) for v in (u_app, drive, eta_del, pinned))
 
 
 def run_scenario(sc: Scenario) -> SimTrace:
@@ -593,6 +661,7 @@ def run_scenario(sc: Scenario) -> SimTrace:
 
     table = np.empty((lead + 1, n))
     table[0] = sc.xm0
+    leader_step, leader_stages = m.rk4_matrices(h)
 
     i_xa = ln
     i_th = i_xa + ln
@@ -601,54 +670,59 @@ def run_scenario(sc: Scenario) -> SimTrace:
     states = np.empty((total + 1, z0.shape[0]))
     x_arr = states[:, :ln].reshape(-1, ell, n)
     th_arr = states[:, i_th:i_ph].reshape(-1, ell, q, p)
-    stages = []  # operands of the current step's RK4 stages, in order
+    # A block's stage operands (_stage_operands); `stage` indexes them.
+    u_app = drive = eta_del = pinned = None
+    stage = 0
 
     def rhs(t: float, y: np.ndarray, hist) -> np.ndarray:
-        # step_rk4 evaluates its four stages in order; each takes its
-        # delayed fleet states and gains and its leader regressor.
-        x_del, th_del, eta_m_s = stages.pop(0)
+        nonlocal stage
+        i = stage
+        stage += 1  # step_rk4 evaluates its four stages in order
         x = y[:ln].reshape(ell, n)
         xa = y[i_xa:i_th].reshape(ell, n)
-        eta, u_app, phi, u_aux, e_a = _chain(
-            matrices, tau_u, t, x, xa, y[i_th:i_ph].reshape(ell, q, p),
-            y[i_ph:].reshape(ell, p, p), x_del, th_del, eta_m_s,
+        eta, phi, u_aux, e_a = _stage_half(
+            matrices, x, xa, y[i_th:i_ph].reshape(ell, q, p), y[i_ph:].reshape(ell, p, p),
+            u_app[i], eta_del[i], pinned[i],
         )
         d_th, d_ph = adaptive.gain_derivatives(cfg, matrices, p_b, e_a, eta, phi)
-        d_x = fleet.derivative(x, x_del, u_app)
+        d_x = fleet.derivative(x, drive[i])
         d_xa = aux_derivative(m, matrices, xa, u_aux)
         return np.concatenate((d_x.ravel(), d_xa.ravel(), d_th.ravel(), d_ph.ravel()))
 
-    # Largest |x_m| entry of each leader row, filled block by block as the
-    # leader pass writes the rows.
-    leader_worst = np.empty(lead + 1)
-    leader_worst[0] = np.abs(table[0]).max()
+    def check_divergence(values: np.ndarray, k: int) -> None:
+        worst = float(np.abs(values).max())
+        if not worst <= DIVERGENCE_LIMIT:
+            raise _diverged(worst, k * h)
 
-    def check_divergence(s: DdeState) -> None:
-        worst = float(np.abs(s.state).max())
-        if not (worst <= DIVERGENCE_LIMIT and leader_worst[s.index] <= DIVERGENCE_LIMIT):
-            raise _diverged(float(np.max([worst, leader_worst[s.index]])), s.time)
-
+    check_divergence(np.append(z0, table[0]), 0)
     state = DdeState(state=z0, histories={}, recorders=(), step=h)
-    check_divergence(state)
     states[0] = z0
-    for a in range(0, lead, BLOCK):
-        b = min(a + BLOCK, lead)
-        eta_m = _leader_pass(m, ref, table, a, b, h, tau_u, dx)
-        leader_worst[a + 1:b + 1] = np.abs(table[a + 1:b + 1]).max(axis=1)
-        for k in range(a, min(b, total)):
-            x_lo, x_mid, x_hi = _delayed(x_arr, k, dx)
-            th_lo, th_mid, th_hi = _delayed(th_arr, k, du)
-            stages.extend(
-                zip((x_lo, x_mid, x_mid, x_hi), (th_lo, th_mid, th_mid, th_hi), eta_m[k - a])
+    # A block holds about OPERAND_VALUES values; in the loop it is also at
+    # most tau_x steps long, so that it reads only rows stored before it.
+    per_block = max(1, OPERAND_VALUES // _block_values(ell, n, p))
+    span = min(dx, per_block)
+    for a in range(0, lead, span):
+        b = min(a + span, lead)
+        r_in = _stage_inputs(ref, a, b, h, tau_u, p)
+        _leader_pass(leader_step, r_in, table, a, b)
+        # The first leader row past the limit ends the run at its time, the
+        # rows read tau_u past the last step included; the fleet steps up to
+        # it, so no step reads a diverged leader and a fleet that diverges
+        # earlier is reported first.
+        worst = np.abs(table[a + 1:b + 1]).max(axis=1)
+        bad = np.flatnonzero(~(worst <= DIVERGENCE_LIMIT))
+        stop = min(a + int(bad[0]) if bad.size else b, total)
+        if a < stop:
+            u_app, drive, eta_del, pinned = _stage_operands(
+                sc, matrices, leader_stages, r_in[:stop - a], table, x_arr, th_arr, a, stop
             )
-            state = step_rk4(rhs, state)
-            check_divergence(state)
-            states[k + 1] = state.state
-    # The commanded input reads the leader rows up to tau_u past the last step.
-    beyond = np.flatnonzero(~(leader_worst[total + 1:] <= DIVERGENCE_LIMIT))
-    if beyond.size:
-        j = total + 1 + int(beyond[0])
-        raise _diverged(leader_worst[j], j * h)
+            for k in range(a, stop):
+                stage = 4 * (k - a)
+                state = step_rk4(rhs, state)
+                check_divergence(state.state, k + 1)
+                states[k + 1] = state.state
+        if bad.size:
+            raise _diverged(float(worst[bad[0]]), (a + 1 + int(bad[0])) * h)
 
     times = np.arange(total + 1) * h
     xm_arr = table[:total + 1]
@@ -662,13 +736,16 @@ def run_scenario(sc: Scenario) -> SimTrace:
     u_arr = np.empty((total + 1, ell, p))
     uaux_arr = np.empty((total + 1, ell, p))
     phi_arr = np.empty((total + 1, ell, p))
-    for a in range(0, total + 1, BLOCK):
-        b = min(a + BLOCK, total + 1)
+    for a in range(0, total + 1, per_block):
+        b = min(a + per_block, total + 1)
         xa = xa_arr[a:b]
         eta_m_rows = regressor(xm_arr[a:b], _lagged(xm_arr, a, b, dx), r_del[a:b])
-        _, _, phi, u_aux, e_a = _chain(
-            matrices, tau_u, times[a:b], x_arr[a:b], xa, th_arr[a:b], ph_arr[a:b],
-            _lagged(x_arr, a, b, dx), _lagged(th_arr, a, b, du), eta_m_rows,
+        operands = _delay_half(
+            matrices, tau_u, times[a:b], _lagged(x_arr, a, b, dx), _lagged(th_arr, a, b, du),
+            eta_m_rows,
+        )
+        _, phi, u_aux, e_a = _stage_half(
+            matrices, x_arr[a:b], xa, th_arr[a:b], ph_arr[a:b], *operands
         )
         e_arr[a:b] = e_a - xa
         ea_arr[a:b] = e_a

@@ -88,6 +88,31 @@ class LeaderModel:
     def input_dim(self) -> int:
         return self.b_m.shape[1]
 
+    def rk4_matrices(self, h: float) -> tuple[np.ndarray, np.ndarray]:
+        """One classical RK4 step of size ``h`` of this linear system, as
+        matrices acting on ``[x_m; r_1; r_2; r_3; r_4]``: the state at the
+        step's start and the input at each of its four stages.
+
+        Returns the step matrix (n, n + 4p), whose product with that vector
+        is the state after the step, and the stage matrices (4, n, n + 4p),
+        whose products are the states at which the four stages evaluate
+        ``a_m x_m + b_m r``.  They are :func:`delaysync.dde.rk4_ode_step`'s
+        stages carried out on the unit vectors, so a product agrees with a
+        per-step ``rk4_ode_step`` to rounding.
+        """
+        n, p = self.state_dim, self.input_dim
+        basis = np.eye(n + 4 * p)
+        y, r = basis[:n], basis[n:].reshape(4, p, n + 4 * p)
+        k1 = self.a_m @ y + self.b_m @ r[0]
+        y2 = y + (0.5 * h) * k1
+        k2 = self.a_m @ y2 + self.b_m @ r[1]
+        y3 = y + (0.5 * h) * k2
+        k3 = self.a_m @ y3 + self.b_m @ r[2]
+        y4 = y + h * k3
+        k4 = self.a_m @ y4 + self.b_m @ r[3]
+        step = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        return step, np.stack([y, y2, y3, y4])
+
 
 @dataclass(frozen=True)
 class MatchingGains:
@@ -114,8 +139,8 @@ class FleetDynamics:
     """Stacked array form of a follower fleet for blockwise evaluation.
 
     ``a``, ``a_zeta`` and ``b`` stack the agents' matrices, (l, n, n),
-    (l, n, n) and (l, n, p); ``stacked`` is ``[a | a_zeta | b]`` per agent,
-    (l, n, 2n+p), so one product evaluates the whole derivative.
+    (l, n, n) and (l, n, p); ``delayed`` is ``[a_zeta | b]`` per agent,
+    (l, n, n+p), so one product evaluates the delayed drive.
     """
 
     def __init__(self, fleet: list[AgentDynamics] | tuple[AgentDynamics, ...]):
@@ -133,7 +158,7 @@ class FleetDynamics:
         self.a = np.stack([ag.a for ag in fleet])
         self.a_zeta = np.stack([ag.a_zeta for ag in fleet])
         self.b = np.stack([ag.b for ag in fleet])
-        self.stacked = np.concatenate([self.a, self.a_zeta, self.b], axis=2)
+        self.delayed = np.concatenate([self.a_zeta, self.b], axis=2)
 
     def __iter__(self):
         return iter(self.agents)
@@ -141,10 +166,20 @@ class FleetDynamics:
     def __len__(self) -> int:
         return self.num_agents
 
-    def derivative(self, x_now: np.ndarray, x_delayed: np.ndarray, u_delayed: np.ndarray) -> np.ndarray:
-        """Blockwise fleet derivative; states (..., l, n), inputs (..., l, p)."""
-        operand = np.concatenate((x_now, x_delayed, u_delayed), axis=-1)
-        return (self.stacked @ operand[..., None])[..., 0]
+    def delayed_drive(self, x_delayed: np.ndarray, u_delayed: np.ndarray) -> np.ndarray:
+        """The delayed part ``a_zeta x(t - tau_x) + b u(t - tau_u)`` of the
+        fleet derivative, blockwise; states (..., l, n), inputs (..., l, p).
+
+        It reads stored values only, so a run evaluates it for a block of
+        steps and stages at once and :meth:`derivative` adds it per stage.
+        """
+        operand = np.concatenate((x_delayed, u_delayed), axis=-1)
+        return (self.delayed @ operand[..., None])[..., 0]
+
+    def derivative(self, x_now: np.ndarray, drive: np.ndarray) -> np.ndarray:
+        """Blockwise fleet derivative ``a x(t) + drive``, with ``drive`` from
+        :meth:`delayed_drive`; both (..., l, n)."""
+        return (self.a @ x_now[..., None])[..., 0] + drive
 
 
 def aux_derivative(m: LeaderModel, topo_m: TopologyMatrices, x_a, u_a) -> np.ndarray:

@@ -4,6 +4,7 @@ import io
 import os
 import signal
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -390,6 +391,25 @@ def test_divergence_exits_two_at_its_first_time(tmp_path, capsys, overrides, whe
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error: state magnitude")
     assert f"at t={when:g} " in err[0]
+    assert not (tmp_path / "trace.csv").exists()
+
+
+@pytest.mark.parametrize("duration", ["1", "8"], ids=["leader_ahead", "fleet_reads_leader"])
+def test_leader_overflow_stops_with_one_error_line(tmp_path, capsys, duration):
+    """A leader driven past the float range ends the run through the
+    divergence check alone, whether only the look-ahead rows overflow or
+    the fleet would read them: warnings are errors here, and no numpy
+    warning reaches stderr."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = run_cli(
+            "run", "example1", "--out", str(tmp_path),
+            "--set", "reference.amplitude=1e308", "--set", f"simulation.duration={duration}",
+        )
+    assert code == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: state magnitude")
+    assert "at t=5.005 " in err[0]
     assert not (tmp_path / "trace.csv").exists()
 
 

@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -19,17 +20,22 @@ from delaysync.adaptive import (
     augmented_error,
     auxiliary_input,
     control,
+    leader_block_derivative,
     mismatch,
     regressor,
 )
 from delaysync.cli import load_scenario
-from delaysync.dde import HistoryBuffer
+from delaysync.dde import HistoryBuffer, rk4_ode_step
 from delaysync.harness import (
+    OPERAND_VALUES,
     ReferenceSignal,
     Scenario,
     SimTrace,
+    _block_values,
     _delayed,
     _energy_series,
+    _stage_inputs,
+    _stage_operands,
     metrics,
     run_scenario,
     validate_scenario,
@@ -402,15 +408,158 @@ RECORDED = {
 }
 
 
-@pytest.mark.parametrize("builtin, kind", list(RECORDED))
-def test_runs_reproduce_recorded_samples(builtin, kind):
+# Lags of one row: tau_x = step with tau_u = step and 3 steps, so that a
+# block of steps is one step long.  Recorded when every RK4 stage read its
+# delayed operands and the leader was stepped by rk4_ode_step.
+RECORDED.update({
+    ("example1", "square", "tau_x=0.005", "tau_u=0.005"): {
+        ("x", (3, 0, 1)): -0.0003667143158083768,
+        ("x", (20, 1, 1)): -0.002811691076183078,
+        ("x", (600, 2, 0)): -0.17193998929292234,
+        ("x", (2400, 3, 1)): -0.03347410336340127,
+        ("x_m", (3, 1)): -0.019702320881634393,
+        ("x_m", (1100, 0)): -0.991802356624359,
+        ("x_m", (2400, 1)): -1.2349944430780603e-05,
+        ("theta", (3, 0, 4, 0)): -0.012509747803091213,
+        ("theta", (20, 1, 0, 0)): -0.009999936622644904,
+        ("theta", (1200, 2, 1, 0)): 0.024033266570099156,
+        ("theta", (2400, 3, 2, 0)): 0.14945532661280994,
+        ("phi_phi", (3, 0, 0, 0)): -0.4000000021135353,
+        ("phi_phi", (20, 1, 0, 0)): -0.3000018897373485,
+        ("phi_phi", (1600, 2, 0, 0)): -0.19192445059289379,
+        ("phi_phi", (2400, 3, 0, 0)): -0.08719167502901852,
+        ("v_d", (3,)): 23.303998994161624,
+        ("v_d", (20,)): 23.30328288159486,
+        ("v_d", (2000,)): 20.974705073662445,
+        ("v_d", (2400,)): 20.928419596482392,
+    },
+    ("example2", "sine", "tau_x=0.005", "tau_u=0.015"): {
+        ("x", (20, 1, 1)): -1.880026052345455e-05,
+        ("x", (600, 2, 0)): 0.0010935701770455612,
+        ("x", (2400, 3, 1)): -0.014865759193231168,
+        ("x_m", (5, 1)): -1.5551793051399325e-05,
+        ("x_m", (1100, 0)): -0.5794181397947354,
+        ("x_m", (2400, 1)): 0.011997347044144338,
+        ("theta", (20, 1, 0, 0)): -0.009999999999862627,
+        ("theta", (1200, 2, 1, 0)): -0.007426464728878925,
+        ("theta", (2400, 3, 2, 0)): -0.0008757682420181131,
+        ("phi_phi", (20, 1, 0, 0)): -0.3000000000057105,
+        ("phi_phi", (1600, 2, 0, 0)): -0.20059667049562752,
+        ("phi_phi", (2400, 3, 0, 0)): -0.10071750525130357,
+        ("v_d", (20,)): 23.30399999764407,
+        ("v_d", (2000,)): 22.880331337977125,
+        ("v_d", (2400,)): 22.674533278151756,
+    },
+})
+
+
+@pytest.mark.parametrize("case", list(RECORDED), ids="-".join)
+def test_runs_reproduce_recorded_samples(case):
     """A change to how the loop is evaluated keeps the traces within 1e-12
     of the recorded samples: after tau_u, around 2 tau_u and at the end."""
-    sc = load_scenario(builtin, ("simulation.duration=12", f"reference.kind={kind}"))
+    builtin, kind, *delays = case
+    overrides = ("simulation.duration=12", f"reference.kind={kind}")
+    sc = load_scenario(builtin, overrides + tuple(f"simulation.{d}" for d in delays))
     trace = run_scenario(sc)
     assert trace.num_rows == 2401
-    for (field, index), value in RECORDED[builtin, kind].items():
+    for (field, index), value in RECORDED[case].items():
         assert abs(getattr(trace, field)[index] - value) <= 1e-12, (field, index)
+
+
+# ------------------------------------------------------- the loop's operands
+
+
+@pytest.mark.parametrize("kind", ["square", "sine"])
+def test_leader_steps_by_its_rk4_matrices(kind):
+    """The leader's RK4 matrices reproduce rk4_ode_step on a_m x_m + b_m r
+    with held (square) and stage-varying (sine) inputs: the step to 1e-14
+    relative and the states its four stages evaluate at; a run's leader rows
+    stay within 1e-12 of that per-step recurrence."""
+    sc = load_scenario("example2", ("simulation.duration=12", f"reference.kind={kind}"))
+    m, h, tau_u = sc.leader, sc.step, sc.tau_u
+    step, stages = m.rk4_matrices(h)
+    n = m.state_dim
+    trace = run_scenario(sc)
+    steps = trace.num_rows - 1
+    r_in = _stage_inputs(sc.reference, 0, steps, h, tau_u, 1)
+    assert np.all(r_in[:, :, 0] == r_in[:, :1, 0]) == (kind == "square")
+    rng = np.random.default_rng(3)
+    y = sc.xm0
+    for k in range(steps):
+        r = r_in[k]
+        seen = []
+        inputs = iter(r)
+
+        def f(t, yy):
+            seen.append(yy)  # rk4_ode_step evaluates its four stages in order
+            return leader_block_derivative(m, yy, next(inputs))
+
+        y = rk4_ode_step(f, k * h, y, h)
+        assert np.max(np.abs(y - trace.x_m[k + 1])) <= 1e-12
+        if k % 200 == 0:
+            z = rng.normal(size=n)
+            operand = np.concatenate((z, r.ravel()))
+            inputs = iter(r)
+            seen.clear()
+            want = rk4_ode_step(f, k * h, z, h)
+            assert np.max(np.abs(step @ operand - want)) <= 1e-14 * np.max(np.abs(want))
+            for got, ref in zip(stages @ operand, seen):
+                assert np.max(np.abs(got - ref)) <= 1e-14 * np.max(np.abs(ref))
+
+
+def test_stage_operands_stay_within_their_budget():
+    """On a 128-agent ring the delayed stage operands of one block of steps,
+    with every temporary formed on the way, stay within OPERAND_VALUES
+    doubles, and the budget rather than the delay sets the block length."""
+    ell, n, p = 128, 2, 1
+    q = 2 * n + p
+    ring = np.zeros((ell, ell))
+    for i in range(ell):
+        ring[i, i - 1] = ring[i, (i + 1) % ell] = 0.3
+    agent = AgentDynamics(
+        a=[[0.0, 1.0], [-4.0, -3.0]], a_zeta=[[0.0, 0.0], [0.4, 0.2]], b=[[0.0], [4.0]]
+    )
+    sc = tiny_scenario(
+        fleet=[agent] * ell,
+        leader=LeaderModel(a_m=[[0.0, 1.0], [-2.0, -3.0]], b_m=[[0.0], [-2.0]]),
+        topology=Topology(ell, ring, np.full(ell, 0.4), 0.1),
+        gamma_theta=np.eye(ell),
+        gamma_phi=np.eye(ell),
+        q_tilde=0.2 * np.eye(2),
+        theta0=np.full((ell, q, p), -0.01),
+        phi_phi0=np.full((ell, p, p), -0.2),
+        r_signs=-np.ones(ell),
+        tau_x=3.0,
+        tau_u=5.0,
+        step=0.01,
+        duration=1.0,
+        reference=ReferenceSignal(kind="square"),
+        x0=np.zeros(ell * n),
+        xm0=np.zeros(n),
+        xa0=np.zeros(ell * n),
+    )
+    dx, du = 300, 500
+    span = OPERAND_VALUES // _block_values(ell, n, p)
+    assert 1 < span < dx
+    rng = np.random.default_rng(11)
+    rows = du + span + 1
+    table = rng.normal(size=(rows, n))
+    x_arr = rng.normal(size=(rows, ell, n))
+    th_arr = rng.normal(size=(rows, ell, q, p))
+    _, stages = sc.leader.rk4_matrices(sc.step)
+    matrices = build_matrices(sc.topology)
+    for a in (0, du):  # reads of the pre-history row, and of stored rows
+        r_in = _stage_inputs(sc.reference, a, a + span, sc.step, sc.tau_u, p)
+        tracemalloc.start()
+        try:
+            operands = _stage_operands(
+                sc, matrices, stages, r_in, table, x_arr, th_arr, a, a + span
+            )
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert [o.shape[0] for o in operands] == [4 * span] * 4
+        assert peak <= 8 * OPERAND_VALUES
 
 
 # ------------------------------------------------------------------ monitor
