@@ -38,7 +38,8 @@ for h in (0.02, 0.01, 0.005, 0.0025):
     print("  h=%.4f  error=%.3e" % (h, err))
 
 # the history buffer itself: values land on a grid, queries off the grid
-# interpolate linearly, and both directions of out-of-range access raise
+# interpolate linearly, queries before the start read the pre-history, and
+# queries past the newest sample raise
 buf = HistoryBuffer(0.1, 0.0, np.array([0.0]), 0.3)
 for k in range(1, 4):
     buf.append(np.array([float(k)]))

@@ -31,7 +31,7 @@ from typing import Callable
 import numpy as np
 
 from . import linalg
-from .dde import GRID_TOL, rk4_ode_step
+from .dde import GRID_TOL, step_rk4
 from .errors import DimensionMismatch, ValidationError
 from .plant import LeaderModel
 from .topology import TopologyMatrices
@@ -124,8 +124,8 @@ def delayed_regressor(x_delayed: np.ndarray, r_delayed) -> np.ndarray:
 
 def leader_block_derivative(m: LeaderModel, x_m: np.ndarray, r_value: np.ndarray) -> np.ndarray:
     """Single leader block derivative ``a_m x_m + b_m r``, as the predictor
-    integrates it; a run steps the leader by ``LeaderModel.rk4_matrices``,
-    the same RK4 step written as matrices."""
+    integrates it through ``step_rk4``; a run steps the leader by
+    ``LeaderModel.rk4_matrices``, the same RK4 step written as matrices."""
     return m.a_m @ x_m + m.b_m @ r_value
 
 
@@ -164,15 +164,17 @@ def predict_leader_regressor(
     steps = int(round(tau_u / h))
     mid = steps - int(round(tau_x / h))
 
+    f = lambda _, yy, r: leader_block_derivative(m, yy, r)
     y = np.asarray(x_m_now, dtype=float).copy()
     x_mid = y.copy() if mid == 0 else None
     for j in range(steps):
+        s = t + j * h
         if hold_reference:
-            r_j = r_of(t + j * h - tau_u)
-            f = lambda s, yy, r=r_j: leader_block_derivative(m, yy, r)
+            r_in = (r_of(s - tau_u),) * 4
         else:
-            f = lambda s, yy: leader_block_derivative(m, yy, r_of(s - tau_u))
-        y = rk4_ode_step(f, t + j * h, y, h)
+            r_mid = r_of(s + 0.5 * h - tau_u)
+            r_in = (r_of(s - tau_u), r_mid, r_mid, r_of(s + h - tau_u))
+        y = step_rk4(f, s, y, h, r_in)
         if j + 1 == mid:
             x_mid = y.copy()
     return np.concatenate([y, x_mid, np.asarray(r_of(t), dtype=float).reshape(-1)])

@@ -1,24 +1,24 @@
 """Fixed-step RK4 integration of delay differential systems.
 
-``step_rk4`` advances one step; a scenario run calls it once per step and
-reads its delays as row offsets into the states it stores (see
-``harness``).  The history ring buffers below serve ``run`` and the delay
-integrator oracle (acceptance test_08) only: state histories live on a
-uniform time grid and are read back with linear interpolation; before the
-start time a buffer reports a constant pre-history.  The step size must
-divide every delay exactly, so all delayed stage queries land at or before
-the newest stored sample and the method never extrapolates.
+``step_rk4`` is the one RK4 step; it hands each stage its entry of
+``stages``, so a right-hand side receives its delayed operands as an
+argument.  A scenario run calls it once per step, and the delays are whole
+multiples of the step, so every delayed value is a row of the states
+already stored (``lagged``, ``delayed``).  ``HistoryBuffer`` is the
+float-time reference for those reads, linear interpolation on a uniform
+grid with a constant pre-history; it serves ``run`` and the delay
+integrator oracle (acceptance test_08).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import FutureQuery, NonFiniteState, StaleQuery, ValidationError
+from .errors import FutureQuery, NonFiniteState, ValidationError
 
 # Queries within this fraction of a step of a grid point return the stored
 # sample; queries further past the newest sample than this raise.
@@ -26,21 +26,12 @@ GRID_TOL = 1e-9
 
 
 class HistoryBuffer:
-    """Uniform-grid ring buffer of vector samples with linear interpolation.
+    """Uniform-grid history of vector samples with linear interpolation.
 
-    Parameters
-    ----------
-    sample_period : float
-        Grid spacing; sample ``k`` sits at ``start_time + k * sample_period``.
-    start_time : float
-        Time of the first sample.  Queries earlier than this return the
-        constant ``pre_history``.
-    pre_history : (dim,) array
-        Value reported for all times before ``start_time``.
-    max_delay : float
-        Largest lookback the buffer must serve; must be an integer multiple
-        of ``sample_period`` (within 1e-9 relative).  The ring retains
-        ``ceil(max_delay / sample_period) + 2`` samples.
+    Sample ``k`` sits at ``start_time + k * sample_period``; queries before
+    ``start_time`` return the constant ``pre_history`` (dim,), which is also
+    the first sample.  ``max_delay``, the largest lookback served, must be
+    an integer multiple of ``sample_period`` (within 1e-9 relative).
     """
 
     def __init__(self, sample_period: float, start_time: float, pre_history, max_delay: float):
@@ -60,148 +51,108 @@ class HistoryBuffer:
         if self.pre_history.ndim != 1:
             raise ValidationError("pre_history must be a 1-d vector")
         self.dim = self.pre_history.shape[0]
-        self.capacity = int(round(steps)) + 2
-        self._ring = np.empty((self.capacity, self.dim))
-        self._count = 0
-        # The constant pre-history doubles as the sample at start_time, so
-        # queries exactly on the start grid point are answerable immediately.
+        self._samples: list[np.ndarray] = []
         self.append(self.pre_history)
 
     @property
     def latest_index(self) -> int:
-        return self._count - 1
+        return len(self._samples) - 1
 
     @property
     def latest_time(self) -> float:
         return self.start_time + self.latest_index * self.sample_period
 
     def append(self, value) -> None:
-        """Store the sample for grid index ``count`` (time advances one period)."""
-        value = np.asarray(value, dtype=float)
+        """Store the sample for the next grid index (time advances one period)."""
+        value = np.array(value, dtype=float)
         if value.shape != (self.dim,):
             raise ValidationError(f"sample shape {value.shape}, expected {(self.dim,)}")
-        self._ring[self._count % self.capacity] = value
-        self._count += 1
-
-    def _stored(self, k: int) -> np.ndarray:
-        if k > self.latest_index:
-            raise FutureQuery(
-                f"grid index {k} past newest stored index {self.latest_index}"
-            )
-        if k < self._count - self.capacity:
-            raise StaleQuery(
-                f"grid index {k} older than retained window (oldest {self._count - self.capacity})"
-            )
-        return self._ring[k % self.capacity]
+        self._samples.append(value)
 
     def sample(self, t: float) -> np.ndarray:
         """Value at time ``t``: stored sample on-grid, linear interpolation off-grid."""
         k_float = (t - self.start_time) / self.sample_period
         if k_float < -GRID_TOL:
             return self.pre_history.copy()
+        if k_float - self.latest_index > GRID_TOL:
+            raise FutureQuery(f"query at t={t!r} exceeds newest sample t={self.latest_time!r}")
         k_round = round(k_float)
         if abs(k_float - k_round) <= GRID_TOL:
-            return self._stored(k_round).copy()
-        if k_float - self.latest_index > GRID_TOL:
-            raise FutureQuery(
-                f"query at t={t!r} exceeds newest sample t={self.latest_time!r}"
-            )
+            return self._samples[k_round].copy()
         j = math.floor(k_float)
         w = k_float - j
-        lo = self._stored(j)
-        hi = self._stored(j + 1)
-        return (1.0 - w) * lo + w * hi
+        return (1.0 - w) * self._samples[j] + w * self._samples[j + 1]
 
 
-# A recorder maps (time, state) to the vector appended to its named history
-# after every accepted step.
-Recorder = tuple[str, Callable[[float, np.ndarray], np.ndarray]]
-Derivative = Callable[[float, np.ndarray, dict], np.ndarray]
+def lagged(rows: np.ndarray, start: int, stop: int, lag: int) -> np.ndarray:
+    """``rows[k - lag]`` for k in [start, stop), a slice once ``start`` is
+    past ``lag``; row 0 is the constant pre-history, so it stands in for
+    every k below ``lag``."""
+    if start >= lag:
+        return rows[start - lag:stop - lag]
+    return rows[np.maximum(np.arange(start, stop) - lag, 0)]
+
+
+def delayed(rows: np.ndarray, start: int, stop: int, lag: int):
+    """Values ``lag`` rows back at the start, midpoint and end of steps
+    ``start`` to ``stop - 1``: rows ``k - lag`` and ``k - lag + 1`` and, at
+    the RK4 midpoint, their mean, as :meth:`HistoryBuffer.sample` reads
+    halfway between grid points."""
+    lo = lagged(rows, start, stop, lag)
+    hi = lagged(rows, start + 1, stop + 1, lag)
+    return lo, 0.5 * (lo + hi), hi
+
+
+def step_rk4(f: Callable, t: float, y: np.ndarray, h: float, stages: Sequence) -> np.ndarray:
+    """One classical RK4 step of size ``h`` from ``y`` at time ``t``.
+
+    ``f(t, y, s)`` is evaluated at the step's start, its midpoint twice and
+    its end, and gets that stage's entry ``s`` of the four ``stages``.
+    """
+    s1, s2, s3, s4 = stages
+    k1 = f(t, y, s1)
+    k2 = f(t + 0.5 * h, y + (0.5 * h) * k1, s2)
+    k3 = f(t + 0.5 * h, y + (0.5 * h) * k2, s3)
+    k4 = f(t + h, y + h * k3, s4)
+    return y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
 @dataclass
 class DdeState:
-    """Integration state: current time, state vector, and named histories.
+    """Integration state for :func:`run`.
 
-    ``recorders`` are (name, extractor) pairs evaluated after each step to
-    append that step's sample to the named history; seed each history with
-    its value at the start time before integrating.  Time is tracked as
-    ``origin + index * step`` so grids stay exact over long runs.
+    ``recorders`` are (name, extractor) pairs: after each step
+    ``extractor(time, state)`` is appended to the named history.  Time is
+    tracked as ``index * step`` so grids stay exact over long runs.
     """
 
     state: np.ndarray
     histories: dict[str, HistoryBuffer]
-    recorders: tuple[Recorder, ...]
+    recorders: tuple[tuple[str, Callable[[float, np.ndarray], np.ndarray]], ...]
     step: float
-    origin: float = 0.0
     index: int = 0
 
     @property
     def time(self) -> float:
-        return self.origin + self.index * self.step
+        return self.index * self.step
 
 
-def step_rk4(derivative: Derivative, s: DdeState) -> DdeState:
-    """Advance one classical RK4 step of size ``s.step``.
+def run(derivative: Callable, initial: DdeState, t_end: float) -> DdeState:
+    """Step from ``initial`` until the state time reaches ``t_end - 1e-9``;
+    the last step overshoots an off-grid ``t_end``.
 
-    The derivative is evaluated at the usual four stages; delayed values are
-    read through ``s.histories``, which hold samples up to the step's start
-    time (delays of at least one step keep every stage query in the past).
-    After the step each recorder's sample at the new time is appended.
-    """
-    h = s.step
-    t = s.time
-    y = s.state
-    hist = s.histories
-    k1 = derivative(t, y, hist)
-    k2 = derivative(t + 0.5 * h, y + (0.5 * h) * k1, hist)
-    k3 = derivative(t + 0.5 * h, y + (0.5 * h) * k2, hist)
-    k4 = derivative(t + h, y + h * k3, hist)
-    y_new = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-
-    if not np.isfinite(y_new).all():
-        raise NonFiniteState(f"non-finite state after step to t={t + h!r}")
-
-    out = DdeState(y_new, hist, s.recorders, h, s.origin, s.index + 1)
-    t_new = out.time
-    for name, extract in s.recorders:
-        hist[name].append(extract(t_new, y_new))
-    return out
-
-
-def rk4_ode_step(
-    f: Callable[[float, np.ndarray], np.ndarray], t: float, y: np.ndarray, h: float
-) -> np.ndarray:
-    """One classical RK4 step for a plain ODE (no history reads).
-
-    The stage and combination arithmetic is kept textually identical to
-    :func:`step_rk4` so that re-integrating a self-contained subsystem of a
-    larger run reproduces that slice of the trajectory bit for bit.
-    """
-    k1 = f(t, y)
-    k2 = f(t + 0.5 * h, y + (0.5 * h) * k1)
-    k3 = f(t + 0.5 * h, y + (0.5 * h) * k2)
-    k4 = f(t + h, y + h * k3)
-    return y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-
-
-def run(
-    derivative: Derivative,
-    initial: DdeState,
-    t_end: float,
-    observer: Callable[[DdeState], None] | None = None,
-) -> DdeState:
-    """Step from ``initial`` until the state time reaches ``t_end - 1e-9``.
-
-    The observer, when given, runs after every accepted step.  A ``t_end``
-    at or before the initial time performs no steps.  When ``t_end`` is not
-    a multiple of the step past the origin, the last step overshoots it.
+    Every stage calls ``derivative(t, y, histories)``.  After each step a
+    NaN or Inf raises NonFiniteState, and the recorders append.
     """
     if t_end < initial.time - GRID_TOL:
         raise ValidationError(f"t_end {t_end} precedes initial time {initial.time}")
     s = initial
+    hist = s.histories
     while s.time < t_end - GRID_TOL:
-        s = step_rk4(derivative, s)
-        if observer is not None:
-            observer(s)
+        y = step_rk4(derivative, s.time, s.state, s.step, (hist,) * 4)
+        s = DdeState(y, hist, s.recorders, s.step, s.index + 1)
+        if not np.isfinite(y).all():
+            raise NonFiniteState(f"non-finite state after step to t={s.time!r}")
+        for name, extract in s.recorders:
+            hist[name].append(extract(s.time, y))
     return s

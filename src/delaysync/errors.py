@@ -33,10 +33,6 @@ class FutureQuery(DelaySyncError):
     """A history buffer was asked for a time past its newest sample."""
 
 
-class StaleQuery(DelaySyncError):
-    """A history buffer was asked for a time older than its retained window."""
-
-
 class NonFiniteState(DelaySyncError):
     """Integration produced NaN or Inf in the state vector."""
 

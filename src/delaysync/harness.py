@@ -11,10 +11,10 @@ state.  It is linear and time-invariant, so its RK4 step is a matrix
 (``LeaderModel.rk4_matrices``): the pass over [0, duration + tau_u] costs
 one matrix-vector product per row, and runs a block of steps ahead of the
 loop.  The delays are whole multiples of the step, so every delayed value
-the loop reads is a row of the states it has already stored: ``tau_x`` or
-``tau_u`` rows back at a step's first and last stage, the mean of two
-neighbouring rows at its midpoint stages, and row 0 standing in as the
-constant pre-history.
+the loop reads is a row of the states it has already stored
+(``dde.delayed``): ``tau_x`` or ``tau_u`` rows back at a step's first and
+last stage, the mean of two neighbouring rows at its midpoint stages, and
+row 0 standing in as the constant pre-history.
 
 The controller's signal chain is written once, in ``adaptive`` and
 ``plant``, as array functions that take any leading axes, and is split in
@@ -27,12 +27,13 @@ precomputed for a block of steps and their four RK4 stages at once
 (``_stage_operands``); a block is at most ``tau_x`` long, so every row it
 reads is stored before it starts, and holds about OPERAND_VALUES values.
 ``_stage_half`` forms what needs the current state: the regressor, the
-input mismatch, the auxiliary input and the augmented graph error.  The
-RK4 right-hand side calls it on each stage state and feeds the result to
-the fleet, auxiliary and gain derivatives.  The loop stores only the state
-after each step; the recorded signals come afterwards from the same two
-halves over blocks of stored rows, with delayed values read ``tau_x`` and
-``tau_u`` rows back.
+input mismatch, the auxiliary input and the augmented graph error.  Each
+step is one ``dde.step_rk4`` call, which hands every stage the index of its
+operands; the right-hand side calls ``_stage_half`` on the stage state and
+feeds the result to the fleet, auxiliary and gain derivatives.  The loop
+stores only the state after each step; the recorded signals come
+afterwards from the same two halves over blocks of stored rows, with
+delayed values read ``tau_x`` and ``tau_u`` rows back (``dde.lagged``).
 
 The commanded input recorded in the trace is computed against the leader
 rows ``tau_u`` ahead, so no per-step forward prediction is needed.
@@ -57,7 +58,7 @@ from .adaptive import (
     pinned_error,
     regressor,
 )
-from .dde import GRID_TOL, DdeState, step_rk4
+from .dde import GRID_TOL, delayed, lagged, step_rk4
 from .errors import (
     DimensionMismatch,
     DivergenceDetected,
@@ -485,28 +486,6 @@ def _stage_half(matrices, x, x_a, theta, phi_phi, u_app, eta_del, pinned):
     return eta, phi, auxiliary_input(phi_phi, phi), pinned_error(matrices, x, pinned, x_a)
 
 
-def _lagged(rows: np.ndarray, start: int, stop: int, lag: int) -> np.ndarray:
-    """``rows[k - lag]`` for k in [start, stop); row 0 is the constant
-    pre-history, so it stands in for every k below ``lag``."""
-    if start >= lag:
-        return rows[start - lag:stop - lag]
-    return rows[np.maximum(np.arange(start, stop) - lag, 0)]
-
-
-def _delayed(rows: np.ndarray, k, lag: int):
-    """Values ``lag`` steps back at the start, midpoint and end of step ``k``.
-
-    ``rows`` holds one sample per grid point.  The delays are whole steps,
-    so the start and end read rows ``k - lag`` and ``k - lag + 1`` and the
-    RK4 midpoint reads their mean, the linear interpolant halfway.  Row 0 is
-    the constant pre-history and stands in for every negative row, as in
-    :func:`_lagged`.  ``k`` is one step or an integer array of steps.
-    """
-    lo = rows[np.maximum(k - lag, 0)]
-    hi = rows[np.maximum(k - lag + 1, 0)]
-    return lo, 0.5 * (lo + hi), hi
-
-
 def _levels(ref: ReferenceSignal, times: np.ndarray, p: int) -> np.ndarray:
     """Reference levels at ``times``, one row of ``p`` equal channels each."""
     values = np.fromiter(map(ref, times.ravel()), float, times.size)
@@ -514,6 +493,8 @@ def _levels(ref: ReferenceSignal, times: np.ndarray, p: int) -> np.ndarray:
 
 
 def _diverged(worst: float, t: float) -> DivergenceDetected:
+    if not math.isfinite(worst):
+        return DivergenceDetected(f"non-finite state at t={t:.6g}", time=t)
     return DivergenceDetected(
         f"state magnitude {worst:.3e} at t={t:.6g} exceeds {DIVERGENCE_LIMIT:.0e}", time=t
     )
@@ -550,23 +531,24 @@ def _leader_pass(step: np.ndarray, r_in: np.ndarray, table: np.ndarray, start: i
     ``step`` is the step matrix of :meth:`LeaderModel.rk4_matrices` and
     ``r_in`` the stage inputs from :func:`_stage_inputs`.  The leader is
     driven by the reference alone, so it needs nothing from the closed loop
-    and runs just ahead of it.  Overflow is left silent: the run reports a
-    leader that passes DIVERGENCE_LIMIT from the rows written here.
+    and runs just ahead of it.  The run reports a leader that passes
+    DIVERGENCE_LIMIT from the rows written here.
     """
     n = table.shape[1]
     free = step[:, :n]
-    with np.errstate(over="ignore", invalid="ignore"):
-        driven = r_in.reshape(stop - start, -1) @ step[:, n:].T
-        for j in range(start, stop):
-            table[j + 1] = free @ table[j] + driven[j - start]
+    driven = r_in.reshape(stop - start, -1) @ step[:, n:].T
+    for j in range(start, stop):
+        table[j + 1] = free @ table[j] + driven[j - start]
 
 
 def _block_values(ell: int, n: int, p: int) -> int:
     """Values :func:`_stage_operands` holds at most per step of a block.
 
     Per agent, the delayed gains and states are read at a step's start,
-    midpoint and end and copied to its four stages, 7 (qp + n) values, and
-    the four operands with their temporaries take 4 (3n + 2p); the leader's
+    midpoint and end and copied to its four stages, 7 (qp + n) values (the
+    first ``lag`` steps gather their start and end rows; later blocks read
+    them as slices), and the four operands with their temporaries take
+    4 (3n + 2p); the leader's
     stage states and regressors add 16 q per step.  A recorded row, one
     time instead of four stages, needs fewer.
     """
@@ -583,20 +565,19 @@ def _stage_operands(sc: Scenario, matrices, stages: np.ndarray, r_in: np.ndarray
 
     ``stages`` are the leader's stage matrices from
     :meth:`LeaderModel.rk4_matrices` and ``r_in`` the steps' stage inputs.
-    Delayed states and gains are read as :func:`_delayed` reads them, so
+    Delayed states and gains are read by :func:`delaysync.dde.delayed`, so
     ``stop - start`` may not exceed the state delay in steps: every row read
     must already be stored.  Each operand is (4 (stop - start), l, ...), one
-    entry per stage in the order ``step_rk4`` evaluates them.
+    entry per stage: start, midpoint, midpoint, end of each step.
     """
     h = sc.step
     n = sc.state_dim
-    steps = np.arange(start, stop)
 
     def staged(rows, lag):
-        lo, mid, hi = _delayed(rows, steps, lag)
+        lo, mid, hi = delayed(rows, start, stop, lag)
         return np.stack((lo, mid, mid, hi), axis=1)
 
-    t = steps * h
+    t = np.arange(start, stop) * h
     mid = t + 0.5 * h
     times = np.stack((t, mid, mid, t + h), axis=1)
     operand = np.concatenate((table[start:stop], r_in.reshape(stop - start, -1)), axis=1)
@@ -670,14 +651,11 @@ def run_scenario(sc: Scenario) -> SimTrace:
     states = np.empty((total + 1, z0.shape[0]))
     x_arr = states[:, :ln].reshape(-1, ell, n)
     th_arr = states[:, i_th:i_ph].reshape(-1, ell, q, p)
-    # A block's stage operands (_stage_operands); `stage` indexes them.
+    # A block's stage operands (_stage_operands); step_rk4 hands each stage
+    # its index into them.
     u_app = drive = eta_del = pinned = None
-    stage = 0
 
-    def rhs(t: float, y: np.ndarray, hist) -> np.ndarray:
-        nonlocal stage
-        i = stage
-        stage += 1  # step_rk4 evaluates its four stages in order
+    def rhs(t: float, y: np.ndarray, i: int) -> np.ndarray:
         x = y[:ln].reshape(ell, n)
         xa = y[i_xa:i_th].reshape(ell, n)
         eta, phi, u_aux, e_a = _stage_half(
@@ -695,34 +673,35 @@ def run_scenario(sc: Scenario) -> SimTrace:
             raise _diverged(worst, k * h)
 
     check_divergence(np.append(z0, table[0]), 0)
-    state = DdeState(state=z0, histories={}, recorders=(), step=h)
     states[0] = z0
     # A block holds about OPERAND_VALUES values; in the loop it is also at
     # most tau_x steps long, so that it reads only rows stored before it.
     per_block = max(1, OPERAND_VALUES // _block_values(ell, n, p))
     span = min(dx, per_block)
-    for a in range(0, lead, span):
-        b = min(a + span, lead)
-        r_in = _stage_inputs(ref, a, b, h, tau_u, p)
-        _leader_pass(leader_step, r_in, table, a, b)
-        # The first leader row past the limit ends the run at its time, the
-        # rows read tau_u past the last step included; the fleet steps up to
-        # it, so no step reads a diverged leader and a fleet that diverges
-        # earlier is reported first.
-        worst = np.abs(table[a + 1:b + 1]).max(axis=1)
-        bad = np.flatnonzero(~(worst <= DIVERGENCE_LIMIT))
-        stop = min(a + int(bad[0]) if bad.size else b, total)
-        if a < stop:
-            u_app, drive, eta_del, pinned = _stage_operands(
-                sc, matrices, leader_stages, r_in[:stop - a], table, x_arr, th_arr, a, stop
-            )
-            for k in range(a, stop):
-                stage = 4 * (k - a)
-                state = step_rk4(rhs, state)
-                check_divergence(state.state, k + 1)
-                states[k + 1] = state.state
-        if bad.size:
-            raise _diverged(float(worst[bad[0]]), (a + 1 + int(bad[0])) * h)
+    # Overflow is left silent: the divergence check reports it, non-finite
+    # values included, at the time of the step that produced it.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for a in range(0, lead, span):
+            b = min(a + span, lead)
+            r_in = _stage_inputs(ref, a, b, h, tau_u, p)
+            _leader_pass(leader_step, r_in, table, a, b)
+            # The first leader row past the limit ends the run at its time,
+            # the rows read tau_u past the last step included; the fleet steps
+            # up to it, so no step reads a diverged leader and a fleet that
+            # diverges earlier is reported first.
+            worst = np.abs(table[a + 1:b + 1]).max(axis=1)
+            bad = np.flatnonzero(~(worst <= DIVERGENCE_LIMIT))
+            stop = min(a + int(bad[0]) if bad.size else b, total)
+            if a < stop:
+                u_app, drive, eta_del, pinned = _stage_operands(
+                    sc, matrices, leader_stages, r_in[:stop - a], table, x_arr, th_arr, a, stop
+                )
+                for k in range(a, stop):
+                    i = 4 * (k - a)
+                    states[k + 1] = step_rk4(rhs, k * h, states[k], h, range(i, i + 4))
+                    check_divergence(states[k + 1], k + 1)
+            if bad.size:
+                raise _diverged(float(worst[bad[0]]), (a + 1 + int(bad[0])) * h)
 
     times = np.arange(total + 1) * h
     xm_arr = table[:total + 1]
@@ -739,9 +718,9 @@ def run_scenario(sc: Scenario) -> SimTrace:
     for a in range(0, total + 1, per_block):
         b = min(a + per_block, total + 1)
         xa = xa_arr[a:b]
-        eta_m_rows = regressor(xm_arr[a:b], _lagged(xm_arr, a, b, dx), r_del[a:b])
+        eta_m_rows = regressor(xm_arr[a:b], lagged(xm_arr, a, b, dx), r_del[a:b])
         operands = _delay_half(
-            matrices, tau_u, times[a:b], _lagged(x_arr, a, b, dx), _lagged(th_arr, a, b, du),
+            matrices, tau_u, times[a:b], lagged(x_arr, a, b, dx), lagged(th_arr, a, b, du),
             eta_m_rows,
         )
         _, phi, u_aux, e_a = _stage_half(

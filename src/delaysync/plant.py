@@ -18,6 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg
+from .dde import step_rk4
 from .errors import DimensionMismatch, NoMatchingSolution
 from .topology import TopologyMatrices
 
@@ -96,22 +97,20 @@ class LeaderModel:
         Returns the step matrix (n, n + 4p), whose product with that vector
         is the state after the step, and the stage matrices (4, n, n + 4p),
         whose products are the states at which the four stages evaluate
-        ``a_m x_m + b_m r``.  They are :func:`delaysync.dde.rk4_ode_step`'s
-        stages carried out on the unit vectors, so a product agrees with a
-        per-step ``rk4_ode_step`` to rounding.
+        ``a_m x_m + b_m r``.  They are :func:`delaysync.dde.step_rk4` run on
+        the unit vectors, so a product agrees with a per-step ``step_rk4``
+        to rounding.
         """
         n, p = self.state_dim, self.input_dim
         basis = np.eye(n + 4 * p)
-        y, r = basis[:n], basis[n:].reshape(4, p, n + 4 * p)
-        k1 = self.a_m @ y + self.b_m @ r[0]
-        y2 = y + (0.5 * h) * k1
-        k2 = self.a_m @ y2 + self.b_m @ r[1]
-        y3 = y + (0.5 * h) * k2
-        k3 = self.a_m @ y3 + self.b_m @ r[2]
-        y4 = y + h * k3
-        k4 = self.a_m @ y4 + self.b_m @ r[3]
-        step = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        return step, np.stack([y, y2, y3, y4])
+        stages = []
+
+        def f(_, y, r):
+            stages.append(y)
+            return self.a_m @ y + self.b_m @ r
+
+        step = step_rk4(f, 0.0, basis[:n], h, basis[n:].reshape(4, p, n + 4 * p))
+        return step, np.stack(stages)
 
 
 @dataclass(frozen=True)

@@ -20,7 +20,7 @@ from delaysync.cli import (
     trace_columns,
     write_trace_csv,
 )
-from delaysync.errors import ParseError, ValidationError
+from delaysync.errors import DivergenceDetected, ParseError, ValidationError
 from delaysync.harness import run_scenario
 
 TINY = """
@@ -410,6 +410,26 @@ def test_leader_overflow_stops_with_one_error_line(tmp_path, capsys, duration):
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error: state magnitude")
     assert "at t=5.005 " in err[0]
+    assert not (tmp_path / "trace.csv").exists()
+
+
+def test_gain_overflow_is_divergence_with_one_error_line(tmp_path, capsys):
+    """Adaptation rates of 1e150 overflow the fleet state to NaN in the
+    first step after the input arrives: the divergence check reports it at
+    that step's time, and no numpy warning reaches stderr."""
+    huge = ", ".join("1e150" if i % 5 == 0 else "0" for i in range(16))
+    sets = ("simulation.duration=12", f"controller.gamma_theta={huge}",
+            f"controller.gamma_phi={huge}")
+    with pytest.raises(DivergenceDetected) as info:
+        run_scenario(load_scenario("example1", sets))
+    assert info.value.time == pytest.approx(5.005, abs=1e-12)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = run_cli("run", "example1", "--out", str(tmp_path),
+                       *[arg for s in sets for arg in ("--set", s)])
+    assert code == 2
+    err = capsys.readouterr().err.splitlines()
+    assert err == ["error: non-finite state at t=5.005"]
     assert not (tmp_path / "trace.csv").exists()
 
 

@@ -3,8 +3,8 @@
 import numpy as np
 import pytest
 
-from delaysync.dde import DdeState, HistoryBuffer, rk4_ode_step, run, step_rk4
-from delaysync.errors import FutureQuery, NonFiniteState, StaleQuery, ValidationError
+from delaysync.dde import DdeState, HistoryBuffer, run, step_rk4
+from delaysync.errors import FutureQuery, NonFiniteState, ValidationError
 
 
 def delayed_decay(h, t_end):
@@ -75,18 +75,6 @@ def test_buffer_future_query_raises():
         buf.sample(0.05)
 
 
-def test_buffer_stale_query_raises():
-    # max_delay 0.2 at period 0.1 retains 4 samples; after many appends the
-    # early grid points have been overwritten
-    buf = HistoryBuffer(0.1, 0.0, np.array([0.0]), 0.2)
-    for k in range(1, 11):
-        buf.append(np.array([float(k)]))
-    assert buf.sample(1.0)[0] == 10.0
-    assert buf.sample(0.8)[0] == 8.0
-    with pytest.raises(StaleQuery):
-        buf.sample(0.3)
-
-
 def test_buffer_validation():
     with pytest.raises(ValidationError):
         HistoryBuffer(0.0, 0.0, np.array([1.0]), 0.1)
@@ -106,23 +94,41 @@ def test_buffer_validation():
 
 def test_rk4_matches_exponential():
     y = np.array([1.0])
-    f = lambda t, yy: -yy
+    f = lambda t, yy, s: -yy
     for k in range(100):
-        y = rk4_ode_step(f, k * 0.01, y, 0.01)
+        y = step_rk4(f, k * 0.01, y, 0.01, (None,) * 4)
     assert abs(y[0] - np.exp(-1.0)) < 1e-10
 
 
+def test_step_passes_each_stage_its_argument():
+    """Each stage gets its own entry of ``stages``, at the step's start,
+    midpoint (twice) and end, in that order."""
+    seen = []
+
+    def f(t, y, s):
+        seen.append((t, s))
+        return -y
+
+    t, h = 0.3, 0.1
+    step_rk4(f, t, np.array([1.0]), h, ("a", "b", "c", "d"))
+    assert seen == [(t, "a"), (t + h / 2, "b"), (t + h / 2, "c"), (t + h, "d")]
+
+
 def test_ode_step_and_dde_step_agree_bitwise():
-    """A history-free system stepped through both entry points must give
-    identical floats, not merely close ones."""
-    f_ode = lambda t, y: np.array([np.sin(t) - 0.5 * y[0]])
-    f_dde = lambda t, y, hist: f_ode(t, y)
-    state = DdeState(state=np.array([0.3]), histories={}, recorders=(), step=0.02)
+    """A history-free system stepped by ``run`` and by repeated
+    ``step_rk4`` calls must give identical floats, not merely close ones."""
+    f = lambda t, y, s: np.array([np.sin(t) - 0.5 * y[0]])
+    buf = HistoryBuffer(0.02, 0.0, np.array([0.3]), 0.02)
+    state = DdeState(
+        state=np.array([0.3]), histories={"y": buf}, recorders=(("y", lambda t, y: y),), step=0.02
+    )
+    final = run(f, state, 1.0)
+    assert final.index == 50
     y = np.array([0.3])
-    for _ in range(50):
-        y = rk4_ode_step(f_ode, state.time, y, state.step)
-        state = step_rk4(f_dde, state)
-        assert np.array_equal(state.state, y)
+    for k in range(50):
+        y = step_rk4(f, k * 0.02, y, 0.02, (None,) * 4)
+        assert np.array_equal(buf.sample((k + 1) * 0.02), y)
+    assert np.array_equal(final.state, y)
 
 
 def test_delayed_decay_hits_polynomial_values():
@@ -146,7 +152,7 @@ def test_step_rejects_non_finite_states():
     state = DdeState(state=np.array([1.0]), histories={}, recorders=(), step=0.1)
     blow_up = lambda t, y, hist: np.array([np.inf])
     with pytest.raises(NonFiniteState):
-        step_rk4(blow_up, state)
+        run(blow_up, state, 0.1)
 
 
 def test_recorders_append_after_each_step():
@@ -157,17 +163,20 @@ def test_recorders_append_after_each_step():
         recorders=(("y", lambda t, y: 2.0 * y),),
         step=0.1,
     )
-    state = step_rk4(lambda t, y, hist: np.zeros(1), state)
+    state = run(lambda t, y, hist: np.zeros(1), state, 0.1)
     assert buf.latest_index == 1
     assert buf.sample(0.1)[0] == 2.0
 
 
 def test_run_time_grid_is_exact():
-    state = DdeState(state=np.array([0.0]), histories={}, recorders=(), step=0.1)
-    seen = []
-    final = run(lambda t, y, hist: np.zeros(1), state, 0.5, observer=lambda s: seen.append(s.time))
+    buf = HistoryBuffer(0.1, 0.0, np.array([0.0]), 0.1)
+    state = DdeState(
+        state=np.array([0.0]), histories={"t": buf}, recorders=(("t", lambda t, y: [t]),), step=0.1
+    )
+    final = run(lambda t, y, hist: np.zeros(1), state, 0.5)
     assert final.index == 5
-    assert final.time == 0.5  # origin + index * step, no accumulation drift
+    assert final.time == 0.5  # index * step, no accumulation drift
+    seen = [buf.sample(0.1 * k)[0] for k in range(1, 6)]
     assert seen == [pytest.approx(0.1 * k, abs=0) for k in range(1, 6)]
 
 

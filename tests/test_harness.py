@@ -25,14 +25,13 @@ from delaysync.adaptive import (
     regressor,
 )
 from delaysync.cli import load_scenario
-from delaysync.dde import HistoryBuffer, rk4_ode_step
+from delaysync.dde import HistoryBuffer, delayed, step_rk4
 from delaysync.harness import (
     OPERAND_VALUES,
     ReferenceSignal,
     Scenario,
     SimTrace,
     _block_values,
-    _delayed,
     _energy_series,
     _stage_inputs,
     _stage_operands,
@@ -359,18 +358,18 @@ def test_delayed_rows_match_the_history_buffer():
         buf = HistoryBuffer(h, 0.0, rows[0], tau)
         for k in range(len(rows) - 1):
             start = k * h  # stage times as step_rk4 forms them
-            lo, mid, hi = _delayed(rows, k, lag)
+            lo, mid, hi = (v[0] for v in delayed(rows, k, k + 1, lag))
             assert np.array_equal(lo, buf.sample(start - tau))
             assert np.max(np.abs(mid - buf.sample(start + 0.5 * h - tau))) <= 1e-15
             assert np.array_equal(hi, buf.sample(start + h - tau))
             buf.append(rows[k + 1])
-        assert all(np.array_equal(v, rows[0]) for v in _delayed(rows, lag - 1, lag))
-        assert np.array_equal(_delayed(rows, lag, lag)[2], rows[1])
-        # the leader pass reads a block of steps at once, with the same values
-        steps = np.arange(len(rows) - 1)
-        for whole, k in zip(zip(*_delayed(rows, steps, lag)), steps):
-            for a, b in zip(whole, _delayed(rows, int(k), lag)):
-                assert np.array_equal(a, b)
+        assert all(np.array_equal(v[0], rows[0]) for v in delayed(rows, lag - 1, lag, lag))
+        assert np.array_equal(delayed(rows, lag, lag + 1, lag)[2][0], rows[1])
+        # a run reads a block of steps at once, with the same values
+        steps = range(len(rows) - 1)
+        for whole, k in zip(zip(*delayed(rows, 0, len(rows) - 1, lag)), steps):
+            for a, b in zip(whole, delayed(rows, k, k + 1, lag)):
+                assert np.array_equal(a, b[0])
 
 
 # Samples of 12 s runs of example1 and of example2 with a sine reference,
@@ -410,7 +409,7 @@ RECORDED = {
 
 # Lags of one row: tau_x = step with tau_u = step and 3 steps, so that a
 # block of steps is one step long.  Recorded when every RK4 stage read its
-# delayed operands and the leader was stepped by rk4_ode_step.
+# delayed operands and the leader was stepped by a separate plain-ODE RK4 step.
 RECORDED.update({
     ("example1", "square", "tau_x=0.005", "tau_u=0.005"): {
         ("x", (3, 0, 1)): -0.0003667143158083768,
@@ -471,7 +470,7 @@ def test_runs_reproduce_recorded_samples(case):
 
 @pytest.mark.parametrize("kind", ["square", "sine"])
 def test_leader_steps_by_its_rk4_matrices(kind):
-    """The leader's RK4 matrices reproduce rk4_ode_step on a_m x_m + b_m r
+    """The leader's RK4 matrices reproduce step_rk4 on a_m x_m + b_m r
     with held (square) and stage-varying (sine) inputs: the step to 1e-14
     relative and the states its four stages evaluate at; a run's leader rows
     stay within 1e-12 of that per-step recurrence."""
@@ -485,23 +484,21 @@ def test_leader_steps_by_its_rk4_matrices(kind):
     assert np.all(r_in[:, :, 0] == r_in[:, :1, 0]) == (kind == "square")
     rng = np.random.default_rng(3)
     y = sc.xm0
+    seen = []
+
+    def f(t, yy, r):
+        seen.append(yy)
+        return leader_block_derivative(m, yy, r)
+
     for k in range(steps):
         r = r_in[k]
-        seen = []
-        inputs = iter(r)
-
-        def f(t, yy):
-            seen.append(yy)  # rk4_ode_step evaluates its four stages in order
-            return leader_block_derivative(m, yy, next(inputs))
-
-        y = rk4_ode_step(f, k * h, y, h)
+        y = step_rk4(f, k * h, y, h, r)
         assert np.max(np.abs(y - trace.x_m[k + 1])) <= 1e-12
         if k % 200 == 0:
             z = rng.normal(size=n)
             operand = np.concatenate((z, r.ravel()))
-            inputs = iter(r)
             seen.clear()
-            want = rk4_ode_step(f, k * h, z, h)
+            want = step_rk4(f, k * h, z, h, r)
             assert np.max(np.abs(step @ operand - want)) <= 1e-14 * np.max(np.abs(want))
             for got, ref in zip(stages @ operand, seen):
                 assert np.max(np.abs(got - ref)) <= 1e-14 * np.max(np.abs(ref))
