@@ -35,7 +35,6 @@ from .errors import (
     SingularMatrix,
     SingularWeight,
     TraceTooLarge,
-    TraceWriteFailed,
     UnbalancedTopology,
     ValidationError,
 )
@@ -105,7 +104,6 @@ __all__ = [
     "TopologyMatrices",
     "TraceMetrics",
     "TraceTooLarge",
-    "TraceWriteFailed",
     "UnbalancedTopology",
     "ValidationError",
     "applied_input",

@@ -29,15 +29,14 @@ from __future__ import annotations
 import argparse
 import math
 import os
-import signal
 import sys
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import NoReturn
 
 import numpy as np
 
-from .errors import DelaySyncError, ParseError, TraceWriteFailed, ValidationError
+from . import g17
+from .errors import DelaySyncError, ParseError, ValidationError
 from .harness import (
     ReferenceSignal,
     Scenario,
@@ -57,8 +56,8 @@ _TOPOLOGY_KEYS = {"follower_weights", "leader_weights", "threshold"}
 _CONTROLLER_KEYS = {"gamma_theta", "gamma_phi", "q_tilde", "theta0", "phi_phi0", "r_signs"}
 
 # trace.csv is formatted in blocks of rows holding about this many values,
-# which bounds the text of one block whatever the trace's width.
-CSV_BLOCK_VALUES = 2**16
+# which bounds the memory of one block whatever the trace's width.
+CSV_BLOCK_VALUES = 6 * 2**10
 
 _SECTION_KEYS = {
     "simulation": _SIMULATION_KEYS,
@@ -405,131 +404,46 @@ def trace_columns(trace: SimTrace) -> list[str]:
     return cols
 
 
-def _csv_rows(trace: SimTrace, a: int, b: int) -> bytearray:
-    """Rows ``[a, b)`` of trace.csv, byte for byte as ``np.savetxt`` with
-    ``fmt="%.17g"`` and ``delimiter=","`` writes them.
+def _csv_rows(trace: SimTrace, a: int, b: int, buffers: g17.Buffers) -> np.ndarray:
+    """Rows ``[a, b)`` of trace.csv as uint8 text, byte for byte as
+    ``np.savetxt`` with ``fmt="%.17g"`` and ``delimiter=","`` writes them.
 
-    Only this block is copied out of the trace's arrays, each row is turned
-    into Python floats just before it is formatted, and the text grows in
-    place, so the block's text exists once.
+    Only this block is copied out of the trace's arrays.
     """
     fields = (
         trace.times, trace.x, trace.x_m, trace.x_a, trace.e, trace.e_a, trace.u,
         trace.u_aux, trace.phi, trace.theta, trace.phi_phi, trace.v_d,
     )
     block = np.concatenate([f[a:b].reshape(b - a, -1) for f in fields], axis=1)
-    row = b",".join([b"%.17g"] * block.shape[1]) + b"\n"
-    text = bytearray()
-    for values in map(np.ndarray.tolist, block):
-        text += row % tuple(values)
-    return text
-
-
-def _usable_cpus() -> int:
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
+    return g17.csv_rows(block, buffers)
 
 
 def write_trace_csv(trace: SimTrace, path) -> None:
     """Full-precision CSV; %.17g text reproduces every double exactly.
 
-    The rows are formatted in blocks of about CSV_BLOCK_VALUES values, one
-    worker process per usable CPU, and written in order; the bytes are
-    those ``np.savetxt`` writes.  The whole trace is never copied: each
-    worker holds about one block of text, whatever the trace's size.
-    With one block, one usable CPU or no ``os.fork``, this process formats
-    the blocks itself.  The file is written as ``<path>.partial`` and
-    renamed to ``path`` only once complete.  Raises TraceWriteFailed when a
-    worker stops early.
+    The rows are formatted by ``g17.csv_rows`` in blocks of about
+    CSV_BLOCK_VALUES values and written in order; the bytes are those
+    ``np.savetxt`` writes.  The whole trace is never copied: the write
+    holds one block, its text and the formatter's buffers, whatever the
+    trace's size.  The file is written as ``<path>.partial`` and renamed to
+    ``path`` only once complete; on any failure the partial file is
+    removed.
     """
     columns = trace_columns(trace)
     rows = trace.num_rows
     per_block = max(1, CSV_BLOCK_VALUES // len(columns))
-    bounds = [(a, min(a + per_block, rows)) for a in range(0, rows, per_block)]
-    workers = min(_usable_cpus(), len(bounds))
+    buffers = g17.Buffers(per_block * len(columns))
     path = Path(path)
     partial = path.with_name(path.name + ".partial")
     try:
         with open(partial, "wb") as out:
             out.write(",".join(columns).encode() + b"\n")
-            if workers > 1 and hasattr(os, "fork"):
-                _write_forked(trace, bounds, workers, out)
-            else:
-                for a, b in bounds:
-                    out.write(_csv_rows(trace, a, b))
+            for a in range(0, rows, per_block):
+                out.write(_csv_rows(trace, a, min(a + per_block, rows), buffers))
         os.replace(partial, path)
     except BaseException:
         partial.unlink(missing_ok=True)
         raise
-
-
-def _write_forked(trace: SimTrace, bounds, workers: int, out) -> None:
-    """Format the row blocks ``bounds`` in ``workers`` forked children and
-    write them to ``out`` in order.
-
-    Child ``w`` formats blocks ``w``, ``w + workers``, ... from the memory
-    it inherited and sends each down its own pipe behind an 8-byte length.
-    Reading the pipes round-robin puts the blocks in file order, and a full
-    pipe holds each child back until its next block is wanted.  Each block
-    is copied to ``out`` in pipe-sized pieces, so this process holds
-    neither a queue of blocks nor a whole block.  The children only format
-    text: they call no BLAS routine, take no lock and leave through
-    ``os._exit``.  When a child's stream ends short, every child is killed
-    and reaped and TraceWriteFailed is raised.
-    """
-    pids, pipes = [], []
-    try:
-        for w in range(workers):
-            r, wfd = os.pipe()
-            pipes.append(open(r, "rb"))
-            try:
-                pid = os.fork()
-                if pid == 0:
-                    _format_blocks(trace, bounds[w::workers], wfd, pipes)
-            finally:
-                os.close(wfd)
-            pids.append(pid)
-        for i in range(len(bounds)):
-            w = i % workers
-            head = pipes[w].read(8)
-            left = int.from_bytes(head, "little") if len(head) == 8 else -1
-            while left > 0:
-                piece = pipes[w].read1(min(left, 2**16))  # a pipe's default capacity
-                if not piece:
-                    break
-                out.write(piece)
-                left -= len(piece)
-            if left:
-                code = os.waitstatus_to_exitcode(os.waitpid(pids.pop(w), 0)[1])
-                how = f"killed by signal {-code}" if code < 0 else f"exited with code {code}"
-                raise TraceWriteFailed(
-                    f"trace.csv worker {w} {how} before block {i + 1} of {len(bounds)}"
-                )
-    finally:
-        # Every block has arrived or the write has failed: no child has
-        # anything left to do.
-        for pid in pids:
-            os.kill(pid, signal.SIGKILL)
-            os.waitpid(pid, 0)
-        for pipe in pipes:
-            pipe.close()
-
-
-def _format_blocks(trace: SimTrace, bounds, fd: int, inherited) -> NoReturn:
-    """Body of a forked child of _write_forked; never returns."""
-    code = 1
-    try:
-        for pipe in inherited:  # read ends; the child keeps only its write end
-            pipe.close()
-        with open(fd, "wb") as pipe:
-            for a, b in bounds:
-                block = _csv_rows(trace, a, b)
-                pipe.write(len(block).to_bytes(8, "little"))
-                pipe.write(block)
-        code = 0
-    finally:
-        os._exit(code)
 
 
 def write_summary(sc: Scenario, trace: SimTrace, path) -> None:

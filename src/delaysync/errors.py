@@ -82,6 +82,3 @@ class ValidationError(DelaySyncError):
 class TraceTooLarge(DelaySyncError):
     """A run would record more data than the configured memory ceiling."""
 
-
-class TraceWriteFailed(DelaySyncError):
-    """A worker formatting trace.csv stopped before sending all its rows."""

@@ -42,7 +42,7 @@ rows ``tau_u`` ahead, so no per-step forward prediction is needed.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -249,6 +249,8 @@ class CheckResult:
     name: str
     passed: bool
     detail: str
+    # What the check solved, for run_scenario to reuse (see _solved).
+    solved: object = field(default=None, repr=False, compare=False)
 
 
 @dataclass
@@ -304,7 +306,11 @@ class TraceMetrics:
 
 
 def validate_scenario(sc: Scenario) -> list[CheckResult]:
-    """Run the five structural checks; failures are reported, not raised."""
+    """Run the five structural checks; failures are reported, not raised.
+
+    The checks that solve something carry it in ``solved``, so that
+    run_scenario reuses them instead of solving again.
+    """
     m = build_matrices(sc.topology)
     out = []
 
@@ -316,6 +322,7 @@ def validate_scenario(sc: Scenario) -> list[CheckResult]:
             "graph row sums match leader pinning"
             if ok
             else "graph minus pinning does not annihilate the ones vector",
+            m,
         )
     )
 
@@ -355,7 +362,9 @@ def validate_scenario(sc: Scenario) -> list[CheckResult]:
             np.max(np.abs(sc.leader.a_m.T @ p_block + p_block @ sc.leader.a_m + sc.q_tilde))
         )
         out.append(
-            CheckResult("lyapunov_residual", res <= 1e-9, f"substitution residual {res:.3e}")
+            CheckResult(
+                "lyapunov_residual", res <= 1e-9, f"substitution residual {res:.3e}", p_block
+            )
         )
     except (NotSymmetric, NotPositiveDefinite, SingularMatrix, NotHurwitz) as exc:
         out.append(CheckResult("lyapunov_residual", False, str(exc)))
@@ -369,7 +378,7 @@ def validate_scenario(sc: Scenario) -> list[CheckResult]:
             signs = np.array([math.copysign(1.0, g[0, 0]) for g in gains.theta_r])
             if np.array_equal(signs, sc.r_signs):
                 out.append(
-                    CheckResult("matching", True, "gains solvable, declared signs agree")
+                    CheckResult("matching", True, "gains solvable, declared signs agree", gains)
                 )
             else:
                 out.append(
@@ -380,8 +389,17 @@ def validate_scenario(sc: Scenario) -> list[CheckResult]:
                     )
                 )
         else:
-            out.append(CheckResult("matching", True, "gains solvable (signs unchecked for p>1)"))
+            out.append(
+                CheckResult("matching", True, "gains solvable (signs unchecked for p>1)", gains)
+            )
     return out
+
+
+def _solved(checks: list[CheckResult]):
+    """The topology matrices, Lyapunov block and matching gains that the
+    passed checks of validate_scenario solved for."""
+    solved = {c.name: c.solved for c in checks}
+    return solved["balanced"], solved["lyapunov_residual"], solved["matching"]
 
 
 def _rate_weights(gamma: np.ndarray) -> np.ndarray:
@@ -603,7 +621,8 @@ def run_scenario(sc: Scenario) -> SimTrace:
     magnitude, the leader rows read ``tau_u`` past the last step included,
     and propagates integrator errors.
     """
-    failed = [c for c in validate_scenario(sc) if not c.passed]
+    checks = validate_scenario(sc)
+    failed = [c for c in checks if not c.passed]
     if failed:
         raise ValidationError(
             "scenario checks failed: "
@@ -617,10 +636,8 @@ def run_scenario(sc: Scenario) -> SimTrace:
     h = sc.step
     m = sc.leader
     fleet = sc.fleet
-    matrices = build_matrices(sc.topology)
-    p_block = linalg.solve_lyapunov(m.a_m, sc.q_tilde)
+    matrices, p_block, gains = _solved(checks)
     p_b = p_block @ m.b_m
-    gains = matching_gains(fleet, m)
     cfg = ControllerConfig(sc.gamma_theta, sc.gamma_phi, p_block, sc.r_signs)
     ref = sc.reference
     tau_x, tau_u = sc.tau_x, sc.tau_u

@@ -206,6 +206,34 @@ def test_validator_catches_declared_sign_conflict():
     assert [c.name for c in info.value.failed] == ["matching"]
 
 
+def test_run_solves_topology_lyapunov_and_matching_gains_once(monkeypatch):
+    """run_scenario reuses what its validation solved."""
+    from delaysync import harness, linalg
+
+    calls = {}
+
+    def counting(module, name):
+        fn = getattr(module, name)
+
+        def wrapped(*args, **kwargs):
+            calls[name] = calls.get(name, 0) + 1
+            return fn(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, wrapped)
+
+    for module, name in (
+        (harness, "validate_scenario"),
+        (harness, "build_matrices"),
+        (harness, "matching_gains"),
+        (linalg, "solve_lyapunov"),
+    ):
+        counting(module, name)
+    run_scenario(dataclasses.replace(load_scenario("example2"), duration=1.0))
+    assert calls == {
+        "validate_scenario": 1, "build_matrices": 1, "matching_gains": 1, "solve_lyapunov": 1
+    }
+
+
 def test_validator_reports_unstable_leader():
     sc = tiny_scenario(leader=LeaderModel(a_m=[[1.0]], b_m=[[1.0]]))
     bad = [c for c in validate_scenario(sc) if not c.passed]
