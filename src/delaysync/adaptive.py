@@ -15,8 +15,10 @@ axes in front of the per-agent ones.  The parts that read delayed or leader
 values only (``delayed_regressor``, ``applied_input``, ``leader_pinning``)
 are split from the ones that need the current state (``mismatch``,
 ``auxiliary_input``, ``pinned_error``), so a run evaluates the first over a
-block of steps and RK4 stages at once and the second per stage, and the
-trace recording evaluates both over blocks of rows.
+block of steps and RK4 stages at once, and the trace recording evaluates
+both over blocks of rows.  Per RK4 stage a run computes the second and
+``gain_derivatives`` in the fixed buffers of ``harness._StageKernel``,
+which the tests compare against these functions.
 
 The controller only ever touches the leader model, the graph matrices, and
 the signs of the reference-matching gains; no follower dynamics enter.
@@ -252,7 +254,9 @@ def gain_derivatives(
 
     ``p_b`` is the (n, p) product ``P b_m``, ``e_a`` the (l, n) augmented
     errors; returns arrays shaped like ``theta`` (l, q, p) and ``phi_phi``
-    (l, p, p).
+    (l, p, p).  This is the reference form of the laws: a run evaluates
+    them inside its stage kernel (``harness._StageKernel``), which the tests
+    compare against this function.
     """
     s = topo_m.laplacian_like.T @ (e_a @ p_b)
     g = cfg.signed_rates @ s

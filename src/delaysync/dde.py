@@ -107,7 +107,9 @@ def step_rk4(f: Callable, t: float, y: np.ndarray, h: float, stages: Sequence) -
     """One classical RK4 step of size ``h`` from ``y`` at time ``t``.
 
     ``f(t, y, s)`` is evaluated at the step's start, its midpoint twice and
-    its end, and gets that stage's entry ``s`` of the four ``stages``.
+    its end, and gets that stage's entry ``s`` of the four ``stages``.  A
+    stage's result needs to stay valid only until this call returns, so
+    ``f`` may write the four into buffers it reuses on the next step.
     """
     s1, s2, s3, s4 = stages
     k1 = f(t, y, s1)

@@ -20,20 +20,25 @@ The controller's signal chain is written once, in ``adaptive`` and
 ``plant``, as array functions that take any leading axes, and is split in
 two halves.  ``_delay_half`` forms what reads stored values only: the
 applied input (the gains one input-delay back against the leader
-regressor, zero before the first command arrives), the regressor's delayed
-entries and the leader term of the graph error; the fleet's delayed drive
-``a_zeta x(t - tau_x) + b u(t - tau_u)`` joins them.  All of these are
-precomputed for a block of steps and their four RK4 stages at once
-(``_stage_operands``); a block is at most ``tau_x`` long, so every row it
-reads is stored before it starts, and holds about OPERAND_VALUES values.
-``_stage_half`` forms what needs the current state: the regressor, the
-input mismatch, the auxiliary input and the augmented graph error.  Each
-step is one ``dde.step_rk4`` call, which hands every stage the index of its
-operands; the right-hand side calls ``_stage_half`` on the stage state and
-feeds the result to the fleet, auxiliary and gain derivatives.  The loop
-stores only the state after each step; the recorded signals come
-afterwards from the same two halves over blocks of stored rows, with
-delayed values read ``tau_x`` and ``tau_u`` rows back (``dde.lagged``).
+regressor, zero before the first command arrives) and the regressor's
+delayed entries.  ``_stage_half`` forms what needs the current state: the
+regressor, the input mismatch, the auxiliary input and the augmented graph
+error, given the leader's term of that error.
+
+In the loop, the delay-only operands are precomputed for a block of steps
+and their four RK4 stages at once (``_stage_operands``): the two of
+``_delay_half``, the fleet's delayed drive ``a_zeta x(t - tau_x) +
+b u(t - tau_u)`` and the leader's part of the adaptation drive.  A block is
+at most ``tau_x`` long, so every row it reads is stored before it starts,
+and holds about OPERAND_VALUES values.  Each step is one ``dde.step_rk4``
+call, which hands every stage the index of its operands.  The right-hand
+side is ``_StageKernel``: the state half and the fleet, auxiliary and gain
+derivatives written into buffers made once per run, tested against the
+chain functions.  Fleet rows are checked for divergence once per block.
+The loop stores only the state after each step; the recorded signals come
+afterwards from ``_delay_half`` and ``_stage_half`` over blocks of stored
+rows, with delayed values read ``tau_x`` and ``tau_u`` rows back
+(``dde.lagged``).
 
 The commanded input recorded in the trace is computed against the leader
 rows ``tau_u`` ahead, so no per-step forward prediction is needed.
@@ -46,7 +51,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import adaptive, linalg
+from . import linalg
 from .adaptive import (
     ControllerConfig,
     applied_input,
@@ -71,7 +76,7 @@ from .errors import (
     TraceTooLarge,
     ValidationError,
 )
-from .plant import FleetDynamics, LeaderModel, MatchingGains, aux_derivative, matching_gains
+from .plant import FleetDynamics, LeaderModel, MatchingGains, matching_gains
 from .topology import (
     Topology,
     build_matrices,
@@ -475,33 +480,126 @@ def _energy_series(
     )
 
 
-def _delay_half(matrices, tau_u, t, x_del, theta_del, eta_m):
+def _delay_half(tau_u, t, x_del, theta_del, eta_m):
     """The signals that read stored values only: delayed states and gains
     and the leader regressor.
 
     ``eta_m`` is the leader regressor ``[x_m(t); x_m(t - tau_x);
-    r(t - tau_u)]``, which also supplies the current leader state and the
-    delayed reference.  Leading axes pass through: a block of steps and RK4
-    stages in a run, a block of stored rows in the recording (``t`` holds
-    their times).  Returns the applied input, the regressor's delayed
-    entries and the leader term of the graph error, the operands of
-    :func:`_stage_half`.
+    r(t - tau_u)]``, which also supplies the delayed reference.  Leading
+    axes pass through: a block of steps and RK4 stages in a run, a block of
+    stored rows in the recording (``t`` holds their times).  Returns the
+    applied input and the regressor's delayed entries, the operands of
+    :func:`_stage_half` besides the leader term.
     """
     n = x_del.shape[-1]
     u_app = applied_input(theta_del, eta_m, t, tau_u)
-    eta_del = delayed_regressor(x_del, eta_m[..., None, 2 * n:])
-    return u_app, eta_del, leader_pinning(matrices, eta_m[..., :n])
+    return u_app, delayed_regressor(x_del, eta_m[..., None, 2 * n:])
 
 
 def _stage_half(matrices, x, x_a, theta, phi_phi, u_app, eta_del, pinned):
     """The signals that need the current state, given the operands from
-    :func:`_delay_half`: one RK4 stage in a run, a block of rows in the
-    recording.  Returns the fleet regressor, the mismatch, the auxiliary
-    input and the augmented error.
+    :func:`_delay_half` and the leader term ``pinned`` from
+    :func:`delaysync.adaptive.leader_pinning`, over a block of rows.
+    Returns the fleet regressor, the mismatch, the auxiliary input and the
+    augmented error.
     """
     eta = np.concatenate((x, eta_del), axis=-1)
     phi = mismatch(theta, eta, u_app)
     return eta, phi, auxiliary_input(phi_phi, phi), pinned_error(matrices, x, pinned, x_a)
+
+
+class _StageKernel:
+    """The run's right-hand side: one RK4 stage of the coupled state
+    ``[x; x_a; theta; phi_phi]``, evaluated in buffers made once per run.
+
+    It computes what :func:`_stage_half`, ``gain_derivatives``,
+    ``FleetDynamics.derivative`` and ``aux_derivative`` compute, with every
+    product written into a fixed buffer through ``out=``, because the
+    arrays are small enough that each fresh array, reshape or concatenate
+    costs more than its arithmetic.  The leader term enters the adaptation
+    drive as the delay-only operand ``g_off`` (:meth:`leader_offset`), so
+    the augmented error itself is not formed here.  A call copies ``y``
+    into the stage-state buffer and writes the derivative into output
+    buffer ``i & 3``: the four stages of a step get four buffers, and a
+    result stays valid until the same stage of the next step.
+    """
+
+    def __init__(self, sc: Scenario, matrices, cfg: ControllerConfig):
+        ell, n, p = sc.num_agents, sc.state_dim, sc.input_dim
+        q = 2 * n + p
+        ln = ell * n
+        size = 2 * ln + ell * (q * p + p * p)
+        laplacian = matrices.laplacian_like
+        self.a = sc.fleet.a
+        self.a_m_t = sc.leader.a_m.T
+        self.b_m_t = sc.leader.b_m.T
+        self.laplacian = laplacian
+        self.p_b = cfg.p_matrix @ sc.leader.b_m
+        # (2l, l): the adaptation drives of a projected error, signs included
+        self.rates_l = cfg.signed_rates @ laplacian.T
+        # (2l, 1): the drives of the leader's projected term, g_i x_m P b_m
+        self.leader_rates = -(self.rates_l @ matrices.pinning)
+
+        def split(flat):
+            return (flat[:ln].reshape(ell, n), flat[ln:2 * ln].reshape(ell, n),
+                    flat[2 * ln:2 * ln + ell * q * p].reshape(ell, q, p),
+                    flat[2 * ln + ell * q * p:].reshape(ell, p, p))
+
+        self.y = np.empty(size)
+        self.x, self.x_a, self.theta, self.phi_phi = split(self.y)
+        self.x_col = self.x[:, :, None]
+        self.eta = np.empty((ell, q))
+        self.eta_x, self.eta_tail = self.eta[:, :n], self.eta[:, n:]
+        self.eta_row, self.eta_col = self.eta[:, None, :], self.eta[:, :, None]
+        self.phi = np.empty((ell, p))
+        self.phi_row, self.phi_col = self.phi[:, None, :], self.phi[:, :, None]
+        self.u_aux = np.empty((ell, p))
+        self.u_aux_col = self.u_aux[:, :, None]
+        self.l_u_aux = np.empty((ell, p))
+        self.aux_drive = np.empty((ell, n))
+        self.e = np.empty((ell, n))
+        self.s = np.empty((ell, p))
+        self.g = np.empty((2 * ell, p))
+        self.g_theta, self.g_phi = self.g[:ell, None, :], self.g[ell:, :, None]
+        self.out = []
+        for _ in range(4):
+            flat = np.empty(size)
+            dx, dx_a, d_theta, d_phi_phi = split(flat)
+            self.out.append((flat, dx, dx[:, :, None], dx_a, d_theta, d_phi_phi))
+        # A block's stage operands (_stage_operands); stage i reads entry i.
+        self.u_app = self.drive = self.eta_del = self.g_off = None
+
+    def leader_offset(self, x_m: np.ndarray) -> np.ndarray:
+        """The leader's part of the adaptation drive for leader states
+        (..., n): ``-(signed rates) L^T (pinned P b_m)`` with ``pinned`` the
+        leader term ``g_i x_m``, (..., 2l, p)."""
+        return self.leader_rates * (x_m @ self.p_b)[..., None, :]
+
+    def __call__(self, t: float, y: np.ndarray, i: int) -> np.ndarray:
+        np.copyto(self.y, y)
+        np.copyto(self.eta_x, self.x)
+        np.copyto(self.eta_tail, self.eta_del[i])
+        flat, dx, dx_col, dx_a, d_theta, d_phi_phi = self.out[i & 3]
+        # mismatch theta^T eta - u_app, and the auxiliary input phi_phi phi
+        np.matmul(self.eta_row, self.theta, out=self.phi_row)
+        np.subtract(self.phi, self.u_app[i], out=self.phi)
+        np.matmul(self.phi_phi, self.phi_col, out=self.u_aux_col)
+        # fleet a x + drive, auxiliary x_a a_m^T + (L u_aux) b_m^T
+        np.matmul(self.a, self.x_col, out=dx_col)
+        np.add(dx, self.drive[i], out=dx)
+        np.dot(self.x_a, self.a_m_t, out=dx_a)
+        np.dot(self.laplacian, self.u_aux, out=self.l_u_aux)
+        np.dot(self.l_u_aux, self.b_m_t, out=self.aux_drive)
+        np.add(dx_a, self.aux_drive, out=dx_a)
+        # adaptation drive of the projected error (L x + x_a) P b_m, then the laws
+        np.dot(self.laplacian, self.x, out=self.e)
+        np.add(self.e, self.x_a, out=self.e)
+        np.dot(self.e, self.p_b, out=self.s)
+        np.dot(self.rates_l, self.s, out=self.g)
+        np.add(self.g, self.g_off[i], out=self.g)
+        np.multiply(self.eta_col, self.g_theta, out=d_theta)
+        np.multiply(self.g_phi, self.phi_row, out=d_phi_phi)
+        return flat
 
 
 def _levels(ref: ReferenceSignal, times: np.ndarray, p: int) -> np.ndarray:
@@ -566,27 +664,29 @@ def _block_values(ell: int, n: int, p: int) -> int:
     midpoint and end and copied to its four stages, 7 (qp + n) values (the
     first ``lag`` steps gather their start and end rows; later blocks read
     them as slices), and the four operands with their temporaries take
-    4 (3n + 2p); the leader's
-    stage states and regressors add 16 q per step.  A recorded row, one
-    time instead of four stages, needs fewer.
+    4 (2n + 4p), the leader's adaptation drive counting two values per
+    input channel; the leader's stage states and regressors add 16 q per
+    step.  A recorded row, one time instead of four stages, needs fewer.
     """
     q = 2 * n + p
-    return ell * (7 * (q * p + n) + 4 * (3 * n + 2 * p)) + 16 * q
+    return ell * (7 * (q * p + n) + 4 * (2 * n + 4 * p)) + 16 * q
 
 
-def _stage_operands(sc: Scenario, matrices, stages: np.ndarray, r_in: np.ndarray,
+def _stage_operands(sc: Scenario, kernel: _StageKernel, stages: np.ndarray, r_in: np.ndarray,
                     table: np.ndarray, x_arr: np.ndarray, th_arr: np.ndarray, start: int,
                     stop: int) -> tuple[np.ndarray, ...]:
     """Operands of every RK4 stage of steps ``start`` to ``stop - 1`` that
     read stored rows only: the applied input, the fleet's delayed drive,
-    the regressor's delayed entries and the leader term of the graph error.
+    the regressor's delayed entries and the leader's part of the adaptation
+    drive (:meth:`_StageKernel.leader_offset`).
 
     ``stages`` are the leader's stage matrices from
     :meth:`LeaderModel.rk4_matrices` and ``r_in`` the steps' stage inputs.
     Delayed states and gains are read by :func:`delaysync.dde.delayed`, so
     ``stop - start`` may not exceed the state delay in steps: every row read
-    must already be stored.  Each operand is (4 (stop - start), l, ...), one
-    entry per stage: start, midpoint, midpoint, end of each step.
+    must already be stored.  Each operand is (4 (stop - start), l, ...) or,
+    the leader's drive, (4 (stop - start), 2l, p), one entry per stage:
+    start, midpoint, midpoint, end of each step.
     """
     h = sc.step
     n = sc.state_dim
@@ -604,10 +704,11 @@ def _stage_operands(sc: Scenario, matrices, stages: np.ndarray, r_in: np.ndarray
     eta_m = regressor(leader, staged(table, dx), r_in)
     x_del = staged(x_arr, dx)
     th_del = staged(th_arr, int(round(sc.tau_u / h)))
-    u_app, eta_del, pinned = _delay_half(matrices, sc.tau_u, times, x_del, th_del, eta_m)
+    u_app, eta_del = _delay_half(sc.tau_u, times, x_del, th_del, eta_m)
     del th_del  # the largest temporary: gone before the drive is formed
     drive = sc.fleet.delayed_drive(x_del, u_app)
-    return tuple(v.reshape((-1,) + v.shape[2:]) for v in (u_app, drive, eta_del, pinned))
+    g_off = kernel.leader_offset(leader)
+    return tuple(v.reshape((-1,) + v.shape[2:]) for v in (u_app, drive, eta_del, g_off))
 
 
 def run_scenario(sc: Scenario) -> SimTrace:
@@ -634,10 +735,7 @@ def run_scenario(sc: Scenario) -> SimTrace:
     q = 2 * n + p
     ln = ell * n
     h = sc.step
-    m = sc.leader
-    fleet = sc.fleet
     matrices, p_block, gains = _solved(checks)
-    p_b = p_block @ m.b_m
     cfg = ControllerConfig(sc.gamma_theta, sc.gamma_phi, p_block, sc.r_signs)
     ref = sc.reference
     tau_x, tau_u = sc.tau_x, sc.tau_u
@@ -659,7 +757,7 @@ def run_scenario(sc: Scenario) -> SimTrace:
 
     table = np.empty((lead + 1, n))
     table[0] = sc.xm0
-    leader_step, leader_stages = m.rk4_matrices(h)
+    leader_step, leader_stages = sc.leader.rk4_matrices(h)
 
     i_xa = ln
     i_th = i_xa + ln
@@ -668,28 +766,21 @@ def run_scenario(sc: Scenario) -> SimTrace:
     states = np.empty((total + 1, z0.shape[0]))
     x_arr = states[:, :ln].reshape(-1, ell, n)
     th_arr = states[:, i_th:i_ph].reshape(-1, ell, q, p)
-    # A block's stage operands (_stage_operands); step_rk4 hands each stage
-    # its index into them.
-    u_app = drive = eta_del = pinned = None
+    kernel = _StageKernel(sc, matrices, cfg)
 
-    def rhs(t: float, y: np.ndarray, i: int) -> np.ndarray:
-        x = y[:ln].reshape(ell, n)
-        xa = y[i_xa:i_th].reshape(ell, n)
-        eta, phi, u_aux, e_a = _stage_half(
-            matrices, x, xa, y[i_th:i_ph].reshape(ell, q, p), y[i_ph:].reshape(ell, p, p),
-            u_app[i], eta_del[i], pinned[i],
-        )
-        d_th, d_ph = adaptive.gain_derivatives(cfg, matrices, p_b, e_a, eta, phi)
-        d_x = fleet.derivative(x, drive[i])
-        d_xa = aux_derivative(m, matrices, xa, u_aux)
-        return np.concatenate((d_x.ravel(), d_xa.ravel(), d_th.ravel(), d_ph.ravel()))
+    def diverged(rows: np.ndarray, first: int):
+        """The earliest of ``rows``, row ``first`` onward, past the limit:
+        its offset in ``rows`` and its DivergenceDetected, or None."""
+        worst = np.abs(rows).max(axis=1)
+        bad = np.flatnonzero(~(worst <= DIVERGENCE_LIMIT))
+        if not bad.size:
+            return None
+        j = int(bad[0])
+        return j, _diverged(float(worst[j]), (first + j) * h)
 
-    def check_divergence(values: np.ndarray, k: int) -> None:
-        worst = float(np.abs(values).max())
-        if not worst <= DIVERGENCE_LIMIT:
-            raise _diverged(worst, k * h)
-
-    check_divergence(np.append(z0, table[0]), 0)
+    start_bad = diverged(np.append(z0, table[0])[None], 0)
+    if start_bad:
+        raise start_bad[1]
     states[0] = z0
     # A block holds about OPERAND_VALUES values; in the loop it is also at
     # most tau_x steps long, so that it reads only rows stored before it.
@@ -703,22 +794,23 @@ def run_scenario(sc: Scenario) -> SimTrace:
             r_in = _stage_inputs(ref, a, b, h, tau_u, p)
             _leader_pass(leader_step, r_in, table, a, b)
             # The first leader row past the limit ends the run at its time,
-            # the rows read tau_u past the last step included; the fleet steps
-            # up to it, so no step reads a diverged leader and a fleet that
-            # diverges earlier is reported first.
-            worst = np.abs(table[a + 1:b + 1]).max(axis=1)
-            bad = np.flatnonzero(~(worst <= DIVERGENCE_LIMIT))
-            stop = min(a + int(bad[0]) if bad.size else b, total)
+            # the rows read tau_u past the last step included.  The fleet
+            # steps up to it, so no step reads a diverged leader, and its
+            # rows, checked once per block, are earlier and reported first.
+            leader_bad = diverged(table[a + 1:b + 1], a + 1)
+            stop = min(a + leader_bad[0] if leader_bad else b, total)
             if a < stop:
-                u_app, drive, eta_del, pinned = _stage_operands(
-                    sc, matrices, leader_stages, r_in[:stop - a], table, x_arr, th_arr, a, stop
+                kernel.u_app, kernel.drive, kernel.eta_del, kernel.g_off = _stage_operands(
+                    sc, kernel, leader_stages, r_in[:stop - a], table, x_arr, th_arr, a, stop
                 )
                 for k in range(a, stop):
                     i = 4 * (k - a)
-                    states[k + 1] = step_rk4(rhs, k * h, states[k], h, range(i, i + 4))
-                    check_divergence(states[k + 1], k + 1)
-            if bad.size:
-                raise _diverged(float(worst[bad[0]]), (a + 1 + int(bad[0])) * h)
+                    states[k + 1] = step_rk4(kernel, k * h, states[k], h, range(i, i + 4))
+                fleet_bad = diverged(states[a + 1:stop + 1], a + 1)
+                if fleet_bad:
+                    raise fleet_bad[1]
+            if leader_bad:
+                raise leader_bad[1]
 
     times = np.arange(total + 1) * h
     xm_arr = table[:total + 1]
@@ -736,12 +828,12 @@ def run_scenario(sc: Scenario) -> SimTrace:
         b = min(a + per_block, total + 1)
         xa = xa_arr[a:b]
         eta_m_rows = regressor(xm_arr[a:b], lagged(xm_arr, a, b, dx), r_del[a:b])
-        operands = _delay_half(
-            matrices, tau_u, times[a:b], lagged(x_arr, a, b, dx), lagged(th_arr, a, b, du),
-            eta_m_rows,
+        u_app, eta_del = _delay_half(
+            tau_u, times[a:b], lagged(x_arr, a, b, dx), lagged(th_arr, a, b, du), eta_m_rows
         )
         _, phi, u_aux, e_a = _stage_half(
-            matrices, x_arr[a:b], xa, th_arr[a:b], ph_arr[a:b], *operands
+            matrices, x_arr[a:b], xa, th_arr[a:b], ph_arr[a:b], u_app, eta_del,
+            leader_pinning(matrices, xm_arr[a:b]),
         )
         e_arr[a:b] = e_a - xa
         ea_arr[a:b] = e_a

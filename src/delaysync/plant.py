@@ -170,7 +170,8 @@ class FleetDynamics:
         fleet derivative, blockwise; states (..., l, n), inputs (..., l, p).
 
         It reads stored values only, so a run evaluates it for a block of
-        steps and stages at once and :meth:`derivative` adds it per stage.
+        steps and stages at once and adds it per stage (:meth:`derivative`
+        is the reference form of that sum).
         """
         operand = np.concatenate((x_delayed, u_delayed), axis=-1)
         return (self.delayed @ operand[..., None])[..., 0]

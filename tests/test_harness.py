@@ -20,7 +20,9 @@ from delaysync.adaptive import (
     augmented_error,
     auxiliary_input,
     control,
+    gain_derivatives,
     leader_block_derivative,
+    leader_pinning,
     mismatch,
     regressor,
 )
@@ -33,13 +35,16 @@ from delaysync.harness import (
     SimTrace,
     _block_values,
     _energy_series,
+    _stage_half,
     _stage_inputs,
     _stage_operands,
+    _StageKernel,
     metrics,
     run_scenario,
     validate_scenario,
 )
-from delaysync.plant import AgentDynamics, LeaderModel, MatchingGains
+from delaysync.linalg import solve_lyapunov
+from delaysync.plant import AgentDynamics, LeaderModel, MatchingGains, aux_derivative
 from delaysync.topology import Topology, build_matrices
 
 P_BLOCK = np.array([[0.25, 0.05], [0.05, 0.05]])
@@ -310,6 +315,28 @@ def test_divergence_reports_offending_time():
     assert info.value.time >= sc.tau_u
 
 
+def test_divergence_is_reported_at_the_step_that_crossed_mid_block():
+    """Fleet rows are checked once per block of steps; a state that passes
+    the limit inside a block is reported at the step that crossed it, with
+    that row's magnitude.  With no input and frozen gains the fleet is
+    x' = x, so row k is the RK4 growth factor to the k."""
+    sc = tiny_scenario(
+        fleet=[AgentDynamics(a=[[1.0]], a_zeta=[[0.0]], b=[[1.0]])],
+        gamma_theta=np.zeros((1, 1)),
+        gamma_phi=np.zeros((1, 1)),
+        x0=np.ones(1),
+        duration=20.0,
+    )
+    h = sc.step
+    growth = 1.0 + h + h**2 / 2 + h**3 / 6 + h**4 / 24
+    k = math.ceil(math.log(1e6) / math.log(growth))
+    assert k % round(sc.tau_x / h) not in (0, 1)  # blocks are tau_x long here
+    with pytest.raises(DivergenceDetected) as info:
+        run_scenario(sc)
+    assert info.value.time == k * h
+    assert str(info.value) == f"state magnitude {growth**k:.3e} at t={k * h:.6g} exceeds 1e+06"
+
+
 def test_divergence_catches_bad_initial_state():
     with pytest.raises(DivergenceDetected) as info:
         run_scenario(tiny_scenario(x0=np.array([2e6])))
@@ -496,6 +523,178 @@ def test_runs_reproduce_recorded_samples(case):
 # ------------------------------------------------------- the loop's operands
 
 
+def random_fleet_scenario(rng, ell, p, n=2):
+    """A scenario of ``ell`` random agents on a random weighted graph, for
+    evaluating the loop's pieces, not for running (it is not validated)."""
+    w = rng.uniform(size=(ell, ell))
+    np.fill_diagonal(w, 0.0)
+    g = rng.uniform(0.2, 1.0, size=ell)
+    total = w.sum(axis=1) + g
+    rates = [np.eye(ell) + 0.1 * x @ x.T / ell for x in rng.normal(size=(2, ell, ell))]
+    return tiny_scenario(
+        fleet=[
+            AgentDynamics(a=rng.normal(size=(n, n)), a_zeta=rng.normal(size=(n, n)),
+                          b=rng.normal(size=(n, p)))
+            for _ in range(ell)
+        ],
+        leader=LeaderModel(a_m=rng.normal(size=(n, n)), b_m=rng.normal(size=(n, p))),
+        topology=Topology(ell, w / total[:, None], g / total, 0.1),
+        gamma_theta=rates[0],
+        gamma_phi=rates[1],
+        q_tilde=np.eye(n),
+        theta0=np.zeros((ell, 2 * n + p, p)),
+        phi_phi0=np.zeros((ell, p, p)),
+        r_signs=rng.choice([-1.0, 1.0], size=ell),
+        x0=np.zeros(ell * n),
+        xm0=np.zeros(n),
+        xa0=np.zeros(ell * n),
+    )
+
+
+@pytest.mark.parametrize("p", [1, 2])
+@pytest.mark.parametrize("ell", [1, 4, 128])
+def test_stage_kernel_matches_the_chain_functions(ell, p):
+    """The run's right-hand side equals the public chain functions on
+    random stage states and operands, at every stage index of a block of
+    two steps, to 1e-13 relative; and the four results of a step's stages
+    all keep their values until the step is taken."""
+    rng = np.random.default_rng(10 * ell + p)
+    sc = random_fleet_scenario(rng, ell, p)
+    n, q = sc.state_dim, sc.regressor_dim
+    ln = ell * n
+    matrices = build_matrices(sc.topology)
+    cfg = ControllerConfig(sc.gamma_theta, sc.gamma_phi, P_BLOCK, sc.r_signs)
+    kernel = _StageKernel(sc, matrices, cfg)
+    stages = 8
+    u_app = rng.normal(size=(stages, ell, p))
+    drive = rng.normal(size=(stages, ell, n))
+    eta_del = rng.normal(size=(stages, ell, n + p))
+    x_m = rng.normal(size=(stages, n))
+    kernel.u_app, kernel.drive, kernel.eta_del = u_app, drive, eta_del
+    kernel.g_off = kernel.leader_offset(x_m)
+    for step in range(0, stages, 4):
+        results = []
+        for i in range(step, step + 4):
+            y = rng.normal(size=2 * ln + ell * (q * p + p * p))
+            x, x_a = y[:ln].reshape(ell, n), y[ln:2 * ln].reshape(ell, n)
+            theta = y[2 * ln:2 * ln + ell * q * p].reshape(ell, q, p)
+            phi_phi = y[2 * ln + ell * q * p:].reshape(ell, p, p)
+            eta, phi, u_aux, e_a = _stage_half(
+                matrices, x, x_a, theta, phi_phi, u_app[i], eta_del[i],
+                leader_pinning(matrices, x_m[i]),
+            )
+            d_theta, d_phi_phi = gain_derivatives(
+                cfg, matrices, P_BLOCK @ sc.leader.b_m, e_a, eta, phi
+            )
+            want = np.concatenate([
+                sc.fleet.derivative(x, drive[i]).ravel(),
+                aux_derivative(sc.leader, matrices, x_a, u_aux).ravel(),
+                d_theta.ravel(),
+                d_phi_phi.ravel(),
+            ])
+            got = kernel(0.0, y, i)
+            assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want)), i
+            results.append((got, got.copy()))
+        for got, kept in results:
+            assert np.array_equal(got, kept)
+
+
+def per_step_oracle(sc: Scenario) -> np.ndarray:
+    """Integrate the closed loop of ``sc`` by one step_rk4 call per step on
+    the stacked state [x; x_a; theta; phi_phi; x_m], with every delayed
+    value read from an interpolating HistoryBuffer at its stage time and
+    the right-hand side assembled per stage from the public chain
+    functions.  Returns the stored rows."""
+    ell, n, p = sc.num_agents, sc.state_dim, sc.input_dim
+    q = 2 * n + p
+    h, tau_x, tau_u = sc.step, sc.tau_x, sc.tau_u
+    matrices = build_matrices(sc.topology)
+    p_block = solve_lyapunov(sc.leader.a_m, sc.q_tilde)
+    cfg = ControllerConfig(sc.gamma_theta, sc.gamma_phi, p_block, sc.r_signs)
+    cuts = np.cumsum([ell * n, ell * n, ell * q * p, ell * p * p])
+    shapes = ((ell, n), (ell, n), (ell, q, p), (ell, p, p), (n,))
+
+    def split(v):
+        return [part.reshape(shape) for part, shape in zip(np.split(v, cuts), shapes)]
+
+    y = np.concatenate([sc.x0, sc.xa0, sc.theta0.ravel(), sc.phi_phi0.ravel(), sc.xm0])
+    history = HistoryBuffer(h, 0.0, y, tau_u)
+
+    def rhs(t, v, _):
+        x, x_a, theta, phi_phi, x_m = split(v)
+        x_del, _, _, _, xm_del = split(history.sample(t - tau_x))
+        theta_del = split(history.sample(t - tau_u))[2]
+        r_del = np.full(p, sc.reference(t - tau_u))
+        u_app = applied_input(theta_del, regressor(x_m, xm_del, r_del), t, tau_u)
+        eta = regressor(x, x_del, r_del)
+        phi = mismatch(theta, eta, u_app)
+        u_aux = auxiliary_input(phi_phi, phi)
+        e_a = augmented_error(matrices, x, x_m, x_a)
+        d_theta, d_phi_phi = gain_derivatives(
+            cfg, matrices, p_block @ sc.leader.b_m, e_a, eta, phi
+        )
+        parts = (
+            sc.fleet.derivative(x, sc.fleet.delayed_drive(x_del, u_app)),
+            aux_derivative(sc.leader, matrices, x_a, u_aux),
+            d_theta,
+            d_phi_phi,
+            leader_block_derivative(sc.leader, x_m, r_del),
+        )
+        return np.concatenate([d.ravel() for d in parts])
+
+    rows = [y]
+    for k in range(round(sc.duration / h)):
+        y = step_rk4(rhs, k * h, y, h, (None,) * 4)
+        history.append(y)
+        rows.append(y)
+    return np.array(rows)
+
+
+def test_run_matches_a_per_step_oracle_with_two_inputs():
+    """A two-input fleet of three agents with a sine reference, a shape no
+    builtin has, runs within 1e-12 of the per-step oracle built from the
+    public chain functions: fleet, auxiliary, gain and leader states."""
+    ell, n, p = 3, 2, 2
+    agents = [
+        AgentDynamics(a=[[0.0, 1.0], [-1.0 - 0.2 * i, -1.0]], a_zeta=[[0.0, 0.1], [0.2, -0.1 * i]],
+                      b=[[1.0, 0.2 * i], [0.1, 1.5]])
+        for i in range(ell)
+    ]
+    sc = tiny_scenario(
+        fleet=agents,
+        leader=LeaderModel(a_m=[[0.0, 1.0], [-2.0, -3.0]], b_m=[[1.0, 0.0], [0.0, -2.0]]),
+        topology=Topology(
+            ell, np.array([[0.0, 0.3, 0.2], [0.25, 0.0, 0.25], [0.2, 0.3, 0.0]]),
+            np.full(ell, 0.5), 0.1,
+        ),
+        gamma_theta=0.5 * np.eye(ell),
+        gamma_phi=0.5 * np.eye(ell),
+        q_tilde=np.eye(n),
+        theta0=np.random.default_rng(5).normal(scale=0.1, size=(ell, 2 * n + p, p)),
+        phi_phi0=np.tile(0.3 * np.eye(p), (ell, 1, 1)),
+        r_signs=np.ones(ell),
+        tau_x=0.1,
+        tau_u=0.3,
+        step=0.01,
+        duration=2.0,
+        reference=ReferenceSignal(kind="sine", amplitude=1.0, period=1.5),
+        x0=np.array([0.5, -0.3, 0.1, 0.2, -0.4, 0.0]),
+        xm0=np.array([0.2, -0.1]),
+        xa0=np.array([0.05, 0.0, -0.05, 0.1, 0.0, 0.02]),
+    )
+    assert all(c.passed for c in validate_scenario(sc))
+    trace = run_scenario(sc)
+    rows = per_step_oracle(sc)
+    ln = ell * n
+    got = np.concatenate([
+        trace.x.reshape(-1, ln), trace.x_a.reshape(-1, ln), trace.theta.reshape(trace.num_rows, -1),
+        trace.phi_phi.reshape(trace.num_rows, -1), trace.x_m,
+    ], axis=1)
+    assert got.shape == rows.shape == (201, rows.shape[1])
+    assert np.max(np.abs(got - rows)) <= 1e-12
+    assert np.max(np.abs(trace.theta[-1] - trace.theta[0])) > 1e-3  # the gains adapted
+
+
 @pytest.mark.parametrize("kind", ["square", "sine"])
 def test_leader_steps_by_its_rk4_matrices(kind):
     """The leader's RK4 matrices reproduce step_rk4 on a_m x_m + b_m r
@@ -572,13 +771,14 @@ def test_stage_operands_stay_within_their_budget():
     x_arr = rng.normal(size=(rows, ell, n))
     th_arr = rng.normal(size=(rows, ell, q, p))
     _, stages = sc.leader.rk4_matrices(sc.step)
-    matrices = build_matrices(sc.topology)
+    cfg = ControllerConfig(sc.gamma_theta, sc.gamma_phi, P_BLOCK, sc.r_signs)
+    kernel = _StageKernel(sc, build_matrices(sc.topology), cfg)
     for a in (0, du):  # reads of the pre-history row, and of stored rows
         r_in = _stage_inputs(sc.reference, a, a + span, sc.step, sc.tau_u, p)
         tracemalloc.start()
         try:
             operands = _stage_operands(
-                sc, matrices, stages, r_in, table, x_arr, th_arr, a, a + span
+                sc, kernel, stages, r_in, table, x_arr, th_arr, a, a + span
             )
             _, peak = tracemalloc.get_traced_memory()
         finally:
