@@ -10,12 +10,8 @@ harness, and a small CLI (``delaysync run|validate|list-builtins``).
 from .adaptive import (
     ControllerConfig,
     applied_input,
-    augmented_error,
-    auxiliary_input,
     control,
-    gain_derivatives,
     leader_block_derivative,
-    mismatch,
     predict_leader_regressor,
     regressor,
 )
@@ -59,7 +55,6 @@ from .plant import (
     FleetDynamics,
     LeaderModel,
     MatchingGains,
-    aux_derivative,
     matching_gains,
 )
 from .topology import (
@@ -107,20 +102,15 @@ __all__ = [
     "UnbalancedTopology",
     "ValidationError",
     "applied_input",
-    "augmented_error",
-    "aux_derivative",
-    "auxiliary_input",
     "build_matrices",
     "check_balanced",
     "check_threshold",
     "cholesky",
     "control",
-    "gain_derivatives",
     "leader_block_derivative",
     "leader_reachable",
     "matching_gains",
     "metrics",
-    "mismatch",
     "predict_leader_regressor",
     "regressor",
     "run",

@@ -9,16 +9,14 @@ leader model and the reference are known.  A mismatch signal between the
 current virtual input and the actually applied one drives an auxiliary
 compensator so that the gain adaptation sees a delay-free error system.
 
-The signal functions (``regressor``, ``control``, ``applied_input``,
-``mismatch``, ``auxiliary_input``, ``augmented_error``) accept any leading
-axes in front of the per-agent ones.  The parts that read delayed or leader
-values only (``delayed_regressor``, ``applied_input``, ``leader_pinning``)
-are split from the ones that need the current state (``mismatch``,
-``auxiliary_input``, ``pinned_error``), so a run evaluates the first over a
-block of steps and RK4 stages at once, and the trace recording evaluates
-both over blocks of rows.  Per RK4 stage a run computes the second and
-``gain_derivatives`` in the fixed buffers of ``harness._StageKernel``,
-which the tests compare against these functions.
+The signal functions here (``regressor``, ``delayed_regressor``,
+``control``, ``applied_input``) accept any leading axes in front of the
+per-agent ones.  They read delayed or leader values only, so a run
+evaluates them over a block of steps and RK4 stages at once, and the
+commanded input over the whole trace.  What needs the current state, the
+mismatch, the auxiliary input, the graph error and the adaptation laws, is
+evaluated per RK4 stage in the fixed buffers of ``harness._StageKernel``,
+the one implementation of the closed loop.
 
 The controller only ever touches the leader model, the graph matrices, and
 the signs of the reference-matching gains; no follower dynamics enter.
@@ -27,7 +25,6 @@ the signs of the reference-matching gains; no follower dynamics enter.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Callable
 
 import numpy as np
@@ -36,7 +33,6 @@ from . import linalg
 from .dde import GRID_TOL, step_rk4
 from .errors import DimensionMismatch, ValidationError
 from .plant import LeaderModel
-from .topology import TopologyMatrices
 
 # Rate matrices may dip this far below zero in their smallest eigenvalue
 # and still count as positive semidefinite.
@@ -87,13 +83,6 @@ class ControllerConfig:
     @property
     def num_agents(self) -> int:
         return self.gamma_theta.shape[0]
-
-    @cached_property
-    def signed_rates(self) -> np.ndarray:
-        """``[-sign(theta_r*) Gamma_theta; -Gamma_phi]`` stacked (2l, l): one
-        product with the projected error gives both adaptation drives, their
-        signs included (negating and flipping rows by +-1 is exact)."""
-        return -np.vstack([self.r_sign[:, None] * self.gamma_theta, self.gamma_phi])
 
 
 def regressor(x_now, x_delayed, r_delayed) -> np.ndarray:
@@ -197,68 +186,4 @@ def applied_input(theta_delayed, eta_m, t, tau_u: float) -> np.ndarray:
     ``tau_u`` nothing commanded has arrived and the input is zero.
     """
     u = control(theta_delayed, eta_m)
-    if isinstance(t, np.ndarray):
-        return u * (t >= tau_u - GRID_TOL)[..., None, None]
-    return u if t >= tau_u - GRID_TOL else np.zeros_like(u)
-
-
-def mismatch(theta: np.ndarray, eta: np.ndarray, u_applied: np.ndarray) -> np.ndarray:
-    """Input mismatch ``theta_i(t)^T eta_i(t) - u_i``: the virtual input of
-    the current gains minus the applied one; shape (..., l, p)."""
-    return (eta[..., None, :] @ theta)[..., 0, :] - u_applied
-
-
-def auxiliary_input(phi_phi: np.ndarray, phi: np.ndarray) -> np.ndarray:
-    """Auxiliary drive ``phi_phi_i @ phi_i`` per agent, shape (..., l, p)."""
-    return (phi_phi @ phi[..., None])[..., 0]
-
-
-def augmented_error(topo_m: TopologyMatrices, x, x_m, x_a) -> np.ndarray:
-    """Graph tracking error plus auxiliary state, ``L x_i - g_i x_m + x_a_i``.
-
-    ``x`` and ``x_a`` are fleet states (..., l, n), ``x_m`` the single
-    leader block (..., n); no lifted block matrices are formed.
-    """
-    if x.shape != x_a.shape or x.shape[-1:] != x_m.shape[-1:]:
-        raise DimensionMismatch(
-            f"fleet {x.shape}, auxiliary {x_a.shape} and leader {x_m.shape} states disagree"
-        )
-    return pinned_error(topo_m, x, leader_pinning(topo_m, x_m), x_a)
-
-
-def leader_pinning(topo_m: TopologyMatrices, x_m) -> np.ndarray:
-    """The leader's term ``g_i x_m`` of every agent's graph error, (..., l, n)."""
-    return topo_m.pinning * x_m[..., None, :]
-
-
-def pinned_error(topo_m: TopologyMatrices, x, pinned, x_a) -> np.ndarray:
-    """:func:`augmented_error` with the leader term ``pinned`` from
-    :func:`leader_pinning` given: ``L x_i - pinned_i + x_a_i``."""
-    return topo_m.laplacian_like @ x - pinned + x_a
-
-
-def gain_derivatives(
-    cfg: ControllerConfig,
-    topo_m: TopologyMatrices,
-    p_b: np.ndarray,
-    e_a: np.ndarray,
-    eta: np.ndarray,
-    phi: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Adaptation laws, block-diagonal projection.
-
-    With ``s_i = b_m^T [(L (x) I)^T (I (x) P) e_a]_i`` the updates are
-
-        d theta_i  = -sign(theta_r_i*) (Gamma_theta s)_i eta_i^T
-        d phi_phi_i = -(Gamma_phi s)_i phi_i^T
-
-    ``p_b`` is the (n, p) product ``P b_m``, ``e_a`` the (l, n) augmented
-    errors; returns arrays shaped like ``theta`` (l, q, p) and ``phi_phi``
-    (l, p, p).  This is the reference form of the laws: a run evaluates
-    them inside its stage kernel (``harness._StageKernel``), which the tests
-    compare against this function.
-    """
-    s = topo_m.laplacian_like.T @ (e_a @ p_b)
-    g = cfg.signed_rates @ s
-    ell = eta.shape[0]
-    return eta[:, :, None] * g[:ell, None, :], g[ell:, :, None] * phi[:, None, :]
+    return u * (np.asarray(t) >= tau_u - GRID_TOL)[..., None, None]

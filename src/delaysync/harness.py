@@ -16,32 +16,26 @@ the loop reads is a row of the states it has already stored
 last stage, the mean of two neighbouring rows at its midpoint stages, and
 row 0 standing in as the constant pre-history.
 
-The controller's signal chain is written once, in ``adaptive`` and
-``plant``, as array functions that take any leading axes, and is split in
-two halves.  ``_delay_half`` forms what reads stored values only: the
-applied input (the gains one input-delay back against the leader
-regressor, zero before the first command arrives) and the regressor's
-delayed entries.  ``_stage_half`` forms what needs the current state: the
-regressor, the input mismatch, the auxiliary input and the augmented graph
-error, given the leader's term of that error.
+The loop precomputes the operands that read stored values only for a
+block of steps and their four RK4 stages at once (``_stage_operands``):
+the applied input (the gains one input-delay back against the leader
+regressor, zero before the first command arrives), the regressor's delayed
+entries, the fleet's delayed drive ``a_zeta x(t - tau_x) + b u(t - tau_u)``
+and the leader's part of the adaptation drive.  A block is at most
+``tau_x`` long, so every row it reads is stored before it starts, and holds
+about OPERAND_VALUES values.  Each step is one ``dde.step_rk4`` call, which
+hands every stage the index of its operands.  The right-hand side is
+``_StageKernel``, the one evaluation of the controller's signals: it forms
+the mismatch, the auxiliary input and the graph term ``L x``, then the
+fleet, auxiliary and gain derivatives, in buffers made once per run.
+Fleet rows are checked for divergence once per block.
 
-In the loop, the delay-only operands are precomputed for a block of steps
-and their four RK4 stages at once (``_stage_operands``): the two of
-``_delay_half``, the fleet's delayed drive ``a_zeta x(t - tau_x) +
-b u(t - tau_u)`` and the leader's part of the adaptation drive.  A block is
-at most ``tau_x`` long, so every row it reads is stored before it starts,
-and holds about OPERAND_VALUES values.  Each step is one ``dde.step_rk4``
-call, which hands every stage the index of its operands.  The right-hand
-side is ``_StageKernel``: the state half and the fleet, auxiliary and gain
-derivatives written into buffers made once per run, tested against the
-chain functions.  Fleet rows are checked for divergence once per block.
-The loop stores only the state after each step; the recorded signals come
-afterwards from ``_delay_half`` and ``_stage_half`` over blocks of stored
-rows, with delayed values read ``tau_x`` and ``tau_u`` rows back
-(``dde.lagged``).
-
-The commanded input recorded in the trace is computed against the leader
-rows ``tau_u`` ahead, so no per-step forward prediction is needed.
+Stage 0 of step k evaluates at row k's state with row k's operands, so the
+loop records row k's mismatch, auxiliary input and ``L x`` from it after
+the step; the last row, which starts no step, gets one kernel call of its
+own.  The augmented error is ``(L x - g x_m) + x_a`` over the whole trace,
+and the commanded input is computed against the leader rows ``tau_u``
+ahead, so no per-step forward prediction is needed.
 """
 
 from __future__ import annotations
@@ -55,15 +49,11 @@ from . import linalg
 from .adaptive import (
     ControllerConfig,
     applied_input,
-    auxiliary_input,
     control,
     delayed_regressor,
-    leader_pinning,
-    mismatch,
-    pinned_error,
     regressor,
 )
-from .dde import GRID_TOL, delayed, lagged, step_rk4
+from .dde import GRID_TOL, delayed, step_rk4
 from .errors import (
     DimensionMismatch,
     DivergenceDetected,
@@ -94,9 +84,8 @@ MAX_RUN_BYTES = 2**30
 # Reference-gain magnitudes and adaptation rates below this cannot be
 # inverted for the energy monitor.
 WEIGHT_TOL = 1e-12
-# The loop forms the stage operands of a block of steps at once, and the
-# recording the signals of a block of stored rows; a block holds about this
-# many values with its temporaries (see _block_values).
+# The loop forms the stage operands of a block of steps at once; a block
+# holds about this many values with its temporaries (see _block_values).
 OPERAND_VALUES = 2**16
 
 REFERENCE_KINDS = ("constant", "sine", "square")
@@ -480,48 +469,35 @@ def _energy_series(
     )
 
 
-def _delay_half(tau_u, t, x_del, theta_del, eta_m):
-    """The signals that read stored values only: delayed states and gains
-    and the leader regressor.
-
-    ``eta_m`` is the leader regressor ``[x_m(t); x_m(t - tau_x);
-    r(t - tau_u)]``, which also supplies the delayed reference.  Leading
-    axes pass through: a block of steps and RK4 stages in a run, a block of
-    stored rows in the recording (``t`` holds their times).  Returns the
-    applied input and the regressor's delayed entries, the operands of
-    :func:`_stage_half` besides the leader term.
-    """
-    n = x_del.shape[-1]
-    u_app = applied_input(theta_del, eta_m, t, tau_u)
-    return u_app, delayed_regressor(x_del, eta_m[..., None, 2 * n:])
-
-
-def _stage_half(matrices, x, x_a, theta, phi_phi, u_app, eta_del, pinned):
-    """The signals that need the current state, given the operands from
-    :func:`_delay_half` and the leader term ``pinned`` from
-    :func:`delaysync.adaptive.leader_pinning`, over a block of rows.
-    Returns the fleet regressor, the mismatch, the auxiliary input and the
-    augmented error.
-    """
-    eta = np.concatenate((x, eta_del), axis=-1)
-    phi = mismatch(theta, eta, u_app)
-    return eta, phi, auxiliary_input(phi_phi, phi), pinned_error(matrices, x, pinned, x_a)
+def _signal_views(flat: np.ndarray, ell: int, n: int, p: int):
+    """The mismatch phi (..., l, p), auxiliary input u_aux (..., l, p) and
+    graph term ``L x`` (..., l, n) laid out in ``flat`` (..., l (2p + n)),
+    one row of the signals a stage evaluates."""
+    lead = flat.shape[:-1]
+    lp = ell * p
+    return (flat[..., :lp].reshape(lead + (ell, p)),
+            flat[..., lp:2 * lp].reshape(lead + (ell, p)),
+            flat[..., 2 * lp:].reshape(lead + (ell, n)))
 
 
 class _StageKernel:
     """The run's right-hand side: one RK4 stage of the coupled state
     ``[x; x_a; theta; phi_phi]``, evaluated in buffers made once per run.
 
-    It computes what :func:`_stage_half`, ``gain_derivatives``,
-    ``FleetDynamics.derivative`` and ``aux_derivative`` compute, with every
-    product written into a fixed buffer through ``out=``, because the
-    arrays are small enough that each fresh array, reshape or concatenate
-    costs more than its arithmetic.  The leader term enters the adaptation
-    drive as the delay-only operand ``g_off`` (:meth:`leader_offset`), so
-    the augmented error itself is not formed here.  A call copies ``y``
-    into the stage-state buffer and writes the derivative into output
-    buffer ``i & 3``: the four stages of a step get four buffers, and a
-    result stays valid until the same stage of the next step.
+    It forms the regressor, the mismatch phi, the auxiliary input u_aux,
+    the graph term ``L x`` and from them the fleet, auxiliary and gain
+    derivatives, with every product written into a fixed buffer through
+    ``out=``, because the arrays are small enough that each fresh array,
+    reshape or concatenate costs more than its arithmetic.  The tests
+    compare it against the reference formulas in ``tests/chain_oracle.py``.
+    The leader term enters the adaptation drive as the delay-only operand
+    ``g_off`` (:meth:`leader_offset`), so the augmented error itself is not
+    formed here.  A call copies ``y`` into the stage-state buffer and writes
+    the derivative into output buffer ``i & 3`` and phi, u_aux and ``L x``
+    into signal buffer ``i & 3`` (:func:`_signal_views`): the four stages of
+    a step get four of each, and a result stays valid until the same stage
+    of the next step.  Stage 0 of step k evaluates at row k's state with
+    row k's delayed operands, so its signals are row k's recorded ones.
     """
 
     def __init__(self, sc: Scenario, matrices, cfg: ControllerConfig):
@@ -535,8 +511,10 @@ class _StageKernel:
         self.b_m_t = sc.leader.b_m.T
         self.laplacian = laplacian
         self.p_b = cfg.p_matrix @ sc.leader.b_m
-        # (2l, l): the adaptation drives of a projected error, signs included
-        self.rates_l = cfg.signed_rates @ laplacian.T
+        # (2l, l): [-sign(theta_r*) Gamma_theta; -Gamma_phi] L^T, the
+        # adaptation drives of a projected error, signs included
+        signed_rates = -np.vstack([cfg.r_sign[:, None] * cfg.gamma_theta, cfg.gamma_phi])
+        self.rates_l = signed_rates @ laplacian.T
         # (2l, 1): the drives of the leader's projected term, g_i x_m P b_m
         self.leader_rates = -(self.rates_l @ matrices.pinning)
 
@@ -551,10 +529,6 @@ class _StageKernel:
         self.eta = np.empty((ell, q))
         self.eta_x, self.eta_tail = self.eta[:, :n], self.eta[:, n:]
         self.eta_row, self.eta_col = self.eta[:, None, :], self.eta[:, :, None]
-        self.phi = np.empty((ell, p))
-        self.phi_row, self.phi_col = self.phi[:, None, :], self.phi[:, :, None]
-        self.u_aux = np.empty((ell, p))
-        self.u_aux_col = self.u_aux[:, :, None]
         self.l_u_aux = np.empty((ell, p))
         self.aux_drive = np.empty((ell, n))
         self.e = np.empty((ell, n))
@@ -562,10 +536,15 @@ class _StageKernel:
         self.g = np.empty((2 * ell, p))
         self.g_theta, self.g_phi = self.g[:ell, None, :], self.g[ell:, :, None]
         self.out = []
+        self.signals = []
         for _ in range(4):
             flat = np.empty(size)
             dx, dx_a, d_theta, d_phi_phi = split(flat)
-            self.out.append((flat, dx, dx[:, :, None], dx_a, d_theta, d_phi_phi))
+            signals = np.empty(ell * (2 * p + n))
+            phi, u_aux, l_x = _signal_views(signals, ell, n, p)
+            self.signals.append(signals)
+            self.out.append((flat, dx, dx[:, :, None], dx_a, d_theta, d_phi_phi, phi,
+                             phi[:, None, :], phi[:, :, None], u_aux, u_aux[:, :, None], l_x))
         # A block's stage operands (_stage_operands); stage i reads entry i.
         self.u_app = self.drive = self.eta_del = self.g_off = None
 
@@ -579,26 +558,27 @@ class _StageKernel:
         np.copyto(self.y, y)
         np.copyto(self.eta_x, self.x)
         np.copyto(self.eta_tail, self.eta_del[i])
-        flat, dx, dx_col, dx_a, d_theta, d_phi_phi = self.out[i & 3]
+        (flat, dx, dx_col, dx_a, d_theta, d_phi_phi, phi, phi_row, phi_col, u_aux, u_aux_col,
+         l_x) = self.out[i & 3]
         # mismatch theta^T eta - u_app, and the auxiliary input phi_phi phi
-        np.matmul(self.eta_row, self.theta, out=self.phi_row)
-        np.subtract(self.phi, self.u_app[i], out=self.phi)
-        np.matmul(self.phi_phi, self.phi_col, out=self.u_aux_col)
+        np.matmul(self.eta_row, self.theta, out=phi_row)
+        np.subtract(phi, self.u_app[i], out=phi)
+        np.matmul(self.phi_phi, phi_col, out=u_aux_col)
         # fleet a x + drive, auxiliary x_a a_m^T + (L u_aux) b_m^T
         np.matmul(self.a, self.x_col, out=dx_col)
         np.add(dx, self.drive[i], out=dx)
         np.dot(self.x_a, self.a_m_t, out=dx_a)
-        np.dot(self.laplacian, self.u_aux, out=self.l_u_aux)
+        np.dot(self.laplacian, u_aux, out=self.l_u_aux)
         np.dot(self.l_u_aux, self.b_m_t, out=self.aux_drive)
         np.add(dx_a, self.aux_drive, out=dx_a)
         # adaptation drive of the projected error (L x + x_a) P b_m, then the laws
-        np.dot(self.laplacian, self.x, out=self.e)
-        np.add(self.e, self.x_a, out=self.e)
+        np.dot(self.laplacian, self.x, out=l_x)
+        np.add(l_x, self.x_a, out=self.e)
         np.dot(self.e, self.p_b, out=self.s)
         np.dot(self.rates_l, self.s, out=self.g)
         np.add(self.g, self.g_off[i], out=self.g)
         np.multiply(self.eta_col, self.g_theta, out=d_theta)
-        np.multiply(self.g_phi, self.phi_row, out=d_phi_phi)
+        np.multiply(self.g_phi, phi_row, out=d_phi_phi)
         return flat
 
 
@@ -666,7 +646,7 @@ def _block_values(ell: int, n: int, p: int) -> int:
     them as slices), and the four operands with their temporaries take
     4 (2n + 4p), the leader's adaptation drive counting two values per
     input channel; the leader's stage states and regressors add 16 q per
-    step.  A recorded row, one time instead of four stages, needs fewer.
+    step.
     """
     q = 2 * n + p
     return ell * (7 * (q * p + n) + 4 * (2 * n + 4 * p)) + 16 * q
@@ -704,7 +684,8 @@ def _stage_operands(sc: Scenario, kernel: _StageKernel, stages: np.ndarray, r_in
     eta_m = regressor(leader, staged(table, dx), r_in)
     x_del = staged(x_arr, dx)
     th_del = staged(th_arr, int(round(sc.tau_u / h)))
-    u_app, eta_del = _delay_half(sc.tau_u, times, x_del, th_del, eta_m)
+    u_app = applied_input(th_del, eta_m, times, sc.tau_u)
+    eta_del = delayed_regressor(x_del, eta_m[..., None, 2 * n:])
     del th_del  # the largest temporary: gone before the drive is formed
     drive = sc.fleet.delayed_drive(x_del, u_app)
     g_off = kernel.leader_offset(leader)
@@ -782,10 +763,11 @@ def run_scenario(sc: Scenario) -> SimTrace:
     if start_bad:
         raise start_bad[1]
     states[0] = z0
-    # A block holds about OPERAND_VALUES values; in the loop it is also at
-    # most tau_x steps long, so that it reads only rows stored before it.
-    per_block = max(1, OPERAND_VALUES // _block_values(ell, n, p))
-    span = min(dx, per_block)
+    # Row k's phi, u_aux and L x, as stage 0 of step k evaluates them.
+    signals = np.empty((total + 1, ell * (2 * p + n)))
+    # A block holds about OPERAND_VALUES values and is at most tau_x steps
+    # long, so that it reads only rows stored before it.
+    span = min(dx, max(1, OPERAND_VALUES // _block_values(ell, n, p)))
     # Overflow is left silent: the divergence check reports it, non-finite
     # values included, at the time of the step that produced it.
     with np.errstate(over="ignore", invalid="ignore"):
@@ -806,42 +788,34 @@ def run_scenario(sc: Scenario) -> SimTrace:
                 for k in range(a, stop):
                     i = 4 * (k - a)
                     states[k + 1] = step_rk4(kernel, k * h, states[k], h, range(i, i + 4))
+                    signals[k] = kernel.signals[0]
                 fleet_bad = diverged(states[a + 1:stop + 1], a + 1)
                 if fleet_bad:
                     raise fleet_bad[1]
             if leader_bad:
                 raise leader_bad[1]
+        # The last row starts no step: evaluate stage 0 of step total alone.
+        kernel.u_app, kernel.drive, kernel.eta_del, kernel.g_off = _stage_operands(
+            sc, kernel, leader_stages, _stage_inputs(ref, total, total + 1, h, tau_u, p), table,
+            x_arr, th_arr, total, total + 1
+        )
+        kernel(total * h, states[total], 0)
+        signals[total] = kernel.signals[0]
 
     times = np.arange(total + 1) * h
     xm_arr = table[:total + 1]
     xa_arr = states[:, i_xa:i_th].reshape(-1, ell, n)
     ph_arr = states[:, i_ph:].reshape(-1, ell, p, p)
-    # Rows read the right-continuous reference level at their own time.
-    r_del = _levels(ref, times - tau_u, p)
-    r_now = _levels(ref, times, p)
-    e_arr = np.empty((total + 1, ell, n))
-    ea_arr = np.empty((total + 1, ell, n))
-    u_arr = np.empty((total + 1, ell, p))
-    uaux_arr = np.empty((total + 1, ell, p))
-    phi_arr = np.empty((total + 1, ell, p))
-    for a in range(0, total + 1, per_block):
-        b = min(a + per_block, total + 1)
-        xa = xa_arr[a:b]
-        eta_m_rows = regressor(xm_arr[a:b], lagged(xm_arr, a, b, dx), r_del[a:b])
-        u_app, eta_del = _delay_half(
-            tau_u, times[a:b], lagged(x_arr, a, b, dx), lagged(th_arr, a, b, du), eta_m_rows
-        )
-        _, phi, u_aux, e_a = _stage_half(
-            matrices, x_arr[a:b], xa, th_arr[a:b], ph_arr[a:b], u_app, eta_del,
-            leader_pinning(matrices, xm_arr[a:b]),
-        )
-        e_arr[a:b] = e_a - xa
-        ea_arr[a:b] = e_a
-        phi_arr[a:b] = phi
-        uaux_arr[a:b] = u_aux
-        # commanded input: current gains against the leader regressor tau_u ahead
-        eta_pred = regressor(table[a + du:b + du], table[a + du - dx:b + du - dx], r_now[a:b])
-        u_arr[a:b] = control(th_arr[a:b], eta_pred)
+    phi_arr, uaux_arr, ea_arr = _signal_views(signals, ell, n, p)
+    # e_a = (L x - g x_m) + x_a, written over L x; e holds the leader term first
+    e_arr = np.multiply(matrices.pinning, xm_arr[:, None, :])
+    np.subtract(ea_arr, e_arr, out=ea_arr)
+    np.add(ea_arr, xa_arr, out=ea_arr)
+    np.subtract(ea_arr, xa_arr, out=e_arr)
+    # commanded input: current gains against the leader regressor tau_u ahead
+    u_arr = control(
+        th_arr, regressor(table[du:], table[du - dx:lead + 1 - dx], _levels(ref, times, p))
+    )
 
     v_d = _energy_series(cfg, gains, ea_arr, th_arr, ph_arr)
     return SimTrace(

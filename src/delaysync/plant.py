@@ -20,7 +20,6 @@ import numpy as np
 from . import linalg
 from .dde import step_rk4
 from .errors import DimensionMismatch, NoMatchingSolution
-from .topology import TopologyMatrices
 
 # Largest acceptable residual when substituting candidate gains back into
 # the matching conditions.
@@ -170,23 +169,10 @@ class FleetDynamics:
         fleet derivative, blockwise; states (..., l, n), inputs (..., l, p).
 
         It reads stored values only, so a run evaluates it for a block of
-        steps and stages at once and adds it per stage (:meth:`derivative`
-        is the reference form of that sum).
+        steps and stages at once and adds it per stage to ``a x(t)``.
         """
         operand = np.concatenate((x_delayed, u_delayed), axis=-1)
         return (self.delayed @ operand[..., None])[..., 0]
-
-    def derivative(self, x_now: np.ndarray, drive: np.ndarray) -> np.ndarray:
-        """Blockwise fleet derivative ``a x(t) + drive``, with ``drive`` from
-        :meth:`delayed_drive`; both (..., l, n)."""
-        return (self.a @ x_now[..., None])[..., 0] + drive
-
-
-def aux_derivative(m: LeaderModel, topo_m: TopologyMatrices, x_a, u_a) -> np.ndarray:
-    """Auxiliary compensator derivative: leader-shaped dynamics driven
-    through the follower graph, ``a_m x_a_i + b_m (L u_a)_i`` blockwise;
-    ``x_a`` is (..., l, n), ``u_a`` (..., l, p)."""
-    return x_a @ m.a_m.T + (topo_m.laplacian_like @ u_a) @ m.b_m.T
 
 
 def matching_gains(fleet, leader: LeaderModel) -> MatchingGains:

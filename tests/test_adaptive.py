@@ -1,6 +1,7 @@
 """Controller signal chain: regressor, prediction, control, applied input,
-mismatch, auxiliary input, augmented error, adaptation.  These are the
-functions the closed-loop right-hand side and the trace recording call."""
+and the reference formulas of the mismatch, auxiliary input, augmented
+error and adaptation laws (``chain_oracle``) that the closed-loop
+right-hand side is tested against."""
 
 import inspect
 
@@ -8,15 +9,12 @@ import numpy as np
 import pytest
 
 import delaysync.adaptive as adaptive_module
+from chain_oracle import augmented_error, auxiliary_input, gain_derivatives, mismatch
 from delaysync.adaptive import (
     ControllerConfig,
     applied_input,
-    augmented_error,
-    auxiliary_input,
     control,
-    gain_derivatives,
     leader_block_derivative,
-    mismatch,
     predict_leader_regressor,
     regressor,
 )

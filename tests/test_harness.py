@@ -14,16 +14,21 @@ from delaysync.errors import (
     SingularWeight,
     ValidationError,
 )
+from chain_oracle import (
+    aux_derivative,
+    augmented_error,
+    auxiliary_input,
+    fleet_derivative,
+    gain_derivatives,
+    leader_pinning,
+    mismatch,
+    pinned_error,
+)
 from delaysync.adaptive import (
     ControllerConfig,
     applied_input,
-    augmented_error,
-    auxiliary_input,
     control,
-    gain_derivatives,
     leader_block_derivative,
-    leader_pinning,
-    mismatch,
     regressor,
 )
 from delaysync.cli import load_scenario
@@ -35,7 +40,6 @@ from delaysync.harness import (
     SimTrace,
     _block_values,
     _energy_series,
-    _stage_half,
     _stage_inputs,
     _stage_operands,
     _StageKernel,
@@ -44,7 +48,7 @@ from delaysync.harness import (
     validate_scenario,
 )
 from delaysync.linalg import solve_lyapunov
-from delaysync.plant import AgentDynamics, LeaderModel, MatchingGains, aux_derivative
+from delaysync.plant import AgentDynamics, LeaderModel, MatchingGains
 from delaysync.topology import Topology, build_matrices
 
 P_BLOCK = np.array([[0.25, 0.05], [0.05, 0.05]])
@@ -354,10 +358,13 @@ def test_divergence_covers_gains_and_auxiliary_states():
 
 
 def test_recorded_signals_match_the_chain_functions():
-    """The trace's signals, recorded in blocks after the loop, equal the
-    public chain functions evaluated one row at a time, as the right-hand
-    side evaluates them, on the trace's own state rows: before tau_x,
-    between the delays, after tau_u, and on both sides of square edges."""
+    """The trace's signals, recorded from the loop's own stage-0 kernel
+    evaluations and, for the last row, one kernel call of its own, equal
+    the reference chain functions evaluated one row at a time on the
+    trace's own state rows: before tau_x, between the delays, after tau_u,
+    on both sides of square edges, at the final row, and in a run of one
+    row.  The commanded input reads leader rows tau_u past the row, so it
+    is checked where those rows are in the trace."""
     two = AgentDynamics(a=[[-1.0]], a_zeta=[[0.2]], b=[[2.0]])
     sc = tiny_scenario(
         fleet=[AgentDynamics(a=[[-2.0]], a_zeta=[[0.1]], b=[[1.0]]), two],
@@ -373,13 +380,11 @@ def test_recorded_signals_match_the_chain_functions():
         reference=ReferenceSignal(kind="square", amplitude=1.0, period=4.0),
         duration=7.0,
     )
-    trace = run_scenario(sc)
     matrices = build_matrices(sc.topology)
     h = sc.step
     dx, du = round(sc.tau_x / h), round(sc.tau_u / h)
-    # t = 0.5 (< tau_x), 1.5 (between), 3 (> tau_u); r(t) flips at t = 2,
-    # r(t - tau_u) at t = 4
-    for k in (0, 50, 150, 199, 200, 300, 399, 400, 500):
+
+    def check(trace, k):
         t = trace.times[k]
         r_del = np.array([sc.reference(t - sc.tau_u)])
         eta = regressor(trace.x[k], trace.x[max(k - dx, 0)], r_del)
@@ -387,13 +392,24 @@ def test_recorded_signals_match_the_chain_functions():
         u_app = applied_input(trace.theta[max(k - du, 0)], eta_m, t, sc.tau_u)
         phi = mismatch(trace.theta[k], eta, u_app)
         e_a = augmented_error(matrices, trace.x[k], trace.x_m[k], trace.x_a[k])
-        eta_pred = regressor(trace.x_m[k + du], trace.x_m[k + du - dx], [sc.reference(t)])
         assert np.array_equal(trace.phi[k], phi)
         assert np.array_equal(trace.u_aux[k], auxiliary_input(trace.phi_phi[k], phi))
         assert np.array_equal(trace.e_a[k], e_a)
         assert np.array_equal(trace.e[k], e_a - trace.x_a[k])
-        assert np.array_equal(trace.u[k], control(trace.theta[k], eta_pred))
+        if k + du < trace.num_rows:
+            eta_pred = regressor(trace.x_m[k + du], trace.x_m[k + du - dx], [sc.reference(t)])
+            assert np.array_equal(trace.u[k], control(trace.theta[k], eta_pred))
+
+    trace = run_scenario(sc)
+    assert trace.num_rows == 701
+    # t = 0.5 (< tau_x), 1.5 (between), 3 (> tau_u); r(t) flips at t = 2,
+    # r(t - tau_u) at t = 4; row 700 is the last
+    for k in (0, 50, 150, 199, 200, 300, 399, 400, 500, 700):
+        check(trace, k)
     assert np.any(trace.phi[:du] != 0.0) and np.any(trace.u[:du] != 0.0)
+    one_row = run_scenario(dataclasses.replace(sc, duration=0.0))
+    assert one_row.num_rows == 1
+    check(one_row, 0)
 
 
 # ------------------------------------------------------ delays as row offsets
@@ -554,10 +570,12 @@ def random_fleet_scenario(rng, ell, p, n=2):
 @pytest.mark.parametrize("p", [1, 2])
 @pytest.mark.parametrize("ell", [1, 4, 128])
 def test_stage_kernel_matches_the_chain_functions(ell, p):
-    """The run's right-hand side equals the public chain functions on
+    """The run's right-hand side equals the reference chain functions on
     random stage states and operands, at every stage index of a block of
-    two steps, to 1e-13 relative; and the four results of a step's stages
-    all keep their values until the step is taken."""
+    two steps, to 1e-13 relative, and so do the mismatch, auxiliary input
+    and graph term ``L x`` it records; and the four results of a step's
+    stages, derivatives and signals, all keep their values until the step
+    is taken."""
     rng = np.random.default_rng(10 * ell + p)
     sc = random_fleet_scenario(rng, ell, p)
     n, q = sc.state_dim, sc.regressor_dim
@@ -579,22 +597,25 @@ def test_stage_kernel_matches_the_chain_functions(ell, p):
             x, x_a = y[:ln].reshape(ell, n), y[ln:2 * ln].reshape(ell, n)
             theta = y[2 * ln:2 * ln + ell * q * p].reshape(ell, q, p)
             phi_phi = y[2 * ln + ell * q * p:].reshape(ell, p, p)
-            eta, phi, u_aux, e_a = _stage_half(
-                matrices, x, x_a, theta, phi_phi, u_app[i], eta_del[i],
-                leader_pinning(matrices, x_m[i]),
-            )
+            eta = np.concatenate((x, eta_del[i]), axis=-1)
+            phi = mismatch(theta, eta, u_app[i])
+            u_aux = auxiliary_input(phi_phi, phi)
+            e_a = pinned_error(matrices, x, leader_pinning(matrices, x_m[i]), x_a)
             d_theta, d_phi_phi = gain_derivatives(
                 cfg, matrices, P_BLOCK @ sc.leader.b_m, e_a, eta, phi
             )
             want = np.concatenate([
-                sc.fleet.derivative(x, drive[i]).ravel(),
+                fleet_derivative(sc.fleet, x, drive[i]).ravel(),
                 aux_derivative(sc.leader, matrices, x_a, u_aux).ravel(),
                 d_theta.ravel(),
                 d_phi_phi.ravel(),
             ])
             got = kernel(0.0, y, i)
             assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want)), i
-            results.append((got, got.copy()))
+            signals = kernel.signals[i & 3]
+            want = np.concatenate([phi.ravel(), u_aux.ravel(), (matrices.laplacian_like @ x).ravel()])
+            assert np.max(np.abs(signals - want)) <= 1e-13 * np.max(np.abs(want)), i
+            results += [(got, got.copy()), (signals, signals.copy())]
         for got, kept in results:
             assert np.array_equal(got, kept)
 
@@ -603,7 +624,7 @@ def per_step_oracle(sc: Scenario) -> np.ndarray:
     """Integrate the closed loop of ``sc`` by one step_rk4 call per step on
     the stacked state [x; x_a; theta; phi_phi; x_m], with every delayed
     value read from an interpolating HistoryBuffer at its stage time and
-    the right-hand side assembled per stage from the public chain
+    the right-hand side assembled per stage from the reference chain
     functions.  Returns the stored rows."""
     ell, n, p = sc.num_agents, sc.state_dim, sc.input_dim
     q = 2 * n + p
@@ -634,7 +655,7 @@ def per_step_oracle(sc: Scenario) -> np.ndarray:
             cfg, matrices, p_block @ sc.leader.b_m, e_a, eta, phi
         )
         parts = (
-            sc.fleet.derivative(x, sc.fleet.delayed_drive(x_del, u_app)),
+            fleet_derivative(sc.fleet, x, sc.fleet.delayed_drive(x_del, u_app)),
             aux_derivative(sc.leader, matrices, x_a, u_aux),
             d_theta,
             d_phi_phi,
@@ -653,7 +674,7 @@ def per_step_oracle(sc: Scenario) -> np.ndarray:
 def test_run_matches_a_per_step_oracle_with_two_inputs():
     """A two-input fleet of three agents with a sine reference, a shape no
     builtin has, runs within 1e-12 of the per-step oracle built from the
-    public chain functions: fleet, auxiliary, gain and leader states."""
+    reference chain functions: fleet, auxiliary, gain and leader states."""
     ell, n, p = 3, 2, 2
     agents = [
         AgentDynamics(a=[[0.0, 1.0], [-1.0 - 0.2 * i, -1.0]], a_zeta=[[0.0, 0.1], [0.2, -0.1 * i]],

