@@ -8,7 +8,6 @@ harness, and a small CLI (``delaysync run|validate|list-builtins``).
 """
 
 from .adaptive import (
-    ControllerConfig,
     applied_input,
     control,
     leader_block_derivative,
@@ -72,7 +71,6 @@ __version__ = "0.1.0"
 __all__ = [
     "AgentDynamics",
     "CheckResult",
-    "ControllerConfig",
     "DdeState",
     "DelaySyncError",
     "DimensionMismatch",

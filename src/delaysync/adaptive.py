@@ -18,71 +18,22 @@ mismatch, the auxiliary input, the graph error and the adaptation laws, is
 evaluated per RK4 stage in the fixed buffers of ``harness._StageKernel``,
 the one implementation of the closed loop.
 
-The controller only ever touches the leader model, the graph matrices, and
-the signs of the reference-matching gains; no follower dynamics enter.
+The adaptation rates, the signs of the ideal reference gains and the
+leader's Lyapunov block are not held here: ``harness.Scenario`` checks the
+rates and signs once, and the kernel reads them with the block that
+validation solved.  The controller touches the leader model alone; no
+follower dynamics enter.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
-from . import linalg
 from .dde import GRID_TOL, step_rk4
 from .errors import DimensionMismatch, ValidationError
 from .plant import LeaderModel
-
-# Rate matrices may dip this far below zero in their smallest eigenvalue
-# and still count as positive semidefinite.
-PSD_TOL = 1e-10
-
-
-@dataclass(frozen=True)
-class ControllerConfig:
-    """Static controller data shared by the whole fleet.
-
-    ``gamma_theta`` / ``gamma_phi`` are the (l, l) adaptation rate
-    matrices (symmetric positive semidefinite; zero freezes adaptation),
-    ``p_matrix`` the (n, n) positive definite block ``P`` from the leader
-    Lyapunov equation (the fleet weight is ``I_l (x) P``, applied block by
-    block and never formed), and ``r_sign`` the per-agent signs of the
-    ideal reference gains.
-    """
-
-    gamma_theta: np.ndarray
-    gamma_phi: np.ndarray
-    p_matrix: np.ndarray
-    r_sign: np.ndarray
-
-    def __post_init__(self):
-        gt = np.asarray(self.gamma_theta, dtype=float)
-        gp = np.asarray(self.gamma_phi, dtype=float)
-        pm = np.asarray(self.p_matrix, dtype=float)
-        rs = np.asarray(self.r_sign, dtype=float)
-        ell = gt.shape[0] if gt.ndim == 2 else 0
-        if gt.shape != (ell, ell) or gp.shape != (ell, ell):
-            raise DimensionMismatch("rate matrices must be square and equally sized")
-        if rs.shape != (ell,):
-            raise DimensionMismatch(f"r_sign shape {rs.shape}, expected {(ell,)}")
-        if np.any(np.abs(rs) != 1.0):
-            raise ValidationError("r_sign entries must be +1 or -1")
-        for name, g in (("gamma_theta", gt), ("gamma_phi", gp)):
-            eigs = linalg.symmetric_eigenvalues(g)
-            if eigs[0] < -PSD_TOL:
-                raise ValidationError(f"{name} must be positive semidefinite, min eig {eigs[0]:.3e}")
-        if pm.ndim != 2 or pm.shape[0] != pm.shape[1]:
-            raise DimensionMismatch(f"p_matrix must be a square block, got shape {pm.shape}")
-        linalg.cholesky(pm)
-        object.__setattr__(self, "gamma_theta", gt)
-        object.__setattr__(self, "gamma_phi", gp)
-        object.__setattr__(self, "p_matrix", pm)
-        object.__setattr__(self, "r_sign", rs)
-
-    @property
-    def num_agents(self) -> int:
-        return self.gamma_theta.shape[0]
 
 
 def regressor(x_now, x_delayed, r_delayed) -> np.ndarray:

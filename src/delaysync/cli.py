@@ -1,21 +1,15 @@
 """Command line front end: scenario files, builtin examples, CSV traces.
 
-Scenario files are strict line-oriented key = value text. Sections:
-
-    [simulation]   tau_x, tau_u, step, duration; optional x0, xm0, xa0
-    [reference]    optional section: kind, amplitude, period, offset
-    [leader]       state_dim, input_dim, a_m, b_m
-    [agent.N]      a, a_zeta, b  (N = 1, 2, ... with no gaps)
-    [topology]     follower_weights, leader_weights, threshold
-    [controller]   gamma_theta, gamma_phi, q_tilde, theta0, phi_phi0, r_signs
-
-Matrices are flat row-major comma-separated numbers; shapes come from
-state_dim, input_dim, and the agent count.  theta0 is one row of
-(2*state_dim+input_dim)*input_dim numbers per agent, phi_phi0 one row of
-input_dim**2 per agent.  Unknown sections or keys, nan/inf numbers and
-non-integer dimensions are hard errors; the only defaults are the
-reference waveform (square, amplitude 1, period 40, offset 0) and zero
-initial states.
+Scenario files are strict line-oriented key = value text, in sections
+[simulation], [reference], [leader], [agent.N] (N = 1, 2, ... with no
+gaps), [topology] and [controller]; _SCHEMA declares every key and how it
+is read.  Matrices are flat row-major comma-separated numbers; shapes come
+from state_dim, input_dim, and the agent count.  Unknown sections or keys,
+nan/inf numbers and non-integer dimensions are hard errors; the only
+defaults are the reference waveform (square, amplitude 1, period 40,
+offset 0) and zero initial states.  Every value is checked once, by the
+constructor it feeds: Scenario, Topology, ReferenceSignal and the plant
+models.
 
     delaysync run <builtin|file> [--out DIR] [--set section.key=value ...]
     delaysync validate <builtin|file> [--set ...]
@@ -30,8 +24,8 @@ import argparse
 import math
 import os
 import sys
-from dataclasses import dataclass, field
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -48,23 +42,65 @@ from .harness import (
 from .plant import AgentDynamics, LeaderModel
 from .topology import Topology
 
-_SIMULATION_KEYS = {"tau_x", "tau_u", "step", "duration", "x0", "xm0", "xa0"}
-_REFERENCE_KEYS = {"kind", "amplitude", "period", "offset"}
-_LEADER_KEYS = {"state_dim", "input_dim", "a_m", "b_m"}
-_AGENT_KEYS = {"a", "a_zeta", "b"}
-_TOPOLOGY_KEYS = {"follower_weights", "leader_weights", "threshold"}
-_CONTROLLER_KEYS = {"gamma_theta", "gamma_phi", "q_tilde", "theta0", "phi_phi0", "r_signs"}
-
 # trace.csv is formatted in blocks of rows holding about this many values,
 # which bounds the memory of one block whatever the trace's width.
 CSV_BLOCK_VALUES = 6 * 2**10
 
-_SECTION_KEYS = {
-    "simulation": _SIMULATION_KEYS,
-    "reference": _REFERENCE_KEYS,
-    "leader": _LEADER_KEYS,
-    "topology": _TOPOLOGY_KEYS,
-    "controller": _CONTROLLER_KEYS,
+DIMENSION, SCALAR, TEXT = "dimension", "scalar", "text"
+
+
+class _Optional(NamedTuple):
+    """A key that may be left out: a matrix then reads as zeros, and any
+    other value takes its constructor's default."""
+
+    read: str | Callable
+
+
+# The scenario file schema: section -> key -> how its value is read.  Each
+# key but the two dimensions is named after the constructor argument it
+# feeds.  DIMENSION is a positive integer, SCALAR one number, TEXT the raw
+# string, and a function of (n, p, l) -- state_dim, input_dim and the agent
+# count -- the shape of a row-major matrix.
+_SCHEMA = {
+    "simulation": {
+        "tau_x": SCALAR,
+        "tau_u": SCALAR,
+        "step": SCALAR,
+        "duration": SCALAR,
+        "x0": _Optional(lambda n, p, l: (l * n,)),
+        "xm0": _Optional(lambda n, p, l: (n,)),
+        "xa0": _Optional(lambda n, p, l: (l * n,)),
+    },
+    "reference": {
+        "kind": _Optional(TEXT),
+        "amplitude": _Optional(SCALAR),
+        "period": _Optional(SCALAR),
+        "offset": _Optional(SCALAR),
+    },
+    "leader": {
+        "state_dim": DIMENSION,
+        "input_dim": DIMENSION,
+        "a_m": lambda n, p, l: (n, n),
+        "b_m": lambda n, p, l: (n, p),
+    },
+    "agent.N": {
+        "a": lambda n, p, l: (n, n),
+        "a_zeta": lambda n, p, l: (n, n),
+        "b": lambda n, p, l: (n, p),
+    },
+    "topology": {
+        "follower_weights": lambda n, p, l: (l, l),
+        "leader_weights": lambda n, p, l: (l,),
+        "threshold": SCALAR,
+    },
+    "controller": {
+        "gamma_theta": lambda n, p, l: (l, l),
+        "gamma_phi": lambda n, p, l: (l, l),
+        "q_tilde": lambda n, p, l: (n, n),
+        "theta0": lambda n, p, l: (l, 2 * n + p, p),
+        "phi_phi0": lambda n, p, l: (l, p, p),
+        "r_signs": lambda n, p, l: (l,),
+    },
 }
 
 # The two ready-made setups: four second-order followers with one delayed
@@ -139,14 +175,6 @@ threshold = 0.1
 }
 
 
-@dataclass(frozen=True)
-class CliInvocation:
-    command: str
-    scenario_source: str | None = None
-    output_dir: str = "out"
-    overrides: tuple[str, ...] = field(default_factory=tuple)
-
-
 def _tokenize(text: str) -> dict[str, dict[str, tuple[str, int]]]:
     """Raw pass: sections of key -> (value string, line number)."""
     sections: dict[str, dict[str, tuple[str, int]]] = {}
@@ -157,7 +185,7 @@ def _tokenize(text: str) -> dict[str, dict[str, tuple[str, int]]]:
             continue
         if line.startswith("[") and line.endswith("]"):
             name = line[1:-1].strip()
-            _check_section_name(name, lineno)
+            keys = _keys(name, lineno)
             if name in sections:
                 raise ParseError(f"duplicate section [{name}]", line=lineno)
             sections[name] = {}
@@ -169,8 +197,7 @@ def _tokenize(text: str) -> dict[str, dict[str, tuple[str, int]]]:
             raise ParseError("key outside any [section]", line=lineno)
         key, _, value = line.partition("=")
         key = key.strip()
-        allowed = _AGENT_KEYS if current.startswith("agent.") else _SECTION_KEYS[current]
-        if key not in allowed:
+        if key not in keys:
             raise ParseError(f"unknown key {key!r} in [{current}]", line=lineno)
         if key in sections[current]:
             raise ParseError(f"duplicate key {key!r} in [{current}]", line=lineno)
@@ -178,15 +205,17 @@ def _tokenize(text: str) -> dict[str, dict[str, tuple[str, int]]]:
     return sections
 
 
-def _check_section_name(name: str, lineno: int | None) -> None:
-    if name in _SECTION_KEYS:
-        return
+def _keys(name: str, lineno: int | None = None) -> dict:
+    """The schema entries of section ``name``, one for every [agent.N];
+    raises ParseError for a name that is no section's."""
     if name.startswith("agent."):
         tail = name[len("agent.") :]
         if tail.isdigit() and int(tail) >= 1:
-            return
+            return _SCHEMA["agent.N"]
         raise ParseError(f"agent sections are [agent.1], [agent.2], ...; got [{name}]", line=lineno)
-    raise ParseError(f"unknown section [{name}]", line=lineno)
+    if name not in _SCHEMA:
+        raise ParseError(f"unknown section [{name}]", line=lineno)
+    return _SCHEMA[name]
 
 
 def _apply_overrides(
@@ -200,9 +229,7 @@ def _apply_overrides(
         section, dot, key = target.strip().rpartition(".")
         if not dot:
             raise ParseError(f"override target {target!r} must be section.key")
-        _check_section_name(section, None)
-        allowed = _AGENT_KEYS if section.startswith("agent.") else _SECTION_KEYS[section]
-        if key not in allowed:
+        if key not in _keys(section):
             raise ParseError(f"unknown key {key!r} in [{section}]")
         sections.setdefault(section, {})[key] = (value.strip(), 0)
 
@@ -224,19 +251,41 @@ def _scalar(raw: str, lineno: int, key: str) -> float:
     return float(_floats(raw, lineno, key, count=1)[0])
 
 
-def _dimension(sections, key: str) -> int:
-    raw, line = _need(sections, "leader", key)
-    value = _scalar(raw, line, key)
-    if not value.is_integer() or value < 1:
-        raise ParseError(f"{key} must be a positive integer, got {raw}", line=line or None)
-    return int(value)
+def _read(sections, section: str, dims: dict) -> dict:
+    """The values of ``section``'s keys as _SCHEMA reads them, by key.
 
-
-def _need(sections, section: str, key: str) -> tuple[str, int]:
-    try:
-        return sections[section][key]
-    except KeyError:
-        raise ParseError(f"missing {key!r} in [{section}]")
+    ``dims`` holds the agent count ``l``; the dimensions are stored there
+    as they are read instead of being returned, so every other value is a
+    constructor argument.
+    """
+    given = sections.get(section, {})
+    # Agent keys repeat in every agent section, so their messages name it.
+    prefix = f"{section}." if section.startswith("agent.") else ""
+    values = {}
+    for key, how in _keys(section).items():
+        optional = isinstance(how, _Optional)
+        how = how.read if optional else how
+        shape = how(dims["state_dim"], dims["input_dim"], dims["l"]) if callable(how) else None
+        if key not in given:
+            if not optional:
+                raise ParseError(f"missing {key!r} in [{section}]")
+            if shape is not None:
+                values[key] = np.zeros(shape)
+            continue
+        raw, line = given[key]
+        label = prefix + key
+        if shape is not None:
+            values[key] = _floats(raw, line, label, math.prod(shape)).reshape(shape)
+        elif how == TEXT:
+            values[key] = raw
+        elif how == SCALAR:
+            values[key] = _scalar(raw, line, label)
+        else:
+            value = _scalar(raw, line, label)
+            if not value.is_integer() or value < 1:
+                raise ParseError(f"{label} must be a positive integer, got {raw}", line=line or None)
+            dims[key] = int(value)
+    return values
 
 
 def parse_scenario_file(text: str, name: str = "scenario") -> Scenario:
@@ -245,117 +294,27 @@ def parse_scenario_file(text: str, name: str = "scenario") -> Scenario:
 
 
 def build_scenario(sections, name: str = "scenario") -> Scenario:
-    for required in ("simulation", "leader", "topology", "controller"):
-        if required not in sections:
-            raise ParseError(f"missing section [{required}]")
-
-    n = _dimension(sections, "state_dim")
-    p = _dimension(sections, "input_dim")
-    q = 2 * n + p
-
-    raw, line = _need(sections, "leader", "a_m")
-    a_m = _floats(raw, line, "a_m", n * n).reshape(n, n)
-    raw, line = _need(sections, "leader", "b_m")
-    b_m = _floats(raw, line, "b_m", n * p).reshape(n, p)
-    leader = LeaderModel(a_m=a_m, b_m=b_m)
-
-    indices = sorted(
-        int(s[len("agent.") :]) for s in sections if s.startswith("agent.")
-    )
+    """The Scenario of tokenized ``sections``, each read as _SCHEMA says."""
+    for section, keys in _SCHEMA.items():
+        required = not all(isinstance(how, _Optional) for how in keys.values())
+        if required and section != "agent.N" and section not in sections:
+            raise ParseError(f"missing section [{section}]")
+    indices = sorted(int(s[len("agent.") :]) for s in sections if s.startswith("agent."))
     if not indices:
         raise ParseError("no [agent.N] sections found")
     if indices != list(range(1, len(indices) + 1)):
         raise ParseError(f"agent sections must be numbered 1..{len(indices)} without gaps")
-    agents = []
-    for i in indices:
-        sec = f"agent.{i}"
-        raw, line = _need(sections, sec, "a")
-        a = _floats(raw, line, f"{sec}.a", n * n).reshape(n, n)
-        raw, line = _need(sections, sec, "a_zeta")
-        a_zeta = _floats(raw, line, f"{sec}.a_zeta", n * n).reshape(n, n)
-        raw, line = _need(sections, sec, "b")
-        b = _floats(raw, line, f"{sec}.b", n * p).reshape(n, p)
-        agents.append(AgentDynamics(a=a, a_zeta=a_zeta, b=b))
-    ell = len(agents)
-
-    raw, line = _need(sections, "topology", "follower_weights")
-    follower_weights = _floats(raw, line, "follower_weights", ell * ell).reshape(ell, ell)
-    raw, line = _need(sections, "topology", "leader_weights")
-    leader_weights = _floats(raw, line, "leader_weights", ell)
-    raw, line = _need(sections, "topology", "threshold")
-    threshold = _scalar(raw, line, "threshold")
-    topology = Topology(
-        num_agents=ell,
-        follower_weights=follower_weights,
-        leader_weights=leader_weights,
-        threshold=threshold,
-    )
-
-    raw, line = _need(sections, "controller", "gamma_theta")
-    gamma_theta = _floats(raw, line, "gamma_theta", ell * ell).reshape(ell, ell)
-    raw, line = _need(sections, "controller", "gamma_phi")
-    gamma_phi = _floats(raw, line, "gamma_phi", ell * ell).reshape(ell, ell)
-    raw, line = _need(sections, "controller", "q_tilde")
-    q_tilde = _floats(raw, line, "q_tilde", n * n).reshape(n, n)
-    raw, line = _need(sections, "controller", "theta0")
-    theta0 = _floats(raw, line, "theta0", ell * q * p).reshape(ell, q, p)
-    raw, line = _need(sections, "controller", "phi_phi0")
-    phi_phi0 = _floats(raw, line, "phi_phi0", ell * p * p).reshape(ell, p, p)
-    raw, line = _need(sections, "controller", "r_signs")
-    r_signs = _floats(raw, line, "r_signs", ell)
-
-    raw, line = _need(sections, "simulation", "tau_x")
-    tau_x = _scalar(raw, line, "tau_x")
-    raw, line = _need(sections, "simulation", "tau_u")
-    tau_u = _scalar(raw, line, "tau_u")
-    raw, line = _need(sections, "simulation", "step")
-    step = _scalar(raw, line, "step")
-    raw, line = _need(sections, "simulation", "duration")
-    duration = _scalar(raw, line, "duration")
-
-    sim = sections["simulation"]
-    x0 = np.zeros(ell * n)
-    if "x0" in sim:
-        raw, line = sim["x0"]
-        x0 = _floats(raw, line, "x0", ell * n)
-    xm0 = np.zeros(n)
-    if "xm0" in sim:
-        raw, line = sim["xm0"]
-        xm0 = _floats(raw, line, "xm0", n)
-    xa0 = np.zeros(ell * n)
-    if "xa0" in sim:
-        raw, line = sim["xa0"]
-        xa0 = _floats(raw, line, "xa0", ell * n)
-
-    ref_kwargs = {}
-    if "reference" in sections:
-        refsec = sections["reference"]
-        if "kind" in refsec:
-            ref_kwargs["kind"] = refsec["kind"][0]
-        for key in ("amplitude", "period", "offset"):
-            if key in refsec:
-                raw, line = refsec[key]
-                ref_kwargs[key] = _scalar(raw, line, key)
-    reference = ReferenceSignal(**ref_kwargs)
-
+    dims = {"l": len(indices)}
+    leader = LeaderModel(**_read(sections, "leader", dims))
+    agents = [AgentDynamics(**_read(sections, f"agent.{i}", dims)) for i in indices]
+    topology = Topology(num_agents=dims["l"], **_read(sections, "topology", dims))
     return Scenario(
         fleet=agents,
         leader=leader,
         topology=topology,
-        gamma_theta=gamma_theta,
-        gamma_phi=gamma_phi,
-        q_tilde=q_tilde,
-        theta0=theta0,
-        phi_phi0=phi_phi0,
-        r_signs=r_signs,
-        tau_x=tau_x,
-        tau_u=tau_u,
-        step=step,
-        duration=duration,
-        reference=reference,
-        x0=x0,
-        xm0=xm0,
-        xa0=xa0,
+        **_read(sections, "controller", dims),
+        **_read(sections, "simulation", dims),
+        reference=ReferenceSignal(**_read(sections, "reference", dims)),
         name=name,
     )
 
@@ -473,20 +432,21 @@ def write_summary(sc: Scenario, trace: SimTrace, path) -> None:
     Path(path).write_text("\n".join(lines) + "\n")
 
 
-def run_command(inv: CliInvocation) -> int:
-    if inv.command == "list-builtins":
+def run_command(args: argparse.Namespace) -> int:
+    """Carry out one parsed command line; returns the exit code."""
+    if args.command == "list-builtins":
         for name in sorted(BUILTINS):
             print(name)
         return 0
 
     try:
-        sc = load_scenario(inv.scenario_source, inv.overrides)
-        checks = validate_scenario(sc) if inv.command == "validate" else []
+        sc = load_scenario(args.scenario, tuple(args.overrides))
+        checks = validate_scenario(sc) if args.command == "validate" else []
     except DelaySyncError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 
-    if inv.command == "validate":
+    if args.command == "validate":
         for c in checks:
             print(f"{c.name}={'pass' if c.passed else 'fail'}")
         bad = [c for c in checks if not c.passed]
@@ -496,7 +456,7 @@ def run_command(inv: CliInvocation) -> int:
 
     try:
         trace = run_scenario(sc)  # validates; failed checks ride on the error
-        out = Path(inv.output_dir)
+        out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
         write_trace_csv(trace, out / "trace.csv")
         write_summary(sc, trace, out / "summary.txt")
@@ -538,14 +498,7 @@ def main(argv=None) -> int:
 
     sub.add_parser("list-builtins", help="print the names of the bundled scenarios")
 
-    args = parser.parse_args(argv)
-    inv = CliInvocation(
-        command=args.command,
-        scenario_source=getattr(args, "scenario", None),
-        output_dir=getattr(args, "out", "out"),
-        overrides=tuple(getattr(args, "overrides", ())),
-    )
-    return run_command(inv)
+    return run_command(parser.parse_args(argv))
 
 
 if __name__ == "__main__":

@@ -1,8 +1,11 @@
 """Closed-loop assembly: scenario data, validation, integration, diagnostics.
 
 A Scenario bundles the follower fleet, the leader, the graph, the adaptation
-settings, and the run geometry.  run_scenario validates everything, then
-integrates one coupled delay system whose state stacks
+settings, and the run geometry, and checks each of them once, when it is
+built: shapes, finite values, delays the step divides, +-1 signs, and
+adaptation rates the energy monitor can weight by.  run_scenario runs the
+five structural checks of validate_scenario, then integrates one coupled
+delay system whose state stacks
 
     [fleet states; auxiliary states; gains; aux gains]
 
@@ -46,13 +49,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import linalg
-from .adaptive import (
-    ControllerConfig,
-    applied_input,
-    control,
-    delayed_regressor,
-    regressor,
-)
+from .adaptive import applied_input, control, delayed_regressor, regressor
 from .dde import GRID_TOL, delayed, step_rk4
 from .errors import (
     DimensionMismatch,
@@ -84,6 +81,9 @@ MAX_RUN_BYTES = 2**30
 # Reference-gain magnitudes and adaptation rates below this cannot be
 # inverted for the energy monitor.
 WEIGHT_TOL = 1e-12
+# Rate matrices may dip this far below zero in their smallest eigenvalue
+# and still count as positive semidefinite.
+PSD_TOL = 1e-10
 # The loop forms the stage operands of a block of steps at once; a block
 # holds about this many values with its temporaries (see _block_values).
 OPERAND_VALUES = 2**16
@@ -140,7 +140,12 @@ class Scenario:
     FleetDynamics.  theta0 is (l, 2n+p, p), phi_phi0 (l, p, p), r_signs (l,)
     of +-1, x0 and xa0 stacked fleet vectors (l*n), xm0 the leader state (n).
     q_tilde is the positive definite weight whose Lyapunov solution supplies
-    the error metric of the adaptation laws.
+    the error metric of the adaptation laws.  The (l, l) adaptation rates
+    gamma_theta and gamma_phi are symmetric positive semidefinite, and
+    invertible when they have off-diagonal entries, since the energy
+    monitor weights the gain errors by their inverses; a zero on a diagonal
+    rate matrix freezes that agent's channel.  Every field is checked here,
+    and a bad one raises a ValidationError or DimensionMismatch naming it.
     """
 
     fleet: FleetDynamics
@@ -220,6 +225,23 @@ class Scenario:
                 raise ValidationError(f"step {self.step} does not divide {label}={value}")
         if np.any(np.abs(self.r_signs) != 1.0):
             raise ValidationError("r_signs entries must be +1 or -1")
+        for label in ("gamma_theta", "gamma_phi"):
+            rates = getattr(self, label)
+            skew = np.max(np.abs(rates - rates.T))
+            if skew > linalg.SYMMETRY_TOL:
+                raise ValidationError(f"{label} must be symmetric, max asymmetry {skew:.3e}")
+            coupled = _coupled(rates)
+            # a diagonal matrix's spectrum is its diagonal
+            low = linalg.symmetric_eigenvalues(rates)[0] if coupled else np.min(np.diag(rates))
+            if low < -PSD_TOL:
+                raise ValidationError(f"{label} must be positive semidefinite, min eig {low:.3e}")
+            if coupled:
+                try:  # elimination alone finds the singularity, whatever the right side
+                    linalg.solve_linear(rates, np.zeros(ell))
+                except SingularMatrix as exc:
+                    raise ValidationError(
+                        f"{label} has off-diagonal entries and is singular: {exc}"
+                    ) from exc
 
     @property
     def num_agents(self) -> int:
@@ -396,11 +418,17 @@ def _solved(checks: list[CheckResult]):
     return solved["balanced"], solved["lyapunov_residual"], solved["matching"]
 
 
+def _coupled(gamma: np.ndarray) -> bool:
+    """True when a rate matrix has off-diagonal entries, so that the energy
+    monitor inverts it whole."""
+    off = gamma - np.diag(np.diag(gamma))
+    return bool(np.max(np.abs(off), initial=0.0) > 1e-14)
+
+
 def _rate_weights(gamma: np.ndarray) -> np.ndarray:
     """Diagonal of the inverse rate matrix; zero diagonal entries map to inf
     (meaning: only admissible when the matching gain error is exactly zero)."""
-    off = gamma - np.diag(np.diag(gamma))
-    if np.max(np.abs(off), initial=0.0) <= 1e-14:
+    if not _coupled(gamma):
         d = np.diag(gamma)
         safe = np.where(d > WEIGHT_TOL, d, 1.0)
         return np.where(d > WEIGHT_TOL, 1.0 / safe, np.inf)
@@ -430,7 +458,9 @@ def _gain_energy(
 
 
 def _energy_series(
-    cfg: ControllerConfig,
+    p_block: np.ndarray,
+    gamma_theta: np.ndarray,
+    gamma_phi: np.ndarray,
     gains: MatchingGains,
     e_a: np.ndarray,
     theta: np.ndarray,
@@ -438,7 +468,9 @@ def _energy_series(
 ) -> np.ndarray:
     """Energy monitor ``V_d`` over trace rows, given the matching gains.
 
-    ``e_a`` is (t, l, n), ``theta`` (t, l, 2n+p, p), ``phi_phi`` (t, l, p, p).
+    ``p_block`` is the leader's (n, n) Lyapunov block ``P``, ``gamma_theta``
+    and ``gamma_phi`` the (l, l) adaptation rates, ``e_a`` (t, l, n),
+    ``theta`` (t, l, 2n+p, p) and ``phi_phi`` (t, l, p, p).
     ``V_d`` is the quadratic graph-error term ``sum_i e_a_i^T P e_a_i`` plus
     the gain errors weighted by the inverse adaptation rates, the theta term
     also by the inverse magnitude of the ideal reference gain.  Raises
@@ -449,17 +481,17 @@ def _energy_series(
     is matrix-valued and not implemented; the quadratic term alone is
     returned then.
     """
-    quad = np.einsum("tin,nm,tim->t", e_a, cfg.p_matrix, e_a)
+    quad = np.einsum("tin,nm,tim->t", e_a, p_block, e_a)
     if theta.shape[-1] != 1:
         return quad
-    ell = cfg.num_agents
+    ell = gamma_theta.shape[0]
     r_star = np.array([gains.theta_r[i][0, 0] for i in range(ell)])
     if np.any(np.abs(r_star) < WEIGHT_TOL):
         raise SingularWeight("an ideal reference gain is numerically zero")
     theta_star = np.stack([gains.stacked_regressor_gain(i) for i in range(ell)])
     phi_star = (1.0 / r_star)[:, None, None]
-    w_theta = _rate_weights(cfg.gamma_theta) / np.abs(r_star)
-    w_phi = _rate_weights(cfg.gamma_phi)
+    w_theta = _rate_weights(gamma_theta) / np.abs(r_star)
+    w_phi = _rate_weights(gamma_phi)
     dth = theta - theta_star[None]
     dph = phi_phi - phi_star[None]
     sq_theta = np.einsum("tiqp,tiqp->ti", dth, dth)
@@ -498,9 +530,11 @@ class _StageKernel:
     a step get four of each, and a result stays valid until the same stage
     of the next step.  Stage 0 of step k evaluates at row k's state with
     row k's delayed operands, so its signals are row k's recorded ones.
+    The adaptation rates and signs are the scenario's; ``p_block`` is the
+    leader's Lyapunov block ``P`` that validation solved.
     """
 
-    def __init__(self, sc: Scenario, matrices, cfg: ControllerConfig):
+    def __init__(self, sc: Scenario, matrices, p_block: np.ndarray):
         ell, n, p = sc.num_agents, sc.state_dim, sc.input_dim
         q = 2 * n + p
         ln = ell * n
@@ -510,10 +544,10 @@ class _StageKernel:
         self.a_m_t = sc.leader.a_m.T
         self.b_m_t = sc.leader.b_m.T
         self.laplacian = laplacian
-        self.p_b = cfg.p_matrix @ sc.leader.b_m
+        self.p_b = p_block @ sc.leader.b_m
         # (2l, l): [-sign(theta_r*) Gamma_theta; -Gamma_phi] L^T, the
         # adaptation drives of a projected error, signs included
-        signed_rates = -np.vstack([cfg.r_sign[:, None] * cfg.gamma_theta, cfg.gamma_phi])
+        signed_rates = -np.vstack([sc.r_signs[:, None] * sc.gamma_theta, sc.gamma_phi])
         self.rates_l = signed_rates @ laplacian.T
         # (2l, 1): the drives of the leader's projected term, g_i x_m P b_m
         self.leader_rates = -(self.rates_l @ matrices.pinning)
@@ -717,7 +751,6 @@ def run_scenario(sc: Scenario) -> SimTrace:
     ln = ell * n
     h = sc.step
     matrices, p_block, gains = _solved(checks)
-    cfg = ControllerConfig(sc.gamma_theta, sc.gamma_phi, p_block, sc.r_signs)
     ref = sc.reference
     tau_x, tau_u = sc.tau_x, sc.tau_u
 
@@ -747,7 +780,7 @@ def run_scenario(sc: Scenario) -> SimTrace:
     states = np.empty((total + 1, z0.shape[0]))
     x_arr = states[:, :ln].reshape(-1, ell, n)
     th_arr = states[:, i_th:i_ph].reshape(-1, ell, q, p)
-    kernel = _StageKernel(sc, matrices, cfg)
+    kernel = _StageKernel(sc, matrices, p_block)
 
     def diverged(rows: np.ndarray, first: int):
         """The earliest of ``rows``, row ``first`` onward, past the limit:
@@ -817,7 +850,7 @@ def run_scenario(sc: Scenario) -> SimTrace:
         th_arr, regressor(table[du:], table[du - dx:lead + 1 - dx], _levels(ref, times, p))
     )
 
-    v_d = _energy_series(cfg, gains, ea_arr, th_arr, ph_arr)
+    v_d = _energy_series(p_block, sc.gamma_theta, sc.gamma_phi, gains, ea_arr, th_arr, ph_arr)
     return SimTrace(
         times=times,
         x=x_arr,

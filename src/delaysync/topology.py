@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -68,17 +68,13 @@ class Topology:
 class TopologyMatrices:
     """Matrix form of a :class:`Topology`.
 
-    ``laplacian_like`` is ``I - W`` and ``leader_diag`` is ``diag(g)``, both
-    (l, l); they act on fleet states blockwise, one n-vector per agent.
-    ``pinning`` is the (l, 1) column ``g`` that scales the leader block.
+    ``laplacian_like`` is the (l, l) ``I - W``, which acts on fleet states
+    blockwise, one n-vector per agent.  ``pinning`` is the (l, 1) column of
+    leader weights ``g`` that scales the leader block.
     """
 
     laplacian_like: np.ndarray
-    leader_diag: np.ndarray
-    pinning: np.ndarray = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        object.__setattr__(self, "pinning", self.leader_diag.diagonal()[:, None].copy())
+    pinning: np.ndarray
 
 
 def build_matrices(topo: Topology) -> TopologyMatrices:
@@ -88,13 +84,13 @@ def build_matrices(topo: Topology) -> TopologyMatrices:
     deviation = np.max(np.abs(w.sum(axis=1) + g - 1.0))
     if deviation > BALANCE_TOL:
         raise UnbalancedTopology(f"row weight sums deviate from 1 by {deviation:.3e}")
-    return TopologyMatrices(laplacian_like=np.eye(topo.num_agents) - w, leader_diag=np.diag(g))
+    return TopologyMatrices(laplacian_like=np.eye(topo.num_agents) - w, pinning=g[:, None].copy())
 
 
 def check_balanced(m: TopologyMatrices) -> bool:
-    """True when ``(L - diag(g)) @ 1`` vanishes (max deviation <= 1e-12)."""
+    """True when ``L @ 1 - g`` vanishes (max deviation <= 1e-12)."""
     ones = np.ones(m.laplacian_like.shape[0])
-    return bool(np.max(np.abs((m.laplacian_like - m.leader_diag) @ ones)) <= BALANCE_TOL)
+    return bool(np.max(np.abs(m.laplacian_like @ ones - m.pinning[:, 0])) <= BALANCE_TOL)
 
 
 @dataclass(frozen=True)
@@ -128,7 +124,7 @@ def check_threshold(m: TopologyMatrices, threshold: float) -> ThresholdReport:
     nonzero_eigs = eigs[np.abs(eigs) > ZERO_EIG_TOL]
     min_eig = float(np.min(nonzero_eigs)) if nonzero_eigs.size else None
 
-    weights = m.leader_diag.diagonal()
+    weights = m.pinning[:, 0]
     zero_idx = tuple(int(i) for i in np.flatnonzero(np.abs(weights) <= ZERO_EIG_TOL))
     nonzero_w = weights[np.abs(weights) > ZERO_EIG_TOL]
     min_w = float(np.min(nonzero_w)) if nonzero_w.size else None

@@ -46,7 +46,9 @@ def pinned_error(topo_m, x, pinned, x_a) -> np.ndarray:
     return topo_m.laplacian_like @ x - pinned + x_a
 
 
-def gain_derivatives(cfg, topo_m, p_b, e_a, eta, phi) -> tuple[np.ndarray, np.ndarray]:
+def gain_derivatives(
+    gamma_theta, gamma_phi, r_signs, topo_m, p_b, e_a, eta, phi
+) -> tuple[np.ndarray, np.ndarray]:
     """Adaptation laws, block-diagonal projection.
 
     With ``s_i = b_m^T [(L (x) I)^T (I (x) P) e_a]_i`` the updates are
@@ -54,12 +56,13 @@ def gain_derivatives(cfg, topo_m, p_b, e_a, eta, phi) -> tuple[np.ndarray, np.nd
         d theta_i  = -sign(theta_r_i*) (Gamma_theta s)_i eta_i^T
         d phi_phi_i = -(Gamma_phi s)_i phi_i^T
 
-    ``cfg`` is a ``ControllerConfig``, ``p_b`` the (n, p) product ``P b_m``,
-    ``e_a`` the (l, n) augmented errors; returns arrays shaped like
-    ``theta`` (l, q, p) and ``phi_phi`` (l, p, p).
+    ``gamma_theta`` and ``gamma_phi`` are the (l, l) adaptation rates,
+    ``r_signs`` the (l,) signs of the ideal reference gains, ``p_b`` the
+    (n, p) product ``P b_m``, ``e_a`` the (l, n) augmented errors; returns
+    arrays shaped like ``theta`` (l, q, p) and ``phi_phi`` (l, p, p).
     """
     s = topo_m.laplacian_like.T @ (e_a @ p_b)
-    signed_rates = -np.vstack([cfg.r_sign[:, None] * cfg.gamma_theta, cfg.gamma_phi])
+    signed_rates = -np.vstack([r_signs[:, None] * gamma_theta, gamma_phi])
     g = signed_rates @ s
     ell = eta.shape[0]
     return eta[:, :, None] * g[:ell, None, :], g[ell:, :, None] * phi[:, None, :]

@@ -11,14 +11,13 @@ import pytest
 import delaysync.adaptive as adaptive_module
 from chain_oracle import augmented_error, auxiliary_input, gain_derivatives, mismatch
 from delaysync.adaptive import (
-    ControllerConfig,
     applied_input,
     control,
     leader_block_derivative,
     predict_leader_regressor,
     regressor,
 )
-from delaysync.errors import DimensionMismatch, NotPositiveDefinite, ValidationError
+from delaysync.errors import DimensionMismatch, ValidationError
 from delaysync.plant import LeaderModel
 from delaysync.topology import Topology, build_matrices
 
@@ -28,15 +27,11 @@ P_B = P_BLOCK @ LEADER.b_m  # the (n, p) product the adaptation laws take
 
 
 def single_agent_setup():
+    """The rates (gamma_theta, gamma_phi, r_signs) of one agent with unit
+    rates and a negative reference gain, and its graph matrices."""
     topo = Topology(1, np.zeros((1, 1)), np.ones(1), 0.1)
-    m = build_matrices(topo)
-    cfg = ControllerConfig(
-        gamma_theta=np.eye(1),
-        gamma_phi=np.eye(1),
-        p_matrix=P_BLOCK,
-        r_sign=np.array([-1.0]),
-    )
-    return cfg, m
+    rates = (np.eye(1), np.eye(1), np.array([-1.0]))
+    return rates, build_matrices(topo)
 
 
 # ---------------------------------------------------------------- regressor
@@ -58,49 +53,6 @@ def test_regressor_scalar_case():
 def test_regressor_rejects_length_mismatch():
     with pytest.raises(DimensionMismatch):
         regressor([1.0, 2.0], [3.0], [5.0])
-
-
-# ------------------------------------------------------------------- config
-
-
-def test_config_rejects_indefinite_rates():
-    with pytest.raises(ValidationError):
-        ControllerConfig(
-            gamma_theta=-np.eye(1),
-            gamma_phi=np.eye(1),
-            p_matrix=P_BLOCK,
-            r_sign=np.array([-1.0]),
-        )
-
-
-def test_config_rejects_non_sign_entries():
-    with pytest.raises(ValidationError):
-        ControllerConfig(
-            gamma_theta=np.eye(1),
-            gamma_phi=np.eye(1),
-            p_matrix=P_BLOCK,
-            r_sign=np.array([0.5]),
-        )
-
-
-def test_config_rejects_indefinite_weight():
-    with pytest.raises(NotPositiveDefinite):
-        ControllerConfig(
-            gamma_theta=np.eye(1),
-            gamma_phi=np.eye(1),
-            p_matrix=np.array([[1.0, 2.0], [2.0, 1.0]]),
-            r_sign=np.array([-1.0]),
-        )
-
-
-def test_config_accepts_zero_rates():
-    cfg = ControllerConfig(
-        gamma_theta=np.zeros((1, 1)),
-        gamma_phi=np.zeros((1, 1)),
-        p_matrix=P_BLOCK,
-        r_sign=np.array([-1.0]),
-    )
-    assert cfg.num_agents == 1
 
 
 # ---------------------------------------------------------------- predictor
@@ -282,9 +234,9 @@ def test_leader_block_derivative_hand_values():
 
 
 def test_gain_derivatives_vanish_at_zero_error():
-    cfg, m = single_agent_setup()
+    rates, m = single_agent_setup()
     d_theta, d_phi = gain_derivatives(
-        cfg, m, P_B, np.zeros((1, 2)), np.ones((1, 5)), np.ones((1, 1))
+        *rates, m, P_B, np.zeros((1, 2)), np.ones((1, 5)), np.ones((1, 1))
     )
     assert np.array_equal(d_theta, np.zeros((1, 5, 1)))
     assert np.array_equal(d_phi, np.zeros((1, 1, 1)))
@@ -293,21 +245,21 @@ def test_gain_derivatives_vanish_at_zero_error():
 def test_gain_derivatives_hand_chain():
     """One agent, unit rates: the error projects to s = -0.1 and both
     updates follow by scalar multiplication."""
-    cfg, m = single_agent_setup()
+    rates, m = single_agent_setup()
     eta = np.zeros((1, 5))
     eta[0, 0] = 1.0
     phi = np.array([[2.0]])
-    d_theta, d_phi = gain_derivatives(cfg, m, P_B, np.array([[1.0, 0.0]]), eta, phi)
+    d_theta, d_phi = gain_derivatives(*rates, m, P_B, np.array([[1.0, 0.0]]), eta, phi)
     # s = b_m^T P e_a = -2 * 0.05 = -0.1
     assert np.max(np.abs(d_theta[0, :, 0] - [-0.1, 0.0, 0.0, 0.0, 0.0])) < 1e-15
     assert abs(d_phi[0, 0, 0] - 0.2) < 1e-15
 
 
 def test_gain_derivatives_scale_with_eta():
-    cfg, m = single_agent_setup()
+    rates, m = single_agent_setup()
     eta = np.zeros((1, 5))
     eta[0, :] = [1.0, 0.0, 0.0, 0.0, 2.0]
-    d_theta, _ = gain_derivatives(cfg, m, P_B, np.array([[1.0, 0.0]]), eta, np.zeros((1, 1)))
+    d_theta, _ = gain_derivatives(*rates, m, P_B, np.array([[1.0, 0.0]]), eta, np.zeros((1, 1)))
     assert np.max(np.abs(d_theta[0, :, 0] - [-0.1, 0.0, 0.0, 0.0, -0.2])) < 1e-15
 
 

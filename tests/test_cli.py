@@ -3,8 +3,10 @@
 import errno
 import io
 import os
+import re
 import tracemalloc
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,11 +14,9 @@ import pytest
 from delaysync import cli, harness
 from delaysync.cli import (
     BUILTINS,
-    CliInvocation,
     load_scenario,
     main,
     parse_scenario_file,
-    run_command,
     trace_columns,
     write_trace_csv,
 )
@@ -350,6 +350,58 @@ def test_validate_rejects_non_finite_and_fractional_input(override, message, cap
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: ") and message in captured.err
+
+
+# Adaptation rates of example1's four agents, each with one fault.
+BAD_RATES = {
+    "indefinite": ("-1, 0, 0, 0, 0, 1, 0, 0, 0, 0, 1, 0, 0, 0, 0, 1", "must be positive semidefinite"),
+    "indefinite_coupled": (
+        "1, 2, 0, 0, 2, 1, 0, 0, 0, 0, 1, 0, 0, 0, 0, 1", "must be positive semidefinite"
+    ),
+    "non_symmetric": ("1, 0.5, 0, 0, 0, 1, 0, 0, 0, 0, 1, 0, 0, 0, 0, 1", "must be symmetric"),
+    "singular_coupled": (
+        "1, 1, 0, 0, 1, 1, 0, 0, 0, 0, 1, 0, 0, 0, 0, 1", "has off-diagonal entries and is singular"
+    ),
+}
+
+
+@pytest.mark.parametrize("command", ["validate", "run"])
+@pytest.mark.parametrize("kind", list(BAD_RATES))
+@pytest.mark.parametrize("key", ["gamma_theta", "gamma_phi"])
+def test_bad_rates_exit_one_naming_the_field(tmp_path, capsys, command, kind, key):
+    """Rates the energy monitor cannot weight by are refused when the
+    scenario is loaded: exit 1, one error line naming the field, no trace."""
+    value, message = BAD_RATES[kind]
+    with pytest.raises(ValidationError, match=f"^{key} {message}"):
+        load_scenario("example1", (f"controller.{key}={value}",))
+    argv = [command, "example1", "--set", f"controller.{key}={value}"]
+    if command == "run":
+        argv += ["--set", "simulation.duration=1", "--out", str(tmp_path / "o")]
+    assert run_cli(*argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [captured.err.strip()]
+    assert captured.err.startswith(f"error: {key} {message}")
+    assert not (tmp_path / "o" / "trace.csv").exists()
+
+
+def test_readme_scenario_table_matches_the_schema():
+    """README's table of sections and keys lists exactly the keys the
+    parser reads, and marks exactly the optional ones."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    rows = re.findall(r"^\| `\[([\w.]+)\]` \| (.*) \|$", readme, flags=re.MULTILINE)
+    table = {}
+    for section, keys in rows:
+        required, _, optional = keys.partition("optional")
+        table[section] = (re.findall(r"`(\w+)`", required), re.findall(r"`(\w+)`", optional))
+    schema = {
+        section: (
+            [k for k, how in keys.items() if not isinstance(how, cli._Optional)],
+            [k for k, how in keys.items() if isinstance(how, cli._Optional)],
+        )
+        for section, keys in cli._SCHEMA.items()
+    }
+    assert table == schema
 
 
 def test_run_unwritable_output_exits_two(tmp_path, capsys):

@@ -25,7 +25,6 @@ from chain_oracle import (
     pinned_error,
 )
 from delaysync.adaptive import (
-    ControllerConfig,
     applied_input,
     control,
     leader_block_derivative,
@@ -156,6 +155,16 @@ def test_scenario_rejects_non_dividing_step():
 def test_scenario_rejects_fractional_signs():
     with pytest.raises(ValidationError):
         tiny_scenario(r_signs=np.array([0.5]))
+
+
+def test_scenario_rejects_indefinite_rates():
+    with pytest.raises(ValidationError):
+        tiny_scenario(gamma_theta=-np.eye(1))
+
+
+def test_scenario_accepts_zero_rates():
+    sc = tiny_scenario(gamma_theta=np.zeros((1, 1)), gamma_phi=np.zeros((1, 1)))
+    assert sc.num_agents == 1
 
 
 def test_scenario_rejects_wrong_gain_shape():
@@ -581,8 +590,7 @@ def test_stage_kernel_matches_the_chain_functions(ell, p):
     n, q = sc.state_dim, sc.regressor_dim
     ln = ell * n
     matrices = build_matrices(sc.topology)
-    cfg = ControllerConfig(sc.gamma_theta, sc.gamma_phi, P_BLOCK, sc.r_signs)
-    kernel = _StageKernel(sc, matrices, cfg)
+    kernel = _StageKernel(sc, matrices, P_BLOCK)
     stages = 8
     u_app = rng.normal(size=(stages, ell, p))
     drive = rng.normal(size=(stages, ell, n))
@@ -602,7 +610,8 @@ def test_stage_kernel_matches_the_chain_functions(ell, p):
             u_aux = auxiliary_input(phi_phi, phi)
             e_a = pinned_error(matrices, x, leader_pinning(matrices, x_m[i]), x_a)
             d_theta, d_phi_phi = gain_derivatives(
-                cfg, matrices, P_BLOCK @ sc.leader.b_m, e_a, eta, phi
+                sc.gamma_theta, sc.gamma_phi, sc.r_signs, matrices, P_BLOCK @ sc.leader.b_m, e_a,
+                eta, phi,
             )
             want = np.concatenate([
                 fleet_derivative(sc.fleet, x, drive[i]).ravel(),
@@ -631,7 +640,6 @@ def per_step_oracle(sc: Scenario) -> np.ndarray:
     h, tau_x, tau_u = sc.step, sc.tau_x, sc.tau_u
     matrices = build_matrices(sc.topology)
     p_block = solve_lyapunov(sc.leader.a_m, sc.q_tilde)
-    cfg = ControllerConfig(sc.gamma_theta, sc.gamma_phi, p_block, sc.r_signs)
     cuts = np.cumsum([ell * n, ell * n, ell * q * p, ell * p * p])
     shapes = ((ell, n), (ell, n), (ell, q, p), (ell, p, p), (n,))
 
@@ -652,7 +660,8 @@ def per_step_oracle(sc: Scenario) -> np.ndarray:
         u_aux = auxiliary_input(phi_phi, phi)
         e_a = augmented_error(matrices, x, x_m, x_a)
         d_theta, d_phi_phi = gain_derivatives(
-            cfg, matrices, p_block @ sc.leader.b_m, e_a, eta, phi
+            sc.gamma_theta, sc.gamma_phi, sc.r_signs, matrices, p_block @ sc.leader.b_m, e_a, eta,
+            phi,
         )
         parts = (
             fleet_derivative(sc.fleet, x, sc.fleet.delayed_drive(x_del, u_app)),
@@ -792,8 +801,7 @@ def test_stage_operands_stay_within_their_budget():
     x_arr = rng.normal(size=(rows, ell, n))
     th_arr = rng.normal(size=(rows, ell, q, p))
     _, stages = sc.leader.rk4_matrices(sc.step)
-    cfg = ControllerConfig(sc.gamma_theta, sc.gamma_phi, P_BLOCK, sc.r_signs)
-    kernel = _StageKernel(sc, build_matrices(sc.topology), cfg)
+    kernel = _StageKernel(sc, build_matrices(sc.topology), P_BLOCK)
     for a in (0, du):  # reads of the pre-history row, and of stored rows
         r_in = _stage_inputs(sc.reference, a, a + span, sc.step, sc.tau_u, p)
         tracemalloc.start()
@@ -811,15 +819,6 @@ def test_stage_operands_stay_within_their_budget():
 # ------------------------------------------------------------------ monitor
 
 
-def monitor_config(gamma_theta=np.eye(1)):
-    return ControllerConfig(
-        gamma_theta=gamma_theta,
-        gamma_phi=np.eye(1),
-        p_matrix=P_BLOCK,
-        r_sign=np.array([-1.0]),
-    )
-
-
 def monitor_gains(r_star=-2.0 / 3.0):
     """Ideal gains of agent 1 of the builtin fleets (n = 2, p = 1)."""
     return MatchingGains(
@@ -830,44 +829,47 @@ def monitor_gains(r_star=-2.0 / 3.0):
     )
 
 
-def monitor(cfg, gains, e_a=np.zeros(2), theta_err=np.zeros((5, 1)), phi_err=0.0):
+def monitor(gains, gamma_theta=np.eye(1), e_a=np.zeros(2), theta_err=np.zeros((5, 1)),
+            phi_err=0.0):
     """V_d of a one-row, one-agent trace whose gains sit the given errors
-    away from the ideal ones (theta*, and 1/r* for the input scale)."""
+    away from the ideal ones (theta*, and 1/r* for the input scale), with
+    unit gamma_phi."""
     theta = gains.stacked_regressor_gain(0) + theta_err
     phi_phi = np.full((1, 1), 1.0 / gains.theta_r[0][0, 0] + phi_err)
-    v_d = _energy_series(cfg, gains, np.reshape(e_a, (1, 1, 2)), theta[None, None], phi_phi[None, None])
+    v_d = _energy_series(P_BLOCK, gamma_theta, np.eye(1), gains, np.reshape(e_a, (1, 1, 2)),
+                         theta[None, None], phi_phi[None, None])
     return float(v_d[0])
 
 
 def test_monitor_zero_at_equilibrium():
-    assert monitor(monitor_config(), monitor_gains()) == 0.0
+    assert monitor(monitor_gains()) == 0.0
 
 
 def test_monitor_weights_gain_error_by_inverse_reference_gain():
     theta_err = np.zeros((5, 1))
     theta_err[4, 0] = 1.0
-    v = monitor(monitor_config(), monitor_gains(), theta_err=theta_err)
+    v = monitor(monitor_gains(), theta_err=theta_err)
     assert abs(v - 1.5) < 1e-12
 
 
 def test_monitor_quadratic_term():
-    assert monitor(monitor_config(), monitor_gains(), e_a=np.array([1.0, 0.0])) == 0.25
+    assert monitor(monitor_gains(), e_a=np.array([1.0, 0.0])) == 0.25
 
 
 def test_monitor_rejects_vanishing_weight():
     gains = monitor_gains(r_star=0.0)
     rows = (np.zeros((1, 1, 2)), np.zeros((1, 1, 5, 1)), np.zeros((1, 1, 1, 1)))
     with pytest.raises(SingularWeight):
-        _energy_series(monitor_config(), gains, *rows)
+        _energy_series(P_BLOCK, np.eye(1), np.eye(1), gains, *rows)
 
 
 def test_monitor_frozen_channel_must_carry_no_error():
-    cfg = monitor_config(gamma_theta=np.zeros((1, 1)))
-    assert monitor(cfg, monitor_gains()) == 0.0
+    frozen = np.zeros((1, 1))
+    assert monitor(monitor_gains(), gamma_theta=frozen) == 0.0
     bad = np.zeros((5, 1))
     bad[1, 0] = 0.1
     with pytest.raises(SingularWeight):
-        monitor(cfg, monitor_gains(), theta_err=bad)
+        monitor(monitor_gains(), gamma_theta=frozen, theta_err=bad)
 
 
 # ------------------------------------------------------------------ metrics

@@ -89,7 +89,7 @@ def test_matrices_are_identity_minus_weights():
     topo = ring4()
     m = build_matrices(topo)
     assert np.array_equal(m.laplacian_like, np.eye(4) - topo.follower_weights)
-    assert np.array_equal(m.leader_diag, 0.4 * np.eye(4))
+    assert np.array_equal(m.pinning, np.full((4, 1), 0.4))
 
 
 def test_balanced_for_valid_topologies():
@@ -102,13 +102,13 @@ def test_balanced_detects_tampering():
     m = build_matrices(ring4())
     bad = TopologyMatrices(
         laplacian_like=m.laplacian_like + 0.01,
-        leader_diag=m.leader_diag,
+        pinning=m.pinning,
     )
     assert not check_balanced(bad)
 
 
 def test_balance_identity_holds_exactly_for_dyadic_weights():
-    """Weights built from eighths make (L - diag(g)) @ 1 exactly zero."""
+    """Weights built from eighths make L @ 1 - g exactly zero."""
     rng = np.random.default_rng(23)
     for _ in range(20):
         ell = int(rng.integers(2, 7))
@@ -118,7 +118,7 @@ def test_balance_identity_holds_exactly_for_dyadic_weights():
         if np.any(g < 0.0):
             continue
         m = build_matrices(Topology(ell, w, g, 0.01))
-        gap = (m.laplacian_like - m.leader_diag) @ np.ones(ell)
+        gap = m.laplacian_like @ np.ones(ell) - m.pinning[:, 0]
         assert np.array_equal(gap, np.zeros(ell))
         assert check_balanced(m)
 
