@@ -52,6 +52,7 @@ from . import linalg
 from .adaptive import applied_input, control, delayed_regressor, regressor
 from .dde import GRID_TOL, delayed, step_rk4
 from .errors import (
+    DelaySyncError,
     DimensionMismatch,
     DivergenceDetected,
     EmptyTrace,
@@ -366,10 +367,10 @@ def validate_scenario(sc: Scenario) -> list[CheckResult]:
     )
 
     try:
-        linalg.cholesky(sc.q_tilde)
+        linalg.cholesky(sc.q_tilde, "q_tilde")
         p_block = linalg.solve_lyapunov(sc.leader.a_m, sc.q_tilde)
         try:
-            linalg.cholesky(p_block)
+            linalg.cholesky(p_block, "P")
         except NotPositiveDefinite as exc:
             # A sign-indefinite solution for a positive definite weight
             # means the leader matrix has spectrum in the right half plane.
@@ -387,11 +388,11 @@ def validate_scenario(sc: Scenario) -> list[CheckResult]:
 
     try:
         gains = matching_gains(sc.fleet, sc.leader)
-    except Exception as exc:  # NoMatchingSolution or dimension trouble
+    except DelaySyncError as exc:
         out.append(CheckResult("matching", False, str(exc)))
     else:
         if sc.input_dim == 1:
-            signs = np.array([math.copysign(1.0, g[0, 0]) for g in gains.theta_r])
+            signs = np.copysign(1.0, gains.theta_r[:, 0, 0])
             if np.array_equal(signs, sc.r_signs):
                 out.append(
                     CheckResult("matching", True, "gains solvable, declared signs agree", gains)
@@ -484,11 +485,10 @@ def _energy_series(
     quad = np.einsum("tin,nm,tim->t", e_a, p_block, e_a)
     if theta.shape[-1] != 1:
         return quad
-    ell = gamma_theta.shape[0]
-    r_star = np.array([gains.theta_r[i][0, 0] for i in range(ell)])
+    r_star = gains.theta_r[:, 0, 0]
     if np.any(np.abs(r_star) < WEIGHT_TOL):
         raise SingularWeight("an ideal reference gain is numerically zero")
-    theta_star = np.stack([gains.stacked_regressor_gain(i) for i in range(ell)])
+    theta_star = gains.stacked_regressor_gain()
     phi_star = (1.0 / r_star)[:, None, None]
     w_theta = _rate_weights(gamma_theta) / np.abs(r_star)
     w_phi = _rate_weights(gamma_phi)

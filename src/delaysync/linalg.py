@@ -3,10 +3,10 @@
 All routines work on plain numpy ``float64`` arrays: matrices are 2-d and
 row-major, vectors 1-d.  The factorizations and solvers are written out by
 hand so that their failure thresholds stay exactly the documented ones.
-Symmetric eigenvalues come from LAPACK instead: set-up needs them of l-by-l
-fleet matrices (the graph's symmetric part, the adaptation rates), where a
-hand-written sweep grows cubically with the fleet, and they only classify
-checks, never entering the integrated trace.
+Symmetric eigenvalues, and the pseudo-inverses with which
+``plant.matching_gains`` solves every agent's matching conditions, come from
+LAPACK instead: set-up needs them for the whole fleet, where a hand-written
+sweep grows with it, and they never enter the integrated trace.
 """
 
 from __future__ import annotations
@@ -50,7 +50,7 @@ def _require_symmetric(a: np.ndarray, name: str = "matrix") -> None:
         raise NotSymmetric(f"{name} has a non-finite entry")
     skew = np.max(np.abs(a - a.T)) if a.size else 0.0
     if skew > SYMMETRY_TOL:
-        raise NotSymmetric(f"{name} is not symmetric: max |a - a^T| = {skew:.3e}")
+        raise NotSymmetric(f"{name} is not symmetric: max |{name} - {name}^T| = {skew:.3e}")
 
 
 def solve_linear(a, b) -> np.ndarray:
@@ -95,21 +95,21 @@ def solve_linear(a, b) -> np.ndarray:
     return x
 
 
-def cholesky(a) -> np.ndarray:
+def cholesky(a, name: str = "a") -> np.ndarray:
     """Lower-triangular Cholesky factor of a symmetric positive definite matrix.
 
     Returns ``L`` with ``L @ L.T == a``.  Raises :class:`NotSymmetric` when
     ``max |a - a^T| > 1e-10`` and :class:`NotPositiveDefinite` when a pivot
-    ``a[j, j] - sum(L[j, :j]**2)`` is not strictly positive.
+    ``a[j, j] - sum(L[j, :j]**2)`` is not strictly positive, naming ``a`` ``name``.
     """
-    a = _as_square(a, "a")
-    _require_symmetric(a, "a")
+    a = _as_square(a, name)
+    _require_symmetric(a, name)
     n = a.shape[0]
     low = np.zeros((n, n))
     for j in range(n):
         d = a[j, j] - low[j, :j] @ low[j, :j]
         if d <= 0.0:
-            raise NotPositiveDefinite(f"pivot {d:.3e} at diagonal {j} is not positive")
+            raise NotPositiveDefinite(f"{name} pivot {d:.3e} at diagonal {j} is not positive")
         low[j, j] = np.sqrt(d)
         low[j + 1:, j] = (a[j + 1:, j] - low[j + 1:, :j] @ low[j, :j]) / low[j, j]
     return low

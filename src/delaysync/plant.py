@@ -6,9 +6,9 @@ input,
     dx_i/dt = a x_i(t) + a_zeta x_i(t - tau_x) + b u_i(t - tau_u),
 
 while the leader is the delay-free reference system all agents should
-converge to.  ``matching_gains`` computes, per agent, the stationary gains
-that would make the closed loop equal the leader exactly; they exist only
-when the agent's input matrix spans the required corrections.
+converge to.  ``matching_gains`` computes, for the whole fleet at once, the
+stationary gains that would make each closed loop equal the leader exactly;
+they exist only when the agent's input matrix spans the required corrections.
 """
 
 from __future__ import annotations
@@ -17,13 +17,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import linalg
 from .dde import step_rk4
 from .errors import DimensionMismatch, NoMatchingSolution
 
 # Largest acceptable residual when substituting candidate gains back into
 # the matching conditions.
 MATCHING_TOL = 1e-9
+
+# Largest ideal gain whose square, which the energy monitor weighs, is finite.
+MAX_GAIN = float(np.sqrt(np.finfo(float).max))
 
 
 @dataclass(frozen=True)
@@ -114,23 +116,24 @@ class LeaderModel:
 
 @dataclass(frozen=True)
 class MatchingGains:
-    """Per-agent ideal gains.
+    """Ideal gains of the whole fleet, stacked along a leading agent axis.
 
-    ``theta_x[i]`` is (n, p), ``theta_zeta[i]`` is (n, p), ``theta_r[i]``
-    and ``theta_phi[i]`` are (p, p); stationary values satisfying
+    ``theta_x`` and ``theta_zeta`` are (l, n, p), ``theta_r`` and
+    ``theta_phi`` (l, p, p); agent i's slices are stationary values satisfying
 
         a_i + b_i theta_x_i^T = a_m,      a_zeta_i + b_i theta_zeta_i^T = 0,
         b_i theta_r_i = b_m,              b_m theta_phi_i = b_i.
     """
 
-    theta_x: tuple[np.ndarray, ...]
-    theta_zeta: tuple[np.ndarray, ...]
-    theta_r: tuple[np.ndarray, ...]
-    theta_phi: tuple[np.ndarray, ...]
+    theta_x: np.ndarray
+    theta_zeta: np.ndarray
+    theta_r: np.ndarray
+    theta_phi: np.ndarray
 
-    def stacked_regressor_gain(self, i: int) -> np.ndarray:
-        """Ideal gain block for agent ``i`` ordered like the regressor: (2n+p, p)."""
-        return np.vstack([self.theta_x[i], self.theta_zeta[i], self.theta_r[i]])
+    def stacked_regressor_gain(self, i=slice(None)) -> np.ndarray:
+        """Ideal gain block ordered like the regressor: (2n+p, p) for agent
+        ``i``, or (l, 2n+p, p) for the whole fleet by default."""
+        return np.concatenate((self.theta_x[i], self.theta_zeta[i], self.theta_r[i]), axis=-2)
 
 
 class FleetDynamics:
@@ -161,9 +164,6 @@ class FleetDynamics:
     def __iter__(self):
         return iter(self.agents)
 
-    def __len__(self) -> int:
-        return self.num_agents
-
     def delayed_drive(self, x_delayed: np.ndarray, u_delayed: np.ndarray) -> np.ndarray:
         """The delayed part ``a_zeta x(t - tau_x) + b u(t - tau_u)`` of the
         fleet derivative, blockwise; states (..., l, n), inputs (..., l, p).
@@ -176,43 +176,40 @@ class FleetDynamics:
 
 
 def matching_gains(fleet, leader: LeaderModel) -> MatchingGains:
-    """Least-squares ideal gains per agent, verified to 1e-9 residuals.
+    """Least-squares ideal gains of the whole fleet, verified to 1e-9 residuals.
 
-    Each condition reduces to a normal-equation solve against the agent's
-    (or leader's) input matrix; a residual above tolerance on any condition
-    raises :class:`NoMatchingSolution`.
+    Each condition is solved for all agents at once with the LAPACK
+    pseudo-inverse of the agents' (or the leader's) input matrix.  The first
+    agent with a condition whose residual exceeds the tolerance, or whose
+    gain exceeds ``MAX_GAIN``, raises :class:`NoMatchingSolution`.
     """
-    agents = list(fleet)
-    theta_x, theta_zeta, theta_r, theta_phi = [], [], [], []
-    for idx, ag in enumerate(agents):
-        if ag.state_dim != leader.state_dim or ag.input_dim != leader.input_dim:
-            raise DimensionMismatch(f"agent {idx + 1} dimensions differ from the leader")
-        tx = _lstsq_columns(ag.b, leader.a_m - ag.a, idx, "state matching")
-        tz = _lstsq_columns(ag.b, -ag.a_zeta, idx, "delayed-state matching")
-        tr = _lstsq_columns(ag.b, leader.b_m, idx, "reference matching")
-        tp = _lstsq_columns(leader.b_m, ag.b, idx, "input-scale matching")
-        theta_x.append(tx.T.copy())
-        theta_zeta.append(tz.T.copy())
-        theta_r.append(tr)
-        theta_phi.append(tp)
-    return MatchingGains(
-        theta_x=tuple(theta_x),
-        theta_zeta=tuple(theta_zeta),
-        theta_r=tuple(theta_r),
-        theta_phi=tuple(theta_phi),
-    )
-
-
-def _lstsq_columns(basis: np.ndarray, target: np.ndarray, idx: int, label: str) -> np.ndarray:
-    """Solve ``basis @ coeff = target`` column by column via normal equations."""
-    gram = basis.T @ basis
-    coeff = np.empty((basis.shape[1], target.shape[1]))
-    for j in range(target.shape[1]):
-        coeff[:, j] = linalg.solve_linear(gram, basis.T @ target[:, j])
-    residual = np.max(np.abs(basis @ coeff - target))
-    if residual > MATCHING_TOL:
-        raise NoMatchingSolution(
-            f"agent {idx + 1}: {label} residual {residual:.3e} exceeds {MATCHING_TOL}"
+    if not isinstance(fleet, FleetDynamics):
+        fleet = FleetDynamics(fleet)
+    if (fleet.state_dim, fleet.input_dim) != (leader.state_dim, leader.input_dim):
+        raise DimensionMismatch("fleet dimensions differ from the leader's")
+    b, b_m = fleet.b, leader.b_m
+    # Nearly zero input matrices overflow the pseudo-inverse: refused below, unwarned.
+    with np.errstate(all="ignore"):
+        try:
+            pinv_b, pinv_m = np.linalg.pinv(b), np.linalg.pinv(b_m)
+        except np.linalg.LinAlgError as exc:
+            raise NoMatchingSolution(f"input matrix pseudo-inverse failed: {exc}") from exc
+        conditions = (  # name, basis, its pseudo-inverse, target
+            ("state matching", b, pinv_b, leader.a_m - fleet.a),
+            ("delayed-state matching", b, pinv_b, -fleet.a_zeta),
+            ("reference matching", b, pinv_b, b_m),
+            ("input-scale matching", b_m, pinv_m, b),
         )
-    return coeff
-
+        gains = [inv @ target for _, _, inv, target in conditions]
+        fits = [basis @ g - target for (_, basis, _, target), g in zip(conditions, gains)]
+        residual = np.stack([np.max(np.abs(f), axis=(1, 2)) for f in fits], axis=1)
+        size = np.stack([np.max(np.abs(g), axis=(1, 2)) for g in gains], axis=1)
+    failed = np.argwhere(~((residual <= MATCHING_TOL) & (size <= MAX_GAIN)))
+    if failed.size:
+        i, k = failed[0]
+        where = f"agent {i + 1}: {conditions[k][0]}"
+        if not size[i, k] <= MAX_GAIN:
+            raise NoMatchingSolution(f"{where} gain {size[i, k]:.3e} squares past the float range")
+        raise NoMatchingSolution(f"{where} residual {residual[i, k]:.3e} exceeds {MATCHING_TOL}")
+    theta_x, theta_zeta, theta_r, theta_phi = gains
+    return MatchingGains(np.swapaxes(theta_x, 1, 2), np.swapaxes(theta_zeta, 1, 2), theta_r, theta_phi)

@@ -385,6 +385,53 @@ def test_bad_rates_exit_one_naming_the_field(tmp_path, capsys, command, kind, ke
     assert not (tmp_path / "o" / "trace.csv").exists()
 
 
+@pytest.mark.parametrize("command", ["validate", "run"])
+@pytest.mark.parametrize(
+    "q_tilde, message",
+    [("0.2, 0.1, 0, 0.2", "q_tilde is not symmetric"), ("-0.2, 0, 0, 0.2", "q_tilde pivot -2.000e-01")],
+    ids=["non_symmetric", "indefinite"],
+)
+def test_bad_q_tilde_is_named_in_the_lyapunov_check(tmp_path, capsys, command, q_tilde, message):
+    argv = [command, "example1", "--set", f"controller.q_tilde={q_tilde}"]
+    if command == "run":
+        argv += ["--out", str(tmp_path / "o")]
+    assert run_cli(*argv) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith(f"error: lyapunov_residual: {message}")
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("command", ["validate", "run"])
+@pytest.mark.parametrize(
+    "override",
+    ["agent.1.b=0,0", "agent.1.b=0,1e-160", "agent.1.b=0,1e-300", "leader.b_m=0,1e-300"],
+)
+def test_degenerate_input_matrix_fails_matching(tmp_path, capsys, command, override):
+    """An input matrix that is zero, or so small that the ideal gains'
+    squares overflow, fails the matching check: exit 1, one error line
+    naming the agent, no numpy warning and no trace."""
+    argv = [command, "example1", "--set", override]
+    if command == "run":
+        argv += ["--out", str(tmp_path / "o")]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run_cli(*argv) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: matching: agent 1: ")
+    assert not (tmp_path / "o" / "trace.csv").exists()
+
+
+def test_small_input_matrix_with_representable_gains_runs(tmp_path, capsys):
+    """Ideal gains near 1e150 still square to a finite energy monitor."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = run_cli("run", "example1", "--set", "agent.1.b=0,1e-150",
+                       "--set", "simulation.duration=1", "--out", str(tmp_path))
+    assert code == 0
+    v_d = np.loadtxt(tmp_path / "trace.csv", delimiter=",", skiprows=1)[:, -1]
+    assert np.all(np.isfinite(v_d)) and v_d[-1] > 1e150
+
+
 def test_readme_scenario_table_matches_the_schema():
     """README's table of sections and keys lists exactly the keys the
     parser reads, and marks exactly the optional ones."""

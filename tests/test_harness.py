@@ -47,7 +47,7 @@ from delaysync.harness import (
     validate_scenario,
 )
 from delaysync.linalg import solve_lyapunov
-from delaysync.plant import AgentDynamics, LeaderModel, MatchingGains
+from delaysync.plant import AgentDynamics, LeaderModel, MatchingGains, matching_gains
 from delaysync.topology import Topology, build_matrices
 
 P_BLOCK = np.array([[0.25, 0.05], [0.05, 0.05]])
@@ -250,6 +250,30 @@ def test_run_solves_topology_lyapunov_and_matching_gains_once(monkeypatch):
     assert calls == {
         "validate_scenario": 1, "build_matrices": 1, "matching_gains": 1, "solve_lyapunov": 1
     }
+
+
+def test_validation_solves_one_linear_system(monkeypatch):
+    """The matching conditions take no elimination: the one solve_linear
+    call of validating example1 is the Lyapunov equation's."""
+    from delaysync import linalg
+
+    calls = []
+    solve = linalg.solve_linear
+    monkeypatch.setattr(linalg, "solve_linear", lambda *a: calls.append(1) or solve(*a))
+    assert all(c.passed for c in validate_scenario(load_scenario("example1")))
+    assert len(calls) == 1
+
+
+def test_validation_lets_a_defect_in_matching_gains_raise(monkeypatch):
+    """Only the package's own errors become a failed matching check."""
+    from delaysync import harness
+
+    def broken(fleet, leader):
+        raise TypeError("defect")
+
+    monkeypatch.setattr(harness, "matching_gains", broken)
+    with pytest.raises(TypeError, match="defect"):
+        validate_scenario(tiny_scenario())
 
 
 def test_validator_reports_unstable_leader():
@@ -680,19 +704,39 @@ def per_step_oracle(sc: Scenario) -> np.ndarray:
     return np.array(rows)
 
 
+# A two-input fleet of three agents, a shape no builtin has.
+TWO_INPUT_AGENTS = [
+    AgentDynamics(a=[[0.0, 1.0], [-1.0 - 0.2 * i, -1.0]], a_zeta=[[0.0, 0.1], [0.2, -0.1 * i]],
+                  b=[[1.0, 0.2 * i], [0.1, 1.5]])
+    for i in range(3)
+]
+TWO_INPUT_LEADER = LeaderModel(a_m=[[0.0, 1.0], [-2.0, -3.0]], b_m=[[1.0, 0.0], [0.0, -2.0]])
+
+
+def test_matching_gains_agree_with_per_agent_least_squares():
+    """The fleet-wide solve gives each agent of the two-input fleet the
+    gains of its own least-squares solve of each condition, to 1e-14."""
+    g = matching_gains(TWO_INPUT_AGENTS, TWO_INPUT_LEADER)
+    a_m, b_m = TWO_INPUT_LEADER.a_m, TWO_INPUT_LEADER.b_m
+    for i, ag in enumerate(TWO_INPUT_AGENTS):
+        for got, basis, target in (
+            (g.theta_x[i].T, ag.b, a_m - ag.a),
+            (g.theta_zeta[i].T, ag.b, -ag.a_zeta),
+            (g.theta_r[i], ag.b, b_m),
+            (g.theta_phi[i], b_m, ag.b),
+        ):
+            want = np.linalg.lstsq(basis, target, rcond=None)[0]
+            assert np.max(np.abs(got - want)) <= 1e-14
+
+
 def test_run_matches_a_per_step_oracle_with_two_inputs():
-    """A two-input fleet of three agents with a sine reference, a shape no
-    builtin has, runs within 1e-12 of the per-step oracle built from the
-    reference chain functions: fleet, auxiliary, gain and leader states."""
+    """The two-input fleet with a sine reference runs within 1e-12 of the
+    per-step oracle built from the reference chain functions: fleet,
+    auxiliary, gain and leader states."""
     ell, n, p = 3, 2, 2
-    agents = [
-        AgentDynamics(a=[[0.0, 1.0], [-1.0 - 0.2 * i, -1.0]], a_zeta=[[0.0, 0.1], [0.2, -0.1 * i]],
-                      b=[[1.0, 0.2 * i], [0.1, 1.5]])
-        for i in range(ell)
-    ]
     sc = tiny_scenario(
-        fleet=agents,
-        leader=LeaderModel(a_m=[[0.0, 1.0], [-2.0, -3.0]], b_m=[[1.0, 0.0], [0.0, -2.0]]),
+        fleet=TWO_INPUT_AGENTS,
+        leader=TWO_INPUT_LEADER,
         topology=Topology(
             ell, np.array([[0.0, 0.3, 0.2], [0.25, 0.0, 0.25], [0.2, 0.3, 0.0]]),
             np.full(ell, 0.5), 0.1,
@@ -822,10 +866,10 @@ def test_stage_operands_stay_within_their_budget():
 def monitor_gains(r_star=-2.0 / 3.0):
     """Ideal gains of agent 1 of the builtin fleets (n = 2, p = 1)."""
     return MatchingGains(
-        theta_x=(np.array([[1.0 / 3.0], [-1.0 / 3.0]]),),
-        theta_zeta=(np.array([[-0.1], [-0.05]]),),
-        theta_r=(np.array([[r_star]]),),
-        theta_phi=(np.array([[-1.5]]),),
+        theta_x=np.array([[[1.0 / 3.0], [-1.0 / 3.0]]]),
+        theta_zeta=np.array([[[-0.1], [-0.05]]]),
+        theta_r=np.array([[[r_star]]]),
+        theta_phi=np.array([[[-1.5]]]),
     )
 
 

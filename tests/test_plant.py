@@ -157,6 +157,17 @@ def test_matching_rejects_misaligned_input_direction():
         matching_gains([bad], LEADER)
 
 
+def test_matching_names_the_first_agent_that_cannot_match():
+    # agent 3's delayed coupling acts on the first state, which its input
+    # cannot reach; agent 4 also fails, on an earlier condition
+    third = AgentDynamics(a=FLEET[2].a, a_zeta=[[0.1, 0.0], [0.5, 0.25]], b=FLEET[2].b)
+    fourth = AgentDynamics(a=FLEET[3].a, a_zeta=FLEET[3].a_zeta, b=[[1.0], [0.0]])
+    with pytest.raises(
+        NoMatchingSolution, match=r"^agent 3: delayed-state matching residual 1\.000e-01 exceeds 1e-09$"
+    ):
+        matching_gains(FLEET[:2] + [third, fourth], LEADER)
+
+
 def test_matching_rejects_dimension_mismatch():
     scalar = AgentDynamics(a=[[-1.0]], a_zeta=[[0.0]], b=[[1.0]])
     with pytest.raises(DimensionMismatch):
