@@ -2,8 +2,9 @@
 
 A fleet of linear agents, each with a delayed internal coupling and a
 delayed input channel, follows a stable reference model over a weighted
-graph.  The package provides the dense linear algebra kit, graph checks,
-a fixed-step delay integrator, the plant and controller pieces, a scenario
+graph.  The package provides the set-up checks built on LAPACK (symmetric
+spectra, positive definiteness, the Lyapunov equation), graph checks, a
+fixed-step delay integrator, the plant and controller pieces, a scenario
 harness, and a small CLI (``delaysync run|validate|list-builtins``).
 """
 
@@ -44,8 +45,7 @@ from .harness import (
     validate_scenario,
 )
 from .linalg import (
-    cholesky,
-    solve_linear,
+    require_positive_definite,
     solve_lyapunov,
     symmetric_eigenvalues,
 )
@@ -103,7 +103,6 @@ __all__ = [
     "build_matrices",
     "check_balanced",
     "check_threshold",
-    "cholesky",
     "control",
     "leader_block_derivative",
     "leader_reachable",
@@ -111,9 +110,9 @@ __all__ = [
     "metrics",
     "predict_leader_regressor",
     "regressor",
+    "require_positive_definite",
     "run",
     "run_scenario",
-    "solve_linear",
     "solve_lyapunov",
     "step_rk4",
     "symmetric_eigenvalues",

@@ -18,7 +18,7 @@ class NotSymmetric(DelaySyncError):
 
 
 class NotPositiveDefinite(DelaySyncError):
-    """Cholesky factorization found a non-positive diagonal."""
+    """A matrix required to be positive definite has a smallest eigenvalue <= 0."""
 
 
 class NotHurwitz(DelaySyncError):

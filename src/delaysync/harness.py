@@ -79,8 +79,9 @@ DIVERGENCE_LIMIT = 1e6
 # Runs whose recorded arrays (trace, leader table) would exceed this many
 # bytes are refused before anything is allocated.
 MAX_RUN_BYTES = 2**30
-# Reference-gain magnitudes and adaptation rates below this cannot be
-# inverted for the energy monitor.
+# Reference-gain magnitudes and adaptation rates below this (relative to the
+# largest eigenvalue, for a coupled rate matrix) cannot be inverted for the
+# energy monitor.
 WEIGHT_TOL = 1e-12
 # Rate matrices may dip this far below zero in their smallest eigenvalue
 # and still count as positive semidefinite.
@@ -233,16 +234,14 @@ class Scenario:
                 raise ValidationError(f"{label} must be symmetric, max asymmetry {skew:.3e}")
             coupled = _coupled(rates)
             # a diagonal matrix's spectrum is its diagonal
-            low = linalg.symmetric_eigenvalues(rates)[0] if coupled else np.min(np.diag(rates))
-            if low < -PSD_TOL:
-                raise ValidationError(f"{label} must be positive semidefinite, min eig {low:.3e}")
-            if coupled:
-                try:  # elimination alone finds the singularity, whatever the right side
-                    linalg.solve_linear(rates, np.zeros(ell))
-                except SingularMatrix as exc:
-                    raise ValidationError(
-                        f"{label} has off-diagonal entries and is singular: {exc}"
-                    ) from exc
+            eigs = linalg.symmetric_eigenvalues(rates) if coupled else np.sort(np.diag(rates))
+            if eigs[0] < -PSD_TOL:
+                raise ValidationError(f"{label} must be positive semidefinite, min eig {eigs[0]:.3e}")
+            if coupled and eigs[0] <= WEIGHT_TOL * eigs[-1]:
+                raise ValidationError(
+                    f"{label} has off-diagonal entries and is singular: "
+                    f"eigenvalues {eigs[0]:.3e} to {eigs[-1]:.3e}"
+                )
 
     @property
     def num_agents(self) -> int:
@@ -367,10 +366,10 @@ def validate_scenario(sc: Scenario) -> list[CheckResult]:
     )
 
     try:
-        linalg.cholesky(sc.q_tilde, "q_tilde")
+        linalg.require_positive_definite(sc.q_tilde, "q_tilde")
         p_block = linalg.solve_lyapunov(sc.leader.a_m, sc.q_tilde)
         try:
-            linalg.cholesky(p_block, "P")
+            linalg.require_positive_definite(p_block, "P")
         except NotPositiveDefinite as exc:
             # A sign-indefinite solution for a positive definite weight
             # means the leader matrix has spectrum in the right half plane.
@@ -391,24 +390,24 @@ def validate_scenario(sc: Scenario) -> list[CheckResult]:
     except DelaySyncError as exc:
         out.append(CheckResult("matching", False, str(exc)))
     else:
+        fault = None
         if sc.input_dim == 1:
-            signs = np.copysign(1.0, gains.theta_r[:, 0, 0])
-            if np.array_equal(signs, sc.r_signs):
-                out.append(
-                    CheckResult("matching", True, "gains solvable, declared signs agree", gains)
-                )
-            else:
-                out.append(
-                    CheckResult(
-                        "matching",
-                        False,
-                        f"declared r_signs {sc.r_signs.tolist()} but computed {signs.tolist()}",
-                    )
-                )
+            r_star = gains.theta_r[:, 0, 0]
+            signs = np.copysign(1.0, r_star)
+            tiny = np.flatnonzero(np.abs(r_star) < WEIGHT_TOL)
+            if tiny.size:
+                # the energy monitor weights each gain error by 1 / |r*|
+                i = tiny[0]
+                fault = f"agent {i + 1}: ideal reference gain {r_star[i]:.3e} is numerically zero"
+            elif not np.array_equal(signs, sc.r_signs):
+                fault = f"declared r_signs {sc.r_signs.tolist()} but computed {signs.tolist()}"
+            detail = "gains solvable, declared signs agree"
         else:
-            out.append(
-                CheckResult("matching", True, "gains solvable (signs unchecked for p>1)", gains)
-            )
+            detail = "gains solvable (signs unchecked for p>1)"
+        if fault is None:
+            out.append(CheckResult("matching", True, detail, gains))
+        else:
+            out.append(CheckResult("matching", False, fault))
     return out
 
 
@@ -433,12 +432,7 @@ def _rate_weights(gamma: np.ndarray) -> np.ndarray:
         d = np.diag(gamma)
         safe = np.where(d > WEIGHT_TOL, d, 1.0)
         return np.where(d > WEIGHT_TOL, 1.0 / safe, np.inf)
-    ell = gamma.shape[0]
-    cols = np.empty(ell)
-    eye = np.eye(ell)
-    for i in range(ell):
-        cols[i] = linalg.solve_linear(gamma, eye[:, i])[i]
-    return cols
+    return np.diag(np.linalg.inv(gamma))
 
 
 def _gain_energy(

@@ -1,12 +1,9 @@
 """Small dense linear-algebra kit.
 
-All routines work on plain numpy ``float64`` arrays: matrices are 2-d and
-row-major, vectors 1-d.  The factorizations and solvers are written out by
-hand so that their failure thresholds stay exactly the documented ones.
-Symmetric eigenvalues, and the pseudo-inverses with which
-``plant.matching_gains`` solves every agent's matching conditions, come from
-LAPACK instead: set-up needs them for the whole fleet, where a hand-written
-sweep grows with it, and they never enter the integrated trace.
+All routines take plain numpy ``float64`` matrices (2-d, row-major) and leave
+the arithmetic to LAPACK (``eigvalsh``, ``solve``).  They add the symmetry,
+definiteness and residual checks that set-up relies on, and turn LAPACK's
+failures into the package's errors.
 """
 
 from __future__ import annotations
@@ -38,13 +35,6 @@ def _as_square(a, name: str = "matrix") -> np.ndarray:
     return a
 
 
-def _as_vector(b, name: str = "vector") -> np.ndarray:
-    b = np.asarray(b, dtype=float)
-    if b.ndim != 1:
-        raise DimensionMismatch(f"{name} must be 1-d, got ndim={b.ndim}")
-    return b
-
-
 def _require_symmetric(a: np.ndarray, name: str = "matrix") -> None:
     if not np.isfinite(a).all():
         raise NotSymmetric(f"{name} has a non-finite entry")
@@ -53,80 +43,32 @@ def _require_symmetric(a: np.ndarray, name: str = "matrix") -> None:
         raise NotSymmetric(f"{name} is not symmetric: max |{name} - {name}^T| = {skew:.3e}")
 
 
-def solve_linear(a, b) -> np.ndarray:
-    """Solve ``a @ x = b`` by Gaussian elimination with partial pivoting.
-
-    Parameters
-    ----------
-    a : (n, n) array
-    b : (n,) array
-
-    Returns
-    -------
-    (n,) solution vector.
-
-    Raises
-    ------
-    SingularMatrix
-        If any pivot magnitude falls to or below ``1e-12`` times the largest
-        entry magnitude of the original matrix.
-    """
-    a = _as_square(a, "a").copy()
-    b = _as_vector(b, "b").copy()
-    n = a.shape[0]
-    if b.shape[0] != n:
-        raise DimensionMismatch(f"b has length {b.shape[0]}, expected {n}")
-    floor = 1e-12 * (np.max(np.abs(a)) if n else 0.0)
-
-    for k in range(n):
-        p = k + int(np.argmax(np.abs(a[k:, k])))
-        if np.abs(a[p, k]) <= floor:
-            raise SingularMatrix(f"pivot {np.abs(a[p, k]):.3e} at column {k} below floor {floor:.3e}")
-        if p != k:
-            a[[k, p]] = a[[p, k]]
-            b[[k, p]] = b[[p, k]]
-        factors = a[k + 1:, k] / a[k, k]
-        a[k + 1:, k:] -= np.outer(factors, a[k, k:])
-        b[k + 1:] -= factors * b[k]
-
-    x = np.empty(n)
-    for k in range(n - 1, -1, -1):
-        x[k] = (b[k] - a[k, k + 1:] @ x[k + 1:]) / a[k, k]
-    return x
-
-
-def cholesky(a, name: str = "a") -> np.ndarray:
-    """Lower-triangular Cholesky factor of a symmetric positive definite matrix.
-
-    Returns ``L`` with ``L @ L.T == a``.  Raises :class:`NotSymmetric` when
-    ``max |a - a^T| > 1e-10`` and :class:`NotPositiveDefinite` when a pivot
-    ``a[j, j] - sum(L[j, :j]**2)`` is not strictly positive, naming ``a`` ``name``.
-    """
-    a = _as_square(a, name)
-    _require_symmetric(a, name)
-    n = a.shape[0]
-    low = np.zeros((n, n))
-    for j in range(n):
-        d = a[j, j] - low[j, :j] @ low[j, :j]
-        if d <= 0.0:
-            raise NotPositiveDefinite(f"{name} pivot {d:.3e} at diagonal {j} is not positive")
-        low[j, j] = np.sqrt(d)
-        low[j + 1:, j] = (a[j + 1:, j] - low[j + 1:, :j] @ low[j, :j]) / low[j, j]
-    return low
-
-
-def symmetric_eigenvalues(a) -> np.ndarray:
+def symmetric_eigenvalues(a, name: str = "a") -> np.ndarray:
     """Eigenvalues of a symmetric matrix, ascending, from LAPACK (``eigvalsh``).
 
     Raises :class:`NotSymmetric` when ``max |a - a^T| > 1e-10`` or an entry
-    is not finite, and :class:`SingularMatrix` when the LAPACK driver fails.
+    is not finite, naming ``a`` ``name``, and :class:`SingularMatrix` when
+    the LAPACK driver fails.
     """
-    a = _as_square(a, "a")
-    _require_symmetric(a, "a")
+    a = _as_square(a, name)
+    _require_symmetric(a, name)
     try:
         return np.linalg.eigvalsh(a)
     except np.linalg.LinAlgError as exc:
         raise SingularMatrix(f"symmetric eigensolve failed: {exc}") from exc
+
+
+def require_positive_definite(a, name: str = "a") -> float:
+    """Smallest eigenvalue of a symmetric positive definite matrix.
+
+    Raises what :func:`symmetric_eigenvalues` raises, and
+    :class:`NotPositiveDefinite` when the smallest eigenvalue is not strictly
+    positive, naming ``a`` ``name`` and giving that eigenvalue.
+    """
+    low = float(symmetric_eigenvalues(a, name)[0])
+    if not low > 0.0:
+        raise NotPositiveDefinite(f"{name} is not positive definite: smallest eigenvalue {low:.3e}")
+    return low
 
 
 def solve_lyapunov(a_m, q_tilde) -> np.ndarray:
@@ -134,7 +76,8 @@ def solve_lyapunov(a_m, q_tilde) -> np.ndarray:
 
     The equation is vectorized column-major into
     ``(I (x) a_m^T + a_m^T (x) I) vec(P) = -vec(q_tilde)`` and handed to
-    :func:`solve_linear`.  The result is symmetrized as ``(P + P^T) / 2``.
+    LAPACK (``np.linalg.solve``).  The result is symmetrized as
+    ``(P + P^T) / 2``.
 
     Parameters
     ----------
@@ -147,8 +90,8 @@ def solve_lyapunov(a_m, q_tilde) -> np.ndarray:
     Raises
     ------
     SingularMatrix
-        From the vectorized solve, or when the substituted residual exceeds
-        ``1e-9`` (ill-conditioned system).
+        When LAPACK finds the vectorized system singular, or when the
+        substituted residual exceeds ``1e-9`` (ill-conditioned system).
     """
     a_m = _as_square(a_m, "a_m")
     q_tilde = _as_square(q_tilde, "q_tilde")
@@ -160,7 +103,10 @@ def solve_lyapunov(a_m, q_tilde) -> np.ndarray:
     eye = np.eye(n)
     coeff = np.kron(eye, a_m.T) + np.kron(a_m.T, eye)
     rhs = -q_tilde.flatten(order="F")
-    p = solve_linear(coeff, rhs).reshape((n, n), order="F")
+    try:
+        p = np.linalg.solve(coeff, rhs).reshape((n, n), order="F")
+    except np.linalg.LinAlgError as exc:
+        raise SingularMatrix(f"lyapunov system is singular: {exc}") from exc
     p = 0.5 * (p + p.T)
 
     residual = np.max(np.abs(a_m.T @ p + p @ a_m + q_tilde))

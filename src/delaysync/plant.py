@@ -65,7 +65,8 @@ class LeaderModel:
     """Reference system ``dx_m/dt = a_m x_m + b_m r(t - tau_u)``.
 
     ``a_m`` must be Hurwitz; callers verify this at scenario load by
-    solving a Lyapunov equation and Cholesky-factoring the result.
+    solving a Lyapunov equation and checking that the solution is positive
+    definite.
     """
 
     a_m: np.ndarray

@@ -78,12 +78,10 @@ class TopologyMatrices:
 
 
 def build_matrices(topo: Topology) -> TopologyMatrices:
-    """Assemble the graph matrices of ``topo``."""
+    """Assemble the graph matrices of ``topo`` (its row sums are checked
+    when it is built)."""
     w = topo.follower_weights
     g = topo.leader_weights
-    deviation = np.max(np.abs(w.sum(axis=1) + g - 1.0))
-    if deviation > BALANCE_TOL:
-        raise UnbalancedTopology(f"row weight sums deviate from 1 by {deviation:.3e}")
     return TopologyMatrices(laplacian_like=np.eye(topo.num_agents) - w, pinning=g[:, None].copy())
 
 

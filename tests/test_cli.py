@@ -388,7 +388,10 @@ def test_bad_rates_exit_one_naming_the_field(tmp_path, capsys, command, kind, ke
 @pytest.mark.parametrize("command", ["validate", "run"])
 @pytest.mark.parametrize(
     "q_tilde, message",
-    [("0.2, 0.1, 0, 0.2", "q_tilde is not symmetric"), ("-0.2, 0, 0, 0.2", "q_tilde pivot -2.000e-01")],
+    [
+        ("0.2, 0.1, 0, 0.2", "q_tilde is not symmetric"),
+        ("-0.2, 0, 0, 0.2", "q_tilde is not positive definite: smallest eigenvalue -2.000e-01"),
+    ],
     ids=["non_symmetric", "indefinite"],
 )
 def test_bad_q_tilde_is_named_in_the_lyapunov_check(tmp_path, capsys, command, q_tilde, message):
@@ -418,6 +421,21 @@ def test_degenerate_input_matrix_fails_matching(tmp_path, capsys, command, overr
         assert run_cli(*argv) == 1
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error: matching: agent 1: ")
+    assert not (tmp_path / "o" / "trace.csv").exists()
+
+
+@pytest.mark.parametrize("command", ["validate", "run"])
+def test_numerically_zero_reference_gain_fails_matching(tmp_path, capsys, command):
+    """b_m = (0, -1e-13) makes agent 1's ideal reference gain -3.3e-14, too
+    small to weigh the energy monitor by: the scenario is refused before any
+    step is taken, with exit 1, one error line and no trace."""
+    argv = [command, "example1", "--set", "leader.b_m=0,-1e-13"]
+    if command == "run":
+        argv += ["--set", "simulation.duration=20", "--out", str(tmp_path / "o")]
+    assert run_cli(*argv) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: matching: agent 1: ideal reference gain")
+    assert err[0].endswith("is numerically zero")
     assert not (tmp_path / "o" / "trace.csv").exists()
 
 

@@ -39,6 +39,7 @@ from delaysync.harness import (
     SimTrace,
     _block_values,
     _energy_series,
+    _rate_weights,
     _stage_inputs,
     _stage_operands,
     _StageKernel,
@@ -252,18 +253,6 @@ def test_run_solves_topology_lyapunov_and_matching_gains_once(monkeypatch):
     }
 
 
-def test_validation_solves_one_linear_system(monkeypatch):
-    """The matching conditions take no elimination: the one solve_linear
-    call of validating example1 is the Lyapunov equation's."""
-    from delaysync import linalg
-
-    calls = []
-    solve = linalg.solve_linear
-    monkeypatch.setattr(linalg, "solve_linear", lambda *a: calls.append(1) or solve(*a))
-    assert all(c.passed for c in validate_scenario(load_scenario("example1")))
-    assert len(calls) == 1
-
-
 def test_validation_lets_a_defect_in_matching_gains_raise(monkeypatch):
     """Only the package's own errors become a failed matching check."""
     from delaysync import harness
@@ -280,6 +269,15 @@ def test_validator_reports_unstable_leader():
     sc = tiny_scenario(leader=LeaderModel(a_m=[[1.0]], b_m=[[1.0]]))
     bad = [c for c in validate_scenario(sc) if not c.passed]
     assert any(c.name == "lyapunov_residual" and "Hurwitz" in c.detail for c in bad)
+
+
+def test_validator_reports_a_topology_unbalanced_after_it_was_built():
+    """Weights changed in place after the row-sum check at construction
+    fail the balanced check, not the matrix assembly."""
+    sc = tiny_scenario()
+    sc.topology.leader_weights[0] = 0.5
+    failed = {c.name for c in validate_scenario(sc) if not c.passed}
+    assert failed == {"balanced"}
 
 
 def test_validator_applies_connectivity_threshold():
@@ -905,6 +903,28 @@ def test_monitor_rejects_vanishing_weight():
     rows = (np.zeros((1, 1, 2)), np.zeros((1, 1, 5, 1)), np.zeros((1, 1, 1, 1)))
     with pytest.raises(SingularWeight):
         _energy_series(P_BLOCK, np.eye(1), np.eye(1), gains, *rows)
+
+
+def test_monitor_weights_coupled_rates_by_their_inverse_diagonal():
+    """Two agents with Gamma_theta = Gamma_phi = [[2, 1], [1, 2]], whose
+    inverse has 2/3 on its diagonal; r* = 1 leaves the theta weight unscaled."""
+    one = monitor_gains(r_star=1.0)
+    gains = MatchingGains(*(np.concatenate([f, f]) for f in dataclasses.astuple(one)))
+    theta = gains.stacked_regressor_gain().copy()
+    theta[0, 4, 0] += 1.0
+    phi_phi = np.ones((2, 1, 1))
+    phi_phi[1, 0, 0] += 0.5
+    coupled = np.array([[2.0, 1.0], [1.0, 2.0]])
+    v_d = _energy_series(P_BLOCK, coupled, coupled, gains, np.zeros((1, 2, 2)),
+                         theta[None], phi_phi[None])
+    assert abs(v_d[0] - (2.0 / 3.0 * 1.0 + 2.0 / 3.0 * 0.25)) < 1e-15
+
+
+def test_rate_weights_of_a_large_coupled_rate_matrix():
+    ell = 128
+    gamma = np.eye(ell) + 0.1 * (np.eye(ell, k=1) + np.eye(ell, k=-1))
+    expected = np.diag(np.linalg.inv(gamma))
+    assert np.max(np.abs(_rate_weights(gamma) - expected)) <= 1e-15
 
 
 def test_monitor_frozen_channel_must_carry_no_error():

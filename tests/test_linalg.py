@@ -12,53 +12,15 @@ from delaysync.errors import (
 )
 
 
-def test_solve_linear_needs_row_swap():
-    # zero leading pivot, solvable only through the pivoting path
-    a = np.array([[0.0, 1.0], [1.0, 0.0]])
-    x = linalg.solve_linear(a, np.array([3.0, 5.0]))
-    assert np.array_equal(x, [5.0, 3.0])
-
-
-def test_solve_linear_random_consistency():
-    rng = np.random.default_rng(7)
-    for _ in range(25):
-        n = int(rng.integers(1, 9))
-        a = rng.normal(size=(n, n)) + n * np.eye(n)
-        x_true = rng.normal(size=n)
-        x = linalg.solve_linear(a, a @ x_true)
-        assert np.max(np.abs(x - x_true)) < 1e-9
-
-
-def test_solve_linear_rejects_singular():
-    a = np.array([[1.0, 2.0], [2.0, 4.0]])
-    with pytest.raises(SingularMatrix):
-        linalg.solve_linear(a, np.array([1.0, 2.0]))
-
-
-def test_solve_linear_shape_checks():
-    with pytest.raises(DimensionMismatch):
-        linalg.solve_linear(np.eye(2), np.ones(3))
-    with pytest.raises(DimensionMismatch):
-        linalg.solve_linear(np.ones((2, 3)), np.ones(2))
-
-
-def test_cholesky_round_trip():
-    rng = np.random.default_rng(11)
-    for _ in range(20):
-        n = int(rng.integers(1, 7))
-        m = rng.normal(size=(n, n))
-        a = m @ m.T + n * np.eye(n)
-        low = linalg.cholesky(a)
-        assert np.max(np.abs(low @ low.T - a)) < 1e-10
-        assert np.array_equal(np.triu(low, 1), np.zeros((n, n)))
-
-
 def test_cholesky_rejections():
-    with pytest.raises(NotSymmetric):
-        linalg.cholesky(np.array([[1.0, 2.0], [0.0, 1.0]]))
+    """The positive-definite check refuses the matrices that have no
+    Cholesky factor: an asymmetric one and an indefinite one."""
+    with pytest.raises(NotSymmetric, match="^w is not symmetric"):
+        linalg.require_positive_definite(np.array([[1.0, 2.0], [0.0, 1.0]]), "w")
     # symmetric but indefinite (eigenvalues 3 and -1)
-    with pytest.raises(NotPositiveDefinite):
-        linalg.cholesky(np.array([[1.0, 2.0], [2.0, 1.0]]))
+    message = r"^w is not positive definite: smallest eigenvalue -1\.000e\+00$"
+    with pytest.raises(NotPositiveDefinite, match=message):
+        linalg.require_positive_definite(np.array([[1.0, 2.0], [2.0, 1.0]]), "w")
 
 
 def test_symmetric_eigenvalues_hand_case():
@@ -126,7 +88,7 @@ def test_lyapunov_randomized_residual():
         p = linalg.solve_lyapunov(a, q)
         assert np.array_equal(p, p.T)
         assert np.max(np.abs(a.T @ p + p @ a + q)) <= 1e-9
-        linalg.cholesky(p)
+        assert linalg.require_positive_definite(p) > 0.0
 
 
 def test_lyapunov_singular_for_mirrored_spectrum():
@@ -134,6 +96,15 @@ def test_lyapunov_singular_for_mirrored_spectrum():
     # has no unique solution
     with pytest.raises(SingularMatrix):
         linalg.solve_lyapunov(np.diag([1.0, -1.0]), np.eye(2))
+
+
+def test_lyapunov_maps_lapack_failure(monkeypatch):
+    def singular(a, b):
+        raise np.linalg.LinAlgError("Singular matrix")
+
+    monkeypatch.setattr(linalg.np.linalg, "solve", singular)
+    with pytest.raises(SingularMatrix, match="Singular matrix"):
+        linalg.solve_lyapunov(-np.eye(2), np.eye(2))
 
 
 def test_lyapunov_requires_symmetric_weight():
