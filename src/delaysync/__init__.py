@@ -40,7 +40,9 @@ from .harness import (
     Scenario,
     SimTrace,
     TraceMetrics,
+    TraceTally,
     metrics,
+    run_blocks,
     run_scenario,
     validate_scenario,
 )
@@ -96,6 +98,7 @@ __all__ = [
     "Topology",
     "TopologyMatrices",
     "TraceMetrics",
+    "TraceTally",
     "TraceTooLarge",
     "UnbalancedTopology",
     "ValidationError",
@@ -112,6 +115,7 @@ __all__ = [
     "regressor",
     "require_positive_definite",
     "run",
+    "run_blocks",
     "run_scenario",
     "solve_lyapunov",
     "step_rk4",

@@ -15,6 +15,10 @@ models.
     delaysync validate <builtin|file> [--set ...]
     delaysync list-builtins
 
+``run`` streams: it writes each block of rows ``harness.run_blocks``
+yields to trace.csv as it arrives, and keeps of them only what
+summary.txt needs (``harness.TraceTally``).
+
 Exit codes: 0 success, 1 parse or validation failure, 2 runtime failure.
 """
 
@@ -25,25 +29,27 @@ import math
 import os
 import sys
 from pathlib import Path
-from typing import Callable, NamedTuple
+from typing import Callable, Iterable, NamedTuple
 
 import numpy as np
 
 from . import g17
 from .errors import DelaySyncError, ParseError, ValidationError
 from .harness import (
+    ROW_FIELDS,
     ReferenceSignal,
     Scenario,
     SimTrace,
+    TraceTally,
     metrics,
-    run_scenario,
+    run_blocks,
     validate_scenario,
 )
 from .plant import AgentDynamics, LeaderModel
 from .topology import Topology
 
-# trace.csv is formatted in blocks of rows holding about this many values,
-# which bounds the memory of one block whatever the trace's width.
+# trace.csv is formatted in chunks of rows holding about this many values,
+# which bounds the memory of one chunk whatever the trace's width.
 CSV_BLOCK_VALUES = 6 * 2**10
 
 DIMENSION, SCALAR, TEXT = "dimension", "scalar", "text"
@@ -367,45 +373,50 @@ def _csv_rows(trace: SimTrace, a: int, b: int, buffers: g17.Buffers) -> np.ndarr
     """Rows ``[a, b)`` of trace.csv as uint8 text, byte for byte as
     ``np.savetxt`` with ``fmt="%.17g"`` and ``delimiter=","`` writes them.
 
-    Only this block is copied out of the trace's arrays.
+    Only these rows are copied out of the trace's arrays.
     """
-    fields = (
-        trace.times, trace.x, trace.x_m, trace.x_a, trace.e, trace.e_a, trace.u,
-        trace.u_aux, trace.phi, trace.theta, trace.phi_phi, trace.v_d,
-    )
-    block = np.concatenate([f[a:b].reshape(b - a, -1) for f in fields], axis=1)
-    return g17.csv_rows(block, buffers)
+    rows = [getattr(trace, name)[a:b].reshape(b - a, -1) for name in ROW_FIELDS]
+    return g17.csv_rows(np.concatenate(rows, axis=1), buffers)
 
 
-def write_trace_csv(trace: SimTrace, path) -> None:
-    """Full-precision CSV; %.17g text reproduces every double exactly.
+def write_trace_csv(trace: SimTrace | Iterable[SimTrace], path) -> None:
+    """Full-precision CSV of a trace, or of its blocks of rows in order as
+    ``harness.run_blocks`` yields them; %.17g text reproduces every double
+    exactly.
 
-    The rows are formatted by ``g17.csv_rows`` in blocks of about
+    The rows are formatted by ``g17.csv_rows`` in chunks of about
     CSV_BLOCK_VALUES values and written in order; the bytes are those
-    ``np.savetxt`` writes.  The whole trace is never copied: the write
-    holds one block, its text and the formatter's buffers, whatever the
-    trace's size.  The file is written as ``<path>.partial`` and renamed to
-    ``path`` only once complete; on any failure the partial file is
-    removed.
+    ``np.savetxt`` writes of the whole trace, however it is split into
+    blocks.  The trace is never copied whole: the write holds one chunk,
+    its text and the formatter's buffers, and a block is formatted as it
+    arrives.  The file is written as ``<path>.partial`` and renamed to
+    ``path`` only once complete; on any failure, the blocks' own included,
+    the partial file is removed.
     """
-    columns = trace_columns(trace)
-    rows = trace.num_rows
-    per_block = max(1, CSV_BLOCK_VALUES // len(columns))
-    buffers = g17.Buffers(per_block * len(columns))
+    blocks = [trace] if isinstance(trace, SimTrace) else trace
     path = Path(path)
     partial = path.with_name(path.name + ".partial")
+    buffers = None
     try:
         with open(partial, "wb") as out:
-            out.write(",".join(columns).encode() + b"\n")
-            for a in range(0, rows, per_block):
-                out.write(_csv_rows(trace, a, min(a + per_block, rows), buffers))
+            for block in blocks:
+                if buffers is None:
+                    columns = trace_columns(block)
+                    per_chunk = max(1, CSV_BLOCK_VALUES // len(columns))
+                    buffers = g17.Buffers(per_chunk * len(columns))
+                    out.write(",".join(columns).encode() + b"\n")
+                rows = block.num_rows
+                for a in range(0, rows, per_chunk):
+                    out.write(_csv_rows(block, a, min(a + per_chunk, rows), buffers))
         os.replace(partial, path)
     except BaseException:
         partial.unlink(missing_ok=True)
         raise
 
 
-def write_summary(sc: Scenario, trace: SimTrace, path) -> None:
+def write_summary(sc: Scenario, trace: SimTrace | TraceTally, path) -> None:
+    """summary.txt: the metrics of a trace, whole or tallied as it was
+    written, and its final gains."""
     summary = metrics(trace)
     ell = sc.num_agents
     lines = [
@@ -455,11 +466,13 @@ def run_command(args: argparse.Namespace) -> int:
         return 1 if bad else 0
 
     try:
-        trace = run_scenario(sc)  # validates; failed checks ride on the error
+        # validates and sizes the run; failed checks ride on the error
+        blocks = run_blocks(sc)
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
-        write_trace_csv(trace, out / "trace.csv")
-        write_summary(sc, trace, out / "summary.txt")
+        tally = TraceTally(sc.tau_u)
+        write_trace_csv(map(tally.add, blocks), out / "trace.csv")
+        write_summary(sc, tally, out / "summary.txt")
     except ValidationError as exc:
         for line in [f"{c.name}: {c.detail}" for c in exc.failed] or [str(exc)]:
             print(f"error: {line}", file=sys.stderr)
@@ -467,7 +480,7 @@ def run_command(args: argparse.Namespace) -> int:
     except (DelaySyncError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    print(f"wrote {out / 'trace.csv'} ({trace.num_rows} rows) and {out / 'summary.txt'}")
+    print(f"wrote {out / 'trace.csv'} ({tally.num_rows} rows) and {out / 'summary.txt'}")
     return 0
 
 

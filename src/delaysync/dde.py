@@ -4,7 +4,8 @@
 ``stages``, so a right-hand side receives its delayed operands as an
 argument.  A scenario run calls it once per step, and the delays are whole
 multiples of the step, so every delayed value is a row of the states
-already stored (``lagged``, ``delayed``).  ``HistoryBuffer`` is the
+already stored (``lagged``, ``delayed``), or of a window of them read
+through the run row it starts at.  ``HistoryBuffer`` is the
 float-time reference for those reads, linear interpolation on a uniform
 grid with a constant pre-history; it serves ``run`` and the delay
 integrator oracle (acceptance test_08).
@@ -87,7 +88,12 @@ class HistoryBuffer:
 def lagged(rows: np.ndarray, start: int, stop: int, lag: int) -> np.ndarray:
     """``rows[k - lag]`` for k in [start, stop), a slice once ``start`` is
     past ``lag``; row 0 is the constant pre-history, so it stands in for
-    every k below ``lag``."""
+    every k below ``lag``.
+
+    ``rows`` may be a window of a longer run whose row 0 is run row
+    ``first``: indices then count from it (``start - first``), which reads
+    the run's rows as long as the window holds every row from ``lag``
+    before ``start`` on, or starts at the pre-history."""
     if start >= lag:
         return rows[start - lag:stop - lag]
     return rows[np.maximum(np.arange(start, stop) - lag, 0)]

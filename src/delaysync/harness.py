@@ -3,21 +3,28 @@
 A Scenario bundles the follower fleet, the leader, the graph, the adaptation
 settings, and the run geometry, and checks each of them once, when it is
 built: shapes, finite values, delays the step divides, +-1 signs, and
-adaptation rates the energy monitor can weight by.  run_scenario runs the
+adaptation rates the energy monitor can weight by.  run_blocks runs the
 five structural checks of validate_scenario, then integrates one coupled
 delay system whose state stacks
 
     [fleet states; auxiliary states; gains; aux gains]
 
+and yields the trace a block of rows at a time; run_scenario joins the
+blocks into one SimTrace.
+
 The leader is driven by the reference alone, so it stays outside that
 state.  It is linear and time-invariant, so its RK4 step is a matrix
 (``LeaderModel.rk4_matrices``): the pass over [0, duration + tau_u] costs
-one matrix-vector product per row, and runs a block of steps ahead of the
-loop.  The delays are whole multiples of the step, so every delayed value
-the loop reads is a row of the states it has already stored
-(``dde.delayed``): ``tau_x`` or ``tau_u`` rows back at a step's first and
-last stage, the mean of two neighbouring rows at its midpoint stages, and
-row 0 standing in as the constant pre-history.
+one matrix-vector product per row and runs, whole, before the loop.  The
+delays are whole multiples of the step, so every delayed value the loop
+reads is a row of the states it has already stored (``dde.delayed``):
+``tau_x`` or ``tau_u`` rows back at a step's first and last stage, the mean
+of two neighbouring rows at its midpoint stages, and row 0 standing in as
+the constant pre-history.  The loop therefore keeps only a window of
+states, about ``2 (tau_u + 1) + block`` rows long: when the next block
+would not fit, the last ``tau_u + 1`` rows move to its front, about once
+every ``tau_u`` steps, and reads go through the run row the window starts
+at.  Row 0 stays in it until no step reads the pre-history.
 
 The loop precomputes the operands that read stored values only for a
 block of steps and their four RK4 stages at once (``_stage_operands``):
@@ -36,15 +43,20 @@ Fleet rows are checked for divergence once per block.
 Stage 0 of step k evaluates at row k's state with row k's operands, so the
 loop records row k's mismatch, auxiliary input and ``L x`` from it after
 the step; the last row, which starts no step, gets one kernel call of its
-own.  The augmented error is ``(L x - g x_m) + x_a`` over the whole trace,
-and the commanded input is computed against the leader rows ``tau_u``
-ahead, so no per-step forward prediction is needed.
+own.  Once a few blocks hold about RECORD_VALUES trace values (and at
+most ``tau_u`` steps, which the window still holds), their rows are
+recorded as one SimTrace and yielded: the augmented error
+``(L x - g x_m) + x_a``, the commanded input against the leader rows
+``tau_u`` ahead (so no per-step forward prediction is needed) and ``V_d``,
+each formed per row, so the rows of a block equal those of the whole trace
+bit for bit.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import Iterator
 
 import numpy as np
 
@@ -76,8 +88,10 @@ from .topology import (
 # Integrated states (fleet, leader, auxiliary, gains) beyond this magnitude
 # abort the run as divergence.
 DIVERGENCE_LIMIT = 1e6
-# Runs whose recorded arrays (trace, leader table) would exceed this many
-# bytes are refused before anything is allocated.
+# Runs whose recorded rows (trace.csv's rows, the leader table) would
+# exceed this many bytes are refused before anything is allocated.  It caps
+# what a run records, not what it holds: a run holds a window of states and
+# one block of rows.
 MAX_RUN_BYTES = 2**30
 # Reference-gain magnitudes and adaptation rates below this (relative to the
 # largest eigenvalue, for a coupled rate matrix) cannot be inverted for the
@@ -89,8 +103,17 @@ PSD_TOL = 1e-10
 # The loop forms the stage operands of a block of steps at once; a block
 # holds about this many values with its temporaries (see _block_values).
 OPERAND_VALUES = 2**16
+# A run yields its trace in blocks of whole loop blocks that hold about this
+# many trace values, so that the recording and trace.csv's formatter pay
+# their fixed costs per call on tens of rows or more, not on a loop block
+# of a few (6 rows on a 128-agent ring).
+RECORD_VALUES = 2**17
 
 REFERENCE_KINDS = ("constant", "sine", "square")
+# The SimTrace fields with a row axis, in field order (trace.csv's order).
+ROW_FIELDS = (
+    "times", "x", "x_m", "x_a", "e", "e_a", "u", "u_aux", "phi", "theta", "phi_phi", "v_d",
+)
 
 
 @dataclass(frozen=True)
@@ -278,7 +301,9 @@ class SimTrace:
     leader-weighted reference, per agent), e_a = e + x_a the augmented
     errors, u (t, l, p) commanded inputs, u_aux auxiliary inputs, phi input
     mismatches, theta (t, l, 2n+p, p) and phi_phi (t, l, p, p) gains, v_d
-    the scalar energy monitor.
+    the scalar energy monitor.  run_blocks yields a run as SimTraces of a
+    block of consecutive rows each; ROW_FIELDS names the fields with a row
+    axis.
     """
 
     times: np.ndarray
@@ -401,6 +426,16 @@ def validate_scenario(sc: Scenario) -> list[CheckResult]:
                 fault = f"agent {i + 1}: ideal reference gain {r_star[i]:.3e} is numerically zero"
             elif not np.array_equal(signs, sc.r_signs):
                 fault = f"declared r_signs {sc.r_signs.tolist()} but computed {signs.tolist()}"
+            elif min(np.diag(sc.gamma_theta).min(), np.diag(sc.gamma_phi).min()) <= WEIGHT_TOL:
+                # A frozen channel's gains stay at their initial values bit
+                # for bit, so the energy monitor's check fails on them now
+                # or never.
+                try:
+                    _EnergyMonitor(None, sc.gamma_theta, sc.gamma_phi, gains).gain_terms(
+                        sc.theta0[None], sc.phi_phi0[None]
+                    )
+                except SingularWeight as exc:
+                    fault = str(exc)
             detail = "gains solvable, declared signs agree"
         else:
             detail = "gains solvable (signs unchecked for p>1)"
@@ -438,18 +473,79 @@ def _rate_weights(gamma: np.ndarray) -> np.ndarray:
 def _gain_energy(
     weights: np.ndarray, squares: np.ndarray, label: str
 ) -> np.ndarray:
-    """Weighted per-agent squared gain errors, summed; squares is (..., l)."""
+    """Weighted per-agent squared gain errors, summed; squares is (..., l).
+
+    The sum is an einsum, which adds each row's terms in the same order
+    however many rows it is given, so a block of rows gets the values of
+    the whole trace.  Raises SingularWeight naming the first agent whose
+    channel is frozen (infinite weight) but carries a gain error.
+    """
     finite = np.isfinite(weights)
     if not np.all(finite):
-        frozen = ~finite
-        worst = np.max(squares[..., frozen], initial=0.0)
-        if worst > WEIGHT_TOL**2:
+        frozen = np.flatnonzero(~finite)
+        worst = squares[..., frozen].reshape(-1, frozen.size).max(axis=0, initial=0.0)
+        bad = frozen[worst > WEIGHT_TOL**2]
+        if bad.size:
             raise SingularWeight(
-                f"{label} adaptation is frozen (zero rate) but its gain error is nonzero"
+                f"agent {bad[0] + 1}: {label} adaptation is frozen (zero rate) "
+                "but its gain error is nonzero"
             )
         squares = squares[..., finite]
         weights = weights[finite]
-    return squares @ weights
+    return np.einsum("...i,i->...", squares, weights)
+
+
+class _EnergyMonitor:
+    """The energy monitor ``V_d`` of one scenario over rows of a trace, its
+    weights formed once.
+
+    ``p_block`` is the leader's (n, n) Lyapunov block ``P`` and
+    ``gamma_theta`` and ``gamma_phi`` the (l, l) adaptation rates.  ``V_d``
+    is the quadratic graph-error term ``sum_i e_a_i^T P e_a_i`` plus the
+    gain errors weighted by the inverse adaptation rates, the theta term
+    also by the inverse magnitude of the ideal reference gain.  Building it
+    raises SingularWeight when an ideal reference gain is below 1e-12, and
+    a call when a frozen (zero-rate) adaptation channel carries a nonzero
+    gain error.  Each row is reduced on its own, so any block of rows gets
+    the values of the whole trace.
+
+    For fleets with more than one input channel the reference-gain weight
+    is matrix-valued and not implemented; the quadratic term alone is
+    returned then.
+    """
+
+    def __init__(self, p_block, gamma_theta: np.ndarray, gamma_phi: np.ndarray,
+                 gains: MatchingGains):
+        self.p_block = p_block
+        self.single_input = gains.theta_r.shape[-1] == 1
+        if not self.single_input:
+            return
+        r_star = gains.theta_r[:, 0, 0]
+        if np.any(np.abs(r_star) < WEIGHT_TOL):
+            raise SingularWeight("an ideal reference gain is numerically zero")
+        self.theta_star = gains.stacked_regressor_gain()[None]
+        self.phi_star = (1.0 / r_star)[None, :, None, None]
+        self.w_theta = _rate_weights(gamma_theta) / np.abs(r_star)
+        self.w_phi = _rate_weights(gamma_phi)
+
+    def gain_terms(self, theta: np.ndarray, phi_phi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The theta and phi_phi terms over rows of gains, (t, l, 2n+p, 1)
+        and (t, l, 1, 1)."""
+        dth = theta - self.theta_star
+        dph = phi_phi - self.phi_star
+        sq_theta = np.einsum("tiqp,tiqp->ti", dth, dth)
+        sq_phi = np.einsum("tipj,tipj->ti", dph, dph)
+        return (_gain_energy(self.w_theta, sq_theta, "theta"),
+                _gain_energy(self.w_phi, sq_phi, "phi_phi"))
+
+    def __call__(self, e_a: np.ndarray, theta: np.ndarray, phi_phi: np.ndarray) -> np.ndarray:
+        """``V_d`` over rows of ``e_a`` (t, l, n), ``theta`` (t, l, 2n+p, p)
+        and ``phi_phi`` (t, l, p, p)."""
+        quad = np.einsum("tin,nm,tim->t", e_a, self.p_block, e_a)
+        if not self.single_input:
+            return quad
+        theta_term, phi_term = self.gain_terms(theta, phi_phi)
+        return quad + theta_term + phi_term
 
 
 def _energy_series(
@@ -461,38 +557,9 @@ def _energy_series(
     theta: np.ndarray,
     phi_phi: np.ndarray,
 ) -> np.ndarray:
-    """Energy monitor ``V_d`` over trace rows, given the matching gains.
-
-    ``p_block`` is the leader's (n, n) Lyapunov block ``P``, ``gamma_theta``
-    and ``gamma_phi`` the (l, l) adaptation rates, ``e_a`` (t, l, n),
-    ``theta`` (t, l, 2n+p, p) and ``phi_phi`` (t, l, p, p).
-    ``V_d`` is the quadratic graph-error term ``sum_i e_a_i^T P e_a_i`` plus
-    the gain errors weighted by the inverse adaptation rates, the theta term
-    also by the inverse magnitude of the ideal reference gain.  Raises
-    SingularWeight when an ideal reference gain is below 1e-12, or when a
-    frozen (zero-rate) adaptation channel carries a nonzero gain error.
-
-    For fleets with more than one input channel the reference-gain weight
-    is matrix-valued and not implemented; the quadratic term alone is
-    returned then.
-    """
-    quad = np.einsum("tin,nm,tim->t", e_a, p_block, e_a)
-    if theta.shape[-1] != 1:
-        return quad
-    r_star = gains.theta_r[:, 0, 0]
-    if np.any(np.abs(r_star) < WEIGHT_TOL):
-        raise SingularWeight("an ideal reference gain is numerically zero")
-    theta_star = gains.stacked_regressor_gain()
-    phi_star = (1.0 / r_star)[:, None, None]
-    w_theta = _rate_weights(gamma_theta) / np.abs(r_star)
-    w_phi = _rate_weights(gamma_phi)
-    dth = theta - theta_star[None]
-    dph = phi_phi - phi_star[None]
-    sq_theta = np.einsum("tiqp,tiqp->ti", dth, dth)
-    sq_phi = np.einsum("tipj,tipj->ti", dph, dph)
-    return quad + _gain_energy(w_theta, sq_theta, "theta") + _gain_energy(
-        w_phi, sq_phi, "phi_phi"
-    )
+    """Energy monitor ``V_d`` over trace rows, given the matching gains; see
+    :class:`_EnergyMonitor`, which a run builds once for all its blocks."""
+    return _EnergyMonitor(p_block, gamma_theta, gamma_phi, gains)(e_a, theta, phi_phi)
 
 
 def _signal_views(flat: np.ndarray, ell: int, n: int, p: int):
@@ -655,7 +722,7 @@ def _leader_pass(step: np.ndarray, r_in: np.ndarray, table: np.ndarray, start: i
     ``step`` is the step matrix of :meth:`LeaderModel.rk4_matrices` and
     ``r_in`` the stage inputs from :func:`_stage_inputs`.  The leader is
     driven by the reference alone, so it needs nothing from the closed loop
-    and runs just ahead of it.  The run reports a leader that passes
+    and runs, whole, before it.  The run reports a leader that passes
     DIVERGENCE_LIMIT from the rows written here.
     """
     n = table.shape[1]
@@ -682,7 +749,7 @@ def _block_values(ell: int, n: int, p: int) -> int:
 
 def _stage_operands(sc: Scenario, kernel: _StageKernel, stages: np.ndarray, r_in: np.ndarray,
                     table: np.ndarray, x_arr: np.ndarray, th_arr: np.ndarray, start: int,
-                    stop: int) -> tuple[np.ndarray, ...]:
+                    stop: int, first: int = 0) -> tuple[np.ndarray, ...]:
     """Operands of every RK4 stage of steps ``start`` to ``stop - 1`` that
     read stored rows only: the applied input, the fleet's delayed drive,
     the regressor's delayed entries and the leader's part of the adaptation
@@ -692,15 +759,19 @@ def _stage_operands(sc: Scenario, kernel: _StageKernel, stages: np.ndarray, r_in
     :meth:`LeaderModel.rk4_matrices` and ``r_in`` the steps' stage inputs.
     Delayed states and gains are read by :func:`delaysync.dde.delayed`, so
     ``stop - start`` may not exceed the state delay in steps: every row read
-    must already be stored.  Each operand is (4 (stop - start), l, ...) or,
-    the leader's drive, (4 (stop - start), 2l, p), one entry per stage:
-    start, midpoint, midpoint, end of each step.
+    must already be stored.  ``table`` holds every leader row; ``x_arr`` and
+    ``th_arr`` may be a window of the states whose row 0 is run row
+    ``first``, which must then hold every row from ``tau_u`` before
+    ``start`` on (or be row 0 itself, the pre-history).  Each operand is
+    (4 (stop - start), l, ...) or, the leader's drive, (4 (stop - start),
+    2l, p), one entry per stage: start, midpoint, midpoint, end of each
+    step.
     """
     h = sc.step
     n = sc.state_dim
 
-    def staged(rows, lag):
-        lo, mid, hi = delayed(rows, start, stop, lag)
+    def staged(rows, lag, first=0):
+        lo, mid, hi = delayed(rows, start - first, stop - first, lag)
         return np.stack((lo, mid, mid, hi), axis=1)
 
     t = np.arange(start, stop) * h
@@ -710,8 +781,8 @@ def _stage_operands(sc: Scenario, kernel: _StageKernel, stages: np.ndarray, r_in
     leader = (operand @ stages.reshape(4 * n, -1).T).reshape(stop - start, 4, n)
     dx = int(round(sc.tau_x / h))
     eta_m = regressor(leader, staged(table, dx), r_in)
-    x_del = staged(x_arr, dx)
-    th_del = staged(th_arr, int(round(sc.tau_u / h)))
+    x_del = staged(x_arr, dx, first)
+    th_del = staged(th_arr, int(round(sc.tau_u / h)), first)
     u_app = applied_input(th_del, eta_m, times, sc.tau_u)
     eta_del = delayed_regressor(x_del, eta_m[..., None, 2 * n:])
     del th_del  # the largest temporary: gone before the drive is formed
@@ -720,16 +791,22 @@ def _stage_operands(sc: Scenario, kernel: _StageKernel, stages: np.ndarray, r_in
     return tuple(v.reshape((-1,) + v.shape[2:]) for v in (u_app, drive, eta_del, g_off))
 
 
-def run_scenario(sc: Scenario) -> SimTrace:
-    """Validate, integrate, and record one closed-loop run.
+def run_blocks(sc: Scenario) -> Iterator[SimTrace]:
+    """Validate one closed-loop run, then integrate and record it a block of
+    rows at a time.
 
-    Raises ValidationError when a structural check fails; its message lists
-    them and its ``failed`` attribute carries the failed CheckResults.
-    Raises TraceTooLarge before any allocation when the recorded arrays
-    would pass MAX_RUN_BYTES, DivergenceDetected (with the offending time)
-    if any integrated state (fleet, leader, auxiliary, gains) passes 1e6 in
-    magnitude, the leader rows read ``tau_u`` past the last step included,
-    and propagates integrator errors.
+    This call validates and sizes the run before it returns: it raises
+    ValidationError when a structural check fails (its message lists them
+    and its ``failed`` attribute carries the failed CheckResults), and
+    TraceTooLarge when the rows the run records would pass MAX_RUN_BYTES,
+    before anything is allocated.  The iterator it returns integrates as it
+    is read and yields the trace's rows in order: one SimTrace per few loop
+    blocks (about RECORD_VALUES values, at most ``tau_u`` steps), then the
+    last row alone.  Reading on raises DivergenceDetected
+    (with the offending time) when any integrated state (fleet, leader,
+    auxiliary, gains) passes 1e6 in magnitude, the leader rows read
+    ``tau_u`` past the last step included, and propagates integrator
+    errors.
     """
     checks = validate_scenario(sc)
     failed = [c for c in checks if not c.passed]
@@ -739,22 +816,13 @@ def run_scenario(sc: Scenario) -> SimTrace:
             + "; ".join(f"{c.name} ({c.detail})" for c in failed),
             failed=failed,
         )
-
     ell, n, p = sc.num_agents, sc.state_dim, sc.input_dim
     q = 2 * n + p
-    ln = ell * n
-    h = sc.step
-    matrices, p_block, gains = _solved(checks)
-    ref = sc.reference
-    tau_x, tau_u = sc.tau_x, sc.tau_u
-
-    total = int(round(sc.duration / h))
-    du = int(round(tau_u / h))
-    dx = int(round(tau_x / h))
-    lead = total + du  # leader steps: the commanded input looks tau_u ahead
+    total = int(round(sc.duration / sc.step))
+    lead = total + int(round(sc.tau_u / sc.step))
     # Trace rows (one CSV row each; the leader columns are the table's) and
     # the leader table.
-    row_width = 2 + n + 4 * ln + ell * (3 * p + q * p + p * p)
+    row_width = 2 + n + 4 * ell * n + ell * (3 * p + q * p + p * p)
     floats = (total + 1) * (row_width - n) + (lead + 1) * n
     if 8 * floats > MAX_RUN_BYTES:
         raise TraceTooLarge(
@@ -762,116 +830,204 @@ def run_scenario(sc: Scenario) -> SimTrace:
             f"({total + 1} rows of {row_width} values), over the "
             f"{MAX_RUN_BYTES / 2**30:g} GiB limit"
         )
+    return _blocks(sc, *_solved(checks), total, row_width)
 
-    table = np.empty((lead + 1, n))
-    table[0] = sc.xm0
+
+def _blocks(sc: Scenario, matrices, p_block: np.ndarray, gains: MatchingGains,
+            total: int, row_width: int) -> Iterator[SimTrace]:
+    """The loop of :func:`run_blocks` over ``total`` steps, given what
+    validation solved and the values in a trace row."""
+    ell, n, p = sc.num_agents, sc.state_dim, sc.input_dim
+    q = 2 * n + p
+    ln = ell * n
+    h = sc.step
+    ref = sc.reference
+    du = int(round(sc.tau_u / h))
+    dx = int(round(sc.tau_x / h))
+    lead = total + du  # leader steps: the commanded input looks tau_u ahead
     leader_step, leader_stages = sc.leader.rk4_matrices(h)
-
-    i_xa = ln
-    i_th = i_xa + ln
-    i_ph = i_th + ell * q * p
-    z0 = np.concatenate([sc.x0, sc.xa0, sc.theta0.reshape(-1), sc.phi_phi0.reshape(-1)])
-    states = np.empty((total + 1, z0.shape[0]))
-    x_arr = states[:, :ln].reshape(-1, ell, n)
-    th_arr = states[:, i_th:i_ph].reshape(-1, ell, q, p)
     kernel = _StageKernel(sc, matrices, p_block)
+    energy = _EnergyMonitor(p_block, sc.gamma_theta, sc.gamma_phi, gains)
+    i_th = 2 * ln
+    i_ph = i_th + ell * q * p
+    # A block holds about OPERAND_VALUES values and is at most tau_x steps
+    # long, so that it reads only rows stored before it.
+    span = min(dx, max(1, OPERAND_VALUES // _block_values(ell, n, p)))
+    # Rows yielded at once: whole blocks, about RECORD_VALUES trace values
+    # and at most du rows, all of which the state window still holds.
+    per_record = span * max(1, min(du, RECORD_VALUES // row_width) // span)
 
-    def diverged(rows: np.ndarray, first: int):
-        """The earliest of ``rows``, row ``first`` onward, past the limit:
-        its offset in ``rows`` and its DivergenceDetected, or None."""
+    def diverged(rows: np.ndarray, start: int):
+        """The earliest of ``rows``, run row ``start`` onward, past the
+        limit: its offset in ``rows`` and its DivergenceDetected, or None."""
         worst = np.abs(rows).max(axis=1)
         bad = np.flatnonzero(~(worst <= DIVERGENCE_LIMIT))
         if not bad.size:
             return None
         j = int(bad[0])
-        return j, _diverged(float(worst[j]), (first + j) * h)
+        return j, _diverged(float(worst[j]), (start + j) * h)
 
-    start_bad = diverged(np.append(z0, table[0])[None], 0)
+    def record(a: int, stop: int, states: np.ndarray, signals: np.ndarray) -> SimTrace:
+        """Rows ``a`` to ``stop - 1`` of the trace from their states and the
+        phi, u_aux and ``L x`` that stage 0 of their steps evaluated."""
+        states = states.copy()  # the window moves on; the block keeps its rows
+        x_m = table[a:stop]
+        x_a = states[:, ln:i_th].reshape(-1, ell, n)
+        theta = states[:, i_th:i_ph].reshape(-1, ell, q, p)
+        phi_phi = states[:, i_ph:].reshape(-1, ell, p, p)
+        phi, u_aux, e_a = _signal_views(signals, ell, n, p)
+        # e_a = (L x - g x_m) + x_a, written over L x; e holds the leader term first
+        e = np.multiply(matrices.pinning, x_m[:, None, :])
+        np.subtract(e_a, e, out=e_a)
+        np.add(e_a, x_a, out=e_a)
+        np.subtract(e_a, x_a, out=e)
+        times = np.arange(a, stop) * h
+        # commanded input: current gains against the leader regressor tau_u ahead
+        u = control(theta, regressor(table[a + du:stop + du], table[a + du - dx:stop + du - dx],
+                                     _levels(ref, times, p)))
+        return SimTrace(
+            times=times,
+            x=states[:, :ln].reshape(-1, ell, n),
+            x_m=x_m,
+            x_a=x_a,
+            e=e,
+            e_a=e_a,
+            u=u,
+            u_aux=u_aux,
+            phi=phi,
+            theta=theta,
+            phi_phi=phi_phi,
+            v_d=energy(e_a, theta, phi_phi),
+            tau_x=sc.tau_x,
+            tau_u=sc.tau_u,
+        )
+
+    z0 = np.concatenate([sc.x0, sc.xa0, sc.theta0.reshape(-1), sc.phi_phi0.reshape(-1)])
+    start_bad = diverged(np.append(z0, sc.xm0)[None], 0)
     if start_bad:
         raise start_bad[1]
-    states[0] = z0
-    # Row k's phi, u_aux and L x, as stage 0 of step k evaluates them.
-    signals = np.empty((total + 1, ell * (2 * p + n)))
-    # A block holds about OPERAND_VALUES values and is at most tau_x steps
-    # long, so that it reads only rows stored before it.
-    span = min(dx, max(1, OPERAND_VALUES // _block_values(ell, n, p)))
-    # Overflow is left silent: the divergence check reports it, non-finite
-    # values included, at the time of the step that produced it.
+    # The leader table, whole: row k's commanded input reads row k + du.
+    # Overflow is left silent here and in the loop: the divergence check
+    # reports it, non-finite values included, at the time of the step that
+    # produced it.
+    table = np.empty((lead + 1, n))
+    table[0] = sc.xm0
+    r_in = np.empty((lead, 4, p))
+    end, leader_bad = total, None  # the fleet steps up to row `end`
     with np.errstate(over="ignore", invalid="ignore"):
         for a in range(0, lead, span):
             b = min(a + span, lead)
-            r_in = _stage_inputs(ref, a, b, h, tau_u, p)
-            _leader_pass(leader_step, r_in, table, a, b)
-            # The first leader row past the limit ends the run at its time,
-            # the rows read tau_u past the last step included.  The fleet
-            # steps up to it, so no step reads a diverged leader, and its
-            # rows, checked once per block, are earlier and reported first.
+            r_in[a:b] = _stage_inputs(ref, a, b, h, sc.tau_u, p)
+            _leader_pass(leader_step, r_in[a:b], table, a, b)
             leader_bad = diverged(table[a + 1:b + 1], a + 1)
-            stop = min(a + leader_bad[0] if leader_bad else b, total)
-            if a < stop:
-                kernel.u_app, kernel.drive, kernel.eta_del, kernel.g_off = _stage_operands(
-                    sc, kernel, leader_stages, r_in[:stop - a], table, x_arr, th_arr, a, stop
-                )
-                for k in range(a, stop):
-                    i = 4 * (k - a)
-                    states[k + 1] = step_rk4(kernel, k * h, states[k], h, range(i, i + 4))
-                    signals[k] = kernel.signals[0]
-                fleet_bad = diverged(states[a + 1:stop + 1], a + 1)
-                if fleet_bad:
-                    raise fleet_bad[1]
             if leader_bad:
-                raise leader_bad[1]
-        # The last row starts no step: evaluate stage 0 of step total alone.
+                # The first leader row past the limit ends the run at its
+                # time, the rows read tau_u past the last step included.
+                # The fleet steps up to it, so no step reads a diverged
+                # leader, and its rows, checked once per block, are earlier
+                # and reported first.  Rows that would read the leader past
+                # the limit are not recorded: none is yielded.
+                end = min(a + leader_bad[0], total)
+                break
+
+    # The states, from run row `first` on.  The window fills from row 0,
+    # the pre-history, until the next block would not fit; then the du + 1
+    # rows before that block, all that later steps read, move to its front.
+    # They lie at least du + 2 rows in, so source and target never overlap.
+    window = np.empty((min(total + 1, 2 * (du + 1) + span), z0.shape[0]))
+    window[0] = z0
+    first = 0
+    x_win = window[:, :ln].reshape(-1, ell, n)
+    th_win = window[:, i_th:i_ph].reshape(-1, ell, q, p)
+    # Rows `done` onward are not yet yielded; row k's phi, u_aux and L x,
+    # as stage 0 of step k evaluates them, wait in signals[k - done].
+    done = 0
+    signals = np.empty((per_record, ell * (2 * p + n)))
+    for a in range(0, end, span):
+        stop = min(a + span, end)
+        if stop - first >= window.shape[0]:
+            window[:du + 1] = window[a - du - first:a + 1 - first]
+            first = a - du
+        with np.errstate(over="ignore", invalid="ignore"):
+            kernel.u_app, kernel.drive, kernel.eta_del, kernel.g_off = _stage_operands(
+                sc, kernel, leader_stages, r_in[a:stop], table, x_win, th_win, a, stop, first
+            )
+            for k in range(a, stop):
+                i = 4 * (k - a)
+                window[k + 1 - first] = step_rk4(kernel, k * h, window[k - first], h,
+                                                 range(i, i + 4))
+                signals[k - done] = kernel.signals[0]
+            fleet_bad = diverged(window[a + 1 - first:stop + 1 - first], a + 1)
+        if fleet_bad:
+            raise fleet_bad[1]
+        if stop - done == per_record or stop == end:
+            if not leader_bad:
+                yield record(done, stop, window[done - first:stop - first],
+                             signals[:stop - done])
+            done = stop
+            signals = np.empty_like(signals)
+    if leader_bad:
+        raise leader_bad[1]
+    # The last row starts no step: evaluate stage 0 of step total alone.
+    with np.errstate(over="ignore", invalid="ignore"):
         kernel.u_app, kernel.drive, kernel.eta_del, kernel.g_off = _stage_operands(
-            sc, kernel, leader_stages, _stage_inputs(ref, total, total + 1, h, tau_u, p), table,
-            x_arr, th_arr, total, total + 1
+            sc, kernel, leader_stages, r_in[total:total + 1], table, x_win, th_win, total,
+            total + 1, first
         )
-        kernel(total * h, states[total], 0)
-        signals[total] = kernel.signals[0]
+        kernel(total * h, window[total - first], 0)
+    yield record(total, total + 1, window[total - first:total + 1 - first],
+                 kernel.signals[0][None].copy())
 
-    times = np.arange(total + 1) * h
-    xm_arr = table[:total + 1]
-    xa_arr = states[:, i_xa:i_th].reshape(-1, ell, n)
-    ph_arr = states[:, i_ph:].reshape(-1, ell, p, p)
-    phi_arr, uaux_arr, ea_arr = _signal_views(signals, ell, n, p)
-    # e_a = (L x - g x_m) + x_a, written over L x; e holds the leader term first
-    e_arr = np.multiply(matrices.pinning, xm_arr[:, None, :])
-    np.subtract(ea_arr, e_arr, out=ea_arr)
-    np.add(ea_arr, xa_arr, out=ea_arr)
-    np.subtract(ea_arr, xa_arr, out=e_arr)
-    # commanded input: current gains against the leader regressor tau_u ahead
-    u_arr = control(
-        th_arr, regressor(table[du:], table[du - dx:lead + 1 - dx], _levels(ref, times, p))
-    )
 
-    v_d = _energy_series(p_block, sc.gamma_theta, sc.gamma_phi, gains, ea_arr, th_arr, ph_arr)
+def run_scenario(sc: Scenario) -> SimTrace:
+    """Validate, integrate, and record one closed-loop run: the blocks of
+    :func:`run_blocks` joined into one trace.  Raises as run_blocks does."""
+    blocks = list(run_blocks(sc))
     return SimTrace(
-        times=times,
-        x=x_arr,
-        x_m=xm_arr,
-        x_a=xa_arr,
-        e=e_arr,
-        e_a=ea_arr,
-        u=u_arr,
-        u_aux=uaux_arr,
-        phi=phi_arr,
-        theta=th_arr,
-        phi_phi=ph_arr,
-        v_d=v_d,
-        tau_x=tau_x,
-        tau_u=tau_u,
+        **{name: np.concatenate([getattr(b, name) for b in blocks]) for name in ROW_FIELDS},
+        tau_x=sc.tau_x,
+        tau_u=sc.tau_u,
     )
 
 
-def metrics(trace: SimTrace) -> TraceMetrics:
-    """Headline numbers for one trace; raises EmptyTrace on zero rows."""
-    if trace.times.shape[0] == 0:
+class TraceTally:
+    """What :func:`metrics` reads of a trace, kept block by block as the
+    blocks pass: their times, each row's norm of the stacked
+    synchronization error, ``V_d``, and the last row's gains."""
+
+    def __init__(self, tau_u: float):
+        self.tau_u = tau_u
+        self.parts: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
+        self.theta_final = self.phi_phi_final = None
+
+    def add(self, block: SimTrace) -> SimTrace:
+        """Keep what metrics reads of ``block``'s rows; returns ``block``."""
+        norms = np.sqrt(np.einsum("tin,tin->t", block.e, block.e))
+        self.parts.append((block.times, norms, block.v_d))
+        if block.num_rows:
+            self.theta_final = block.theta[-1].copy()
+            self.phi_phi_final = block.phi_phi[-1].copy()
+        return block
+
+    @property
+    def num_rows(self) -> int:
+        return sum(part[0].shape[0] for part in self.parts)
+
+
+def metrics(trace: SimTrace | TraceTally) -> TraceMetrics:
+    """Headline numbers for one trace, whole or tallied block by block as
+    it was written; raises EmptyTrace on zero rows."""
+    tally = trace
+    if isinstance(trace, SimTrace):
+        tally = TraceTally(trace.tau_u)
+        tally.add(trace)
+    if tally.num_rows == 0:
         raise EmptyTrace("trace has no rows")
-    norms = np.sqrt(np.einsum("tin,tin->t", trace.e, trace.e))
+    times, norms, v_d = (np.concatenate(part) for part in zip(*tally.parts))
     peak = float(np.max(norms))
-    span = float(trace.times[-1] - trace.times[0])
-    window_start = trace.times[-1] - 0.1 * span
-    in_window = trace.times >= window_start - GRID_TOL
+    span = float(times[-1] - times[0])
+    window_start = times[-1] - 0.1 * span
+    in_window = times >= window_start - GRID_TOL
     final_mean = float(np.mean(norms[in_window]))
 
     if peak == 0.0:
@@ -879,13 +1035,13 @@ def metrics(trace: SimTrace) -> TraceMetrics:
     else:
         above = np.nonzero(norms >= 0.05 * peak)[0]
         last = int(above[-1])
-        settling = math.inf if last == norms.shape[0] - 1 else float(trace.times[last + 1])
+        settling = math.inf if last == norms.shape[0] - 1 else float(times[last + 1])
 
-    start = 2.0 * trace.tau_u
-    tail = np.nonzero(trace.times >= start - GRID_TOL)[0]
+    start = 2.0 * tally.tau_u
+    tail = np.nonzero(times >= start - GRID_TOL)[0]
     if tail.shape[0] >= 2:
-        seg_t = trace.times[tail]
-        seg_v = trace.v_d[tail]
+        seg_t = times[tail]
+        seg_v = v_d[tail]
         max_slope = float(np.max(np.diff(seg_v) / np.diff(seg_t)))
     else:
         max_slope = 0.0
@@ -895,6 +1051,6 @@ def metrics(trace: SimTrace) -> TraceMetrics:
         final_window_mean=final_mean,
         settling_time=settling,
         max_vd_slope=max_slope,
-        theta_final=trace.theta[-1].copy(),
-        phi_phi_final=trace.phi_phi[-1].copy(),
+        theta_final=tally.theta_final,
+        phi_phi_final=tally.phi_phi_final,
     )

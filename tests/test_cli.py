@@ -439,6 +439,28 @@ def test_numerically_zero_reference_gain_fails_matching(tmp_path, capsys, comman
     assert not (tmp_path / "o" / "trace.csv").exists()
 
 
+@pytest.mark.parametrize("command", ["validate", "run"])
+@pytest.mark.parametrize("key, label", [("gamma_theta", "theta"), ("gamma_phi", "phi_phi")])
+def test_frozen_channel_with_gain_error_fails_matching(tmp_path, capsys, command, key, label):
+    """A zero rate on agent 1's channel keeps its gains at their initial
+    values, which differ from the ideal ones, so the energy monitor would
+    fail on every row: the matching check fails before any step is taken,
+    with exit 1, one error line naming the agent and the channel, and no
+    output directory."""
+    argv = [command, "example1", "--set", f"controller.{key}=0,0,0,0,0,1,0,0,0,0,1,0,0,0,0,1"]
+    if command == "run":
+        argv += ["--out", str(tmp_path / "o")]
+    assert run_cli(*argv) == 1
+    captured = capsys.readouterr()
+    assert captured.err.splitlines() == [
+        f"error: matching: agent 1: {label} adaptation is frozen (zero rate) "
+        "but its gain error is nonzero"
+    ]
+    if command == "validate":
+        assert "matching=fail" in captured.out.splitlines()
+    assert not (tmp_path / "o").exists()
+
+
 def test_small_input_matrix_with_representable_gains_runs(tmp_path, capsys):
     """Ideal gains near 1e150 still square to a finite energy monitor."""
     with warnings.catch_warnings():
@@ -509,6 +531,8 @@ def test_divergence_exits_two_at_its_first_time(tmp_path, capsys, overrides, whe
     assert len(err) == 1 and err[0].startswith("error: state magnitude")
     assert f"at t={when:g} " in err[0]
     assert not (tmp_path / "trace.csv").exists()
+    assert not (tmp_path / "trace.csv.partial").exists()
+    assert not (tmp_path / "summary.txt").exists()
 
 
 @pytest.mark.parametrize("duration", ["1", "8"], ids=["leader_ahead", "fleet_reads_leader"])
@@ -528,6 +552,8 @@ def test_leader_overflow_stops_with_one_error_line(tmp_path, capsys, duration):
     assert len(err) == 1 and err[0].startswith("error: state magnitude")
     assert "at t=5.005 " in err[0]
     assert not (tmp_path / "trace.csv").exists()
+    assert not (tmp_path / "trace.csv.partial").exists()
+    assert not (tmp_path / "summary.txt").exists()
 
 
 def test_gain_overflow_is_divergence_with_one_error_line(tmp_path, capsys):
@@ -548,6 +574,8 @@ def test_gain_overflow_is_divergence_with_one_error_line(tmp_path, capsys):
     err = capsys.readouterr().err.splitlines()
     assert err == ["error: non-finite state at t=5.005"]
     assert not (tmp_path / "trace.csv").exists()
+    assert not (tmp_path / "trace.csv.partial").exists()
+    assert not (tmp_path / "summary.txt").exists()
 
 
 # --------------------------------------------------------------- trace.csv
@@ -682,3 +710,113 @@ def test_trace_csv_write_failure_exits_two_and_leaves_no_file(tmp_path, capsys, 
     err = capsys.readouterr().err.splitlines()
     assert err == [f"error: [Errno {errno.ENOSPC}] {os.strerror(errno.ENOSPC)}"]
     assert os.listdir(out_dir) == []
+    assert not (out_dir / "trace.csv.partial").exists()
+    assert not (out_dir / "summary.txt").exists()
+
+
+# ------------------------------------------------------------ streamed runs
+
+
+def two_input_text():
+    """Three agents with two input channels each on a weighted digraph,
+    tau_u = 30 steps: 200 steps wrap the state window several times."""
+    def nums(values):
+        return ", ".join(f"{v:g}" for v in np.ravel(values))
+
+    rng = np.random.default_rng(5)
+    parts = [
+        "[simulation]\ntau_x = 0.1\ntau_u = 0.3\nstep = 0.01\nduration = 2\n"
+        "x0 = 0.5, -0.3, 0.1, 0.2, -0.4, 0\nxm0 = 0.2, -0.1\n"
+        "xa0 = 0.05, 0, -0.05, 0.1, 0, 0.02",
+        "[reference]\nkind = sine\namplitude = 1\nperiod = 1.5",
+        "[leader]\nstate_dim = 2\ninput_dim = 2\na_m = 0, 1, -2, -3\nb_m = 1, 0, 0, -2",
+    ]
+    for i in range(3):
+        parts.append(
+            f"[agent.{i + 1}]\na = 0, 1, {-1 - 0.2 * i:g}, -1\n"
+            f"a_zeta = 0, 0.1, 0.2, {-0.1 * i:g}\nb = 1, {0.2 * i:g}, 0.1, 1.5"
+        )
+    parts.append(
+        "[topology]\nfollower_weights = 0, 0.3, 0.2, 0.25, 0, 0.25, 0.2, 0.3, 0\n"
+        "leader_weights = 0.5, 0.5, 0.5\nthreshold = 0.1"
+    )
+    parts.append(
+        "[controller]\ngamma_theta = 0.5, 0, 0, 0, 0.5, 0, 0, 0, 0.5\n"
+        "gamma_phi = 0.5, 0, 0, 0, 0.5, 0, 0, 0, 0.5\nq_tilde = 1, 0, 0, 1\n"
+        f"theta0 = {nums(rng.normal(scale=0.1, size=(3, 6, 2)))}\n"
+        f"phi_phi0 = {nums(np.tile(0.3 * np.eye(2), (3, 1, 1)))}\nr_signs = 1, 1, 1"
+    )
+    return "\n\n".join(parts) + "\n"
+
+
+STREAMED = {
+    "example1": lambda: "example1",
+    "example2_sine": lambda: "example2",
+    "two_input": two_input_text,
+    "ring32": lambda: ring_text(32, 40),
+}
+STREAMED_SETS = {
+    "example1": ("simulation.duration=12",),
+    "example2_sine": ("simulation.duration=12", "reference.kind=sine"),
+}
+
+
+@pytest.mark.parametrize("case", list(STREAMED))
+def test_streamed_run_writes_the_files_of_the_whole_trace(case, tmp_path, capsys):
+    """``run`` writes each block of rows as the loop yields it and keeps only
+    what summary.txt needs, yet writes trace.csv and summary.txt byte for
+    byte as they are written from run_scenario's whole trace, whose fields
+    are the blocks joined.  Every case has more rows than the state window
+    (2 (tau_u + 1) rows and a block), so the window moves its rows at least
+    once; the two-input fleet (201 rows, tau_u 30 rows) and the 32-agent
+    ring (4001 rows, tau_u 500 rows) move them several times."""
+    source = STREAMED[case]()
+    if source not in BUILTINS:
+        path = tmp_path / f"{case}.cfg"
+        path.write_text(source)
+        source = str(path)
+    sets = STREAMED_SETS.get(case, ())
+    sc = load_scenario(source, sets)
+    trace = run_scenario(sc)
+    blocks = list(harness.run_blocks(sc))
+    assert blocks[-1].num_rows == 1
+    span = min(round(sc.tau_x / sc.step),
+               harness.OPERAND_VALUES // harness._block_values(sc.num_agents,
+                                                              sc.state_dim, sc.input_dim))
+    assert trace.num_rows > 2 * (round(sc.tau_u / sc.step) + 1) + span
+    for name in harness.ROW_FIELDS:
+        joined = np.concatenate([getattr(b, name) for b in blocks])
+        assert np.array_equal(joined, getattr(trace, name), equal_nan=True), name
+    write_trace_csv(trace, tmp_path / "whole.csv")
+    cli.write_summary(sc, trace, tmp_path / "whole.txt")
+
+    out = tmp_path / "out"
+    argv = ["run", source, "--out", str(out)]
+    assert run_cli(*argv, *[a for s in sets for a in ("--set", s)]) == 0
+    assert (out / "trace.csv").read_bytes() == (tmp_path / "whole.csv").read_bytes()
+    assert (out / "summary.txt").read_bytes() == (tmp_path / "whole.txt").read_bytes()
+    assert sorted(os.listdir(out)) == ["summary.txt", "trace.csv"]
+
+
+def test_streamed_run_memory_does_not_grow_with_the_horizon(tmp_path, capsys):
+    """A CLI run holds a window of states and one block of rows, not the
+    trace: on a 32-agent ring, the tracemalloc peak of a 40 s run exceeds
+    that of a 10 s run by less than 10% of the 40 s trace's bytes."""
+    def peak(duration):
+        path = tmp_path / f"ring{duration}.cfg"
+        path.write_text(ring_text(32, duration))
+        out = tmp_path / f"out{duration}"
+        tracemalloc.start()
+        try:
+            assert run_cli("run", str(path), "--out", str(out)) == 0
+            _, top = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        return top, out / "trace.csv"
+
+    short, _ = peak(10)
+    long, csv = peak(40)
+    with open(csv) as f:
+        columns = f.readline().count(",") + 1
+    trace_bytes = 8 * 4001 * columns
+    assert long - short < 0.1 * trace_bytes

@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -30,6 +31,7 @@ from delaysync.adaptive import (
     leader_block_derivative,
     regressor,
 )
+from delaysync import harness
 from delaysync.cli import load_scenario
 from delaysync.dde import HistoryBuffer, delayed, step_rk4
 from delaysync.harness import (
@@ -336,12 +338,11 @@ def test_reruns_match_bitwise():
 
 
 def test_divergence_reports_offending_time():
-    # the applied input switches on at tau_u; large frozen gains (below the
-    # limit themselves, since gains are checked too) then drive the fleet past it
+    # the applied input switches on at tau_u; large initial gains (below the
+    # limit themselves, since gains are checked too) then drive the loop past
+    # it.  Frozen gains this far from the ideal ones fail validation instead.
     sc = tiny_scenario(
         theta0=np.full((1, 3, 1), 9e5),
-        gamma_theta=np.zeros((1, 1)),
-        gamma_phi=np.zeros((1, 1)),
         duration=5.0,
     )
     with pytest.raises(DivergenceDetected) as info:
@@ -354,11 +355,16 @@ def test_divergence_is_reported_at_the_step_that_crossed_mid_block():
     """Fleet rows are checked once per block of steps; a state that passes
     the limit inside a block is reported at the step that crossed it, with
     that row's magnitude.  With no input and frozen gains the fleet is
-    x' = x, so row k is the RK4 growth factor to the k."""
+    x' = x, so row k is the RK4 growth factor to the k.  The gains are
+    frozen at their ideal values, as validation demands, and the leader
+    rests at zero, so that no input arrives."""
     sc = tiny_scenario(
         fleet=[AgentDynamics(a=[[1.0]], a_zeta=[[0.0]], b=[[1.0]])],
         gamma_theta=np.zeros((1, 1)),
         gamma_phi=np.zeros((1, 1)),
+        theta0=np.array([[[-2.0], [0.0], [1.0]]]),
+        phi_phi0=np.ones((1, 1, 1)),
+        reference=ReferenceSignal(kind="constant", amplitude=0.0),
         x0=np.ones(1),
         duration=20.0,
     )
@@ -934,6 +940,53 @@ def test_monitor_frozen_channel_must_carry_no_error():
     bad[1, 0] = 0.1
     with pytest.raises(SingularWeight):
         monitor(monitor_gains(), gamma_theta=frozen, theta_err=bad)
+
+
+@pytest.mark.parametrize("key, label", [("gamma_theta", "theta"), ("gamma_phi", "phi_phi")])
+def test_frozen_channel_is_decided_at_validation(key, label):
+    """A zero rate keeps an agent's gains at their initial values bit for
+    bit, so the monitor's frozen-channel check gives the same answer on
+    them as on every row of the run: away from the ideal gains the matching
+    check fails naming the agent and the channel, and the run is refused
+    before any step; at the ideal gains it passes."""
+    frozen = {key: np.zeros((1, 1))}
+    matching = validate_scenario(tiny_scenario(**frozen))[-1]
+    assert matching.name == "matching" and not matching.passed
+    message = f"agent 1: {label} adaptation is frozen (zero rate) but its gain error is nonzero"
+    assert matching.detail == message
+    with pytest.raises(ValidationError, match=re.escape(message)):
+        harness.run_blocks(tiny_scenario(**frozen))
+    ideal = tiny_scenario(theta0=TINY_THETA_STAR, phi_phi0=TINY_PHI_STAR, **frozen)
+    assert all(c.passed for c in validate_scenario(ideal))
+    assert run_scenario(dataclasses.replace(ideal, duration=0.5)).num_rows == 51
+
+
+def test_energy_series_of_blocks_matches_the_whole_trace_bitwise():
+    """``V_d`` reduces each row on its own, so on a 64-agent ring the rows
+    of a block, whatever its length, equal the whole trace's bit for bit."""
+    ell, n, rows = 64, 2, 163
+    rng = np.random.default_rng(17)
+    gains = MatchingGains(
+        theta_x=rng.normal(size=(ell, n, 1)),
+        theta_zeta=rng.normal(size=(ell, n, 1)),
+        theta_r=rng.uniform(0.5, 2.0, size=(ell, 1, 1)),
+        theta_phi=rng.normal(size=(ell, 1, 1)),
+    )
+    gamma_theta = np.diag(rng.uniform(0.5, 2.0, size=ell))
+    gamma_phi = np.eye(ell) + 0.1 * (np.eye(ell, k=1) + np.eye(ell, k=-1))
+    gamma_phi[0, -1] = gamma_phi[-1, 0] = 0.1  # a ring couples its ends
+    e_a = rng.normal(size=(rows, ell, n))
+    theta = rng.normal(size=(rows, ell, 2 * n + 1, 1))
+    phi_phi = rng.normal(size=(rows, ell, 1, 1))
+
+    def v_d(a, b):
+        return _energy_series(P_BLOCK, gamma_theta, gamma_phi, gains, e_a[a:b], theta[a:b],
+                              phi_phi[a:b])
+
+    whole = v_d(0, rows)
+    for size in (1, 6, 7, 162):
+        blocked = np.concatenate([v_d(a, a + size) for a in range(0, rows, size)])
+        assert np.array_equal(blocked, whole), size
 
 
 # ------------------------------------------------------------------ metrics
