@@ -2,10 +2,10 @@
 
 A Scenario bundles the follower fleet, the leader, the graph, the adaptation
 settings, and the run geometry, and checks each of them once, when it is
-built: shapes, finite values, delays the step divides, +-1 signs, and
-adaptation rates the energy monitor can weight by.  run_blocks runs the
-five structural checks of validate_scenario, then integrates one coupled
-delay system whose state stacks
+built: shapes, finite values, delays the step divides (the state delay
+at least one step), +-1 signs, and one nonnegative adaptation rate per
+agent.  run_blocks runs the five structural checks of validate_scenario,
+then integrates one coupled delay system whose state stacks
 
     [fleet states; auxiliary states; gains; aux gains]
 
@@ -93,13 +93,9 @@ DIVERGENCE_LIMIT = 1e6
 # what a run records, not what it holds: a run holds a window of states and
 # one block of rows.
 MAX_RUN_BYTES = 2**30
-# Reference-gain magnitudes and adaptation rates below this (relative to the
-# largest eigenvalue, for a coupled rate matrix) cannot be inverted for the
-# energy monitor.
+# Reference-gain magnitudes and per-agent adaptation rates below this
+# cannot be inverted for the energy monitor; such a rate freezes its channel.
 WEIGHT_TOL = 1e-12
-# Rate matrices may dip this far below zero in their smallest eigenvalue
-# and still count as positive semidefinite.
-PSD_TOL = 1e-10
 # The loop forms the stage operands of a block of steps at once; a block
 # holds about this many values with its temporaries (see _block_values).
 OPERAND_VALUES = 2**16
@@ -166,10 +162,10 @@ class Scenario:
     of +-1, x0 and xa0 stacked fleet vectors (l*n), xm0 the leader state (n).
     q_tilde is the positive definite weight whose Lyapunov solution supplies
     the error metric of the adaptation laws.  The (l, l) adaptation rates
-    gamma_theta and gamma_phi are symmetric positive semidefinite, and
-    invertible when they have off-diagonal entries, since the energy
-    monitor weights the gain errors by their inverses; a zero on a diagonal
-    rate matrix freezes that agent's channel.  Every field is checked here,
+    gamma_theta and gamma_phi are diagonal, one nonnegative rate per agent,
+    since each agent adapts at its own rate and the energy monitor weights
+    its gain errors by the inverse; a zero rate freezes that agent's
+    channel.  tau_x is at least one step.  Every field is checked here,
     and a bad one raises a ValidationError or DimensionMismatch naming it.
     """
 
@@ -240,9 +236,11 @@ class Scenario:
             raise ValidationError(f"step must be positive, got {self.step}")
         if self.duration < 0.0:
             raise ValidationError(f"duration must be nonnegative, got {self.duration}")
-        if not 0.0 < self.tau_x <= self.tau_u:
+        # the loop steps in blocks of at most tau_x, and of at least one step
+        if not (1.0 - GRID_TOL) * self.step <= self.tau_x <= self.tau_u:
             raise ValidationError(
-                f"delays must satisfy 0 < tau_x <= tau_u, got {self.tau_x} and {self.tau_u}"
+                f"delays must satisfy step <= tau_x <= tau_u, "
+                f"got step={self.step}, tau_x={self.tau_x}, tau_u={self.tau_u}"
             )
         for label, value in (("tau_x", self.tau_x), ("tau_u", self.tau_u), ("duration", self.duration)):
             ratio = value / self.step
@@ -252,18 +250,19 @@ class Scenario:
             raise ValidationError("r_signs entries must be +1 or -1")
         for label in ("gamma_theta", "gamma_phi"):
             rates = getattr(self, label)
-            skew = np.max(np.abs(rates - rates.T))
-            if skew > linalg.SYMMETRY_TOL:
-                raise ValidationError(f"{label} must be symmetric, max asymmetry {skew:.3e}")
-            coupled = _coupled(rates)
-            # a diagonal matrix's spectrum is its diagonal
-            eigs = linalg.symmetric_eigenvalues(rates) if coupled else np.sort(np.diag(rates))
-            if eigs[0] < -PSD_TOL:
-                raise ValidationError(f"{label} must be positive semidefinite, min eig {eigs[0]:.3e}")
-            if coupled and eigs[0] <= WEIGHT_TOL * eigs[-1]:
+            coupled = np.argwhere(rates != np.diag(np.diag(rates)))
+            if coupled.size:
+                i, j = coupled[0]
                 raise ValidationError(
-                    f"{label} has off-diagonal entries and is singular: "
-                    f"eigenvalues {eigs[0]:.3e} to {eigs[-1]:.3e}"
+                    f"{label} must be diagonal (one rate per agent), "
+                    f"entry ({i + 1}, {j + 1}) is {rates[i, j]:.3g}"
+                )
+            negative = np.flatnonzero(np.diag(rates) < 0.0)
+            if negative.size:
+                i = negative[0]
+                raise ValidationError(
+                    f"{label} must be positive semidefinite, "
+                    f"entry ({i + 1}, {i + 1}) is {rates[i, i]:.3g}"
                 )
 
     @property
@@ -453,23 +452,6 @@ def _solved(checks: list[CheckResult]):
     return solved["balanced"], solved["lyapunov_residual"], solved["matching"]
 
 
-def _coupled(gamma: np.ndarray) -> bool:
-    """True when a rate matrix has off-diagonal entries, so that the energy
-    monitor inverts it whole."""
-    off = gamma - np.diag(np.diag(gamma))
-    return bool(np.max(np.abs(off), initial=0.0) > 1e-14)
-
-
-def _rate_weights(gamma: np.ndarray) -> np.ndarray:
-    """Diagonal of the inverse rate matrix; zero diagonal entries map to inf
-    (meaning: only admissible when the matching gain error is exactly zero)."""
-    if not _coupled(gamma):
-        d = np.diag(gamma)
-        safe = np.where(d > WEIGHT_TOL, d, 1.0)
-        return np.where(d > WEIGHT_TOL, 1.0 / safe, np.inf)
-    return np.diag(np.linalg.inv(gamma))
-
-
 def _gain_energy(
     weights: np.ndarray, squares: np.ndarray, label: str
 ) -> np.ndarray:
@@ -500,9 +482,9 @@ class _EnergyMonitor:
     weights formed once.
 
     ``p_block`` is the leader's (n, n) Lyapunov block ``P`` and
-    ``gamma_theta`` and ``gamma_phi`` the (l, l) adaptation rates.  ``V_d``
-    is the quadratic graph-error term ``sum_i e_a_i^T P e_a_i`` plus the
-    gain errors weighted by the inverse adaptation rates, the theta term
+    ``gamma_theta`` and ``gamma_phi`` the diagonal (l, l) adaptation rates.
+    ``V_d`` is the quadratic graph-error term ``sum_i e_a_i^T P e_a_i`` plus
+    each agent's gain errors weighted by its inverse rates, the theta term
     also by the inverse magnitude of the ideal reference gain.  Building it
     raises SingularWeight when an ideal reference gain is below 1e-12, and
     a call when a frozen (zero-rate) adaptation channel carries a nonzero
@@ -525,8 +507,11 @@ class _EnergyMonitor:
             raise SingularWeight("an ideal reference gain is numerically zero")
         self.theta_star = gains.stacked_regressor_gain()[None]
         self.phi_star = (1.0 / r_star)[None, :, None, None]
-        self.w_theta = _rate_weights(gamma_theta) / np.abs(r_star)
-        self.w_phi = _rate_weights(gamma_phi)
+        rates = np.stack([np.diag(gamma_theta), np.diag(gamma_phi)])
+        with np.errstate(divide="ignore"):  # a frozen channel (zero rate) weighs inf
+            weights = 1.0 / np.where(rates > WEIGHT_TOL, rates, 0.0)
+        self.w_theta = weights[0] / np.abs(r_star)
+        self.w_phi = weights[1]
 
     def gain_terms(self, theta: np.ndarray, phi_phi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """The theta and phi_phi terms over rows of gains, (t, l, 2n+p, 1)
@@ -546,20 +531,6 @@ class _EnergyMonitor:
             return quad
         theta_term, phi_term = self.gain_terms(theta, phi_phi)
         return quad + theta_term + phi_term
-
-
-def _energy_series(
-    p_block: np.ndarray,
-    gamma_theta: np.ndarray,
-    gamma_phi: np.ndarray,
-    gains: MatchingGains,
-    e_a: np.ndarray,
-    theta: np.ndarray,
-    phi_phi: np.ndarray,
-) -> np.ndarray:
-    """Energy monitor ``V_d`` over trace rows, given the matching gains; see
-    :class:`_EnergyMonitor`, which a run builds once for all its blocks."""
-    return _EnergyMonitor(p_block, gamma_theta, gamma_phi, gains)(e_a, theta, phi_phi)
 
 
 def _signal_views(flat: np.ndarray, ell: int, n: int, p: int):
@@ -607,9 +578,14 @@ class _StageKernel:
         self.laplacian = laplacian
         self.p_b = p_block @ sc.leader.b_m
         # (2l, l): [-sign(theta_r*) Gamma_theta; -Gamma_phi] L^T, the
-        # adaptation drives of a projected error, signs included
-        signed_rates = -np.vstack([sc.r_signs[:, None] * sc.gamma_theta, sc.gamma_phi])
-        self.rates_l = signed_rates @ laplacian.T
+        # adaptation drives of a projected error, signs included: the rows
+        # of [L^T; L^T] scaled by each agent's signed rate, in C order (BLAS
+        # rounds the per-stage product differently on a transposed operand)
+        signed_rates = -np.concatenate([sc.r_signs * np.diag(sc.gamma_theta),
+                                        np.diag(sc.gamma_phi)])
+        self.rates_l = np.ascontiguousarray(
+            signed_rates[:, None] * np.vstack([laplacian.T, laplacian.T])
+        )
         # (2l, 1): the drives of the leader's projected term, g_i x_m P b_m
         self.leader_rates = -(self.rates_l @ matrices.pinning)
 

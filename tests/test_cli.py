@@ -352,15 +352,19 @@ def test_validate_rejects_non_finite_and_fractional_input(override, message, cap
     assert captured.err.startswith("error: ") and message in captured.err
 
 
-# Adaptation rates of example1's four agents, each with one fault.
+# Adaptation rates of example1's four agents, each with one fault.  Each
+# agent adapts at its own rate, so any off-diagonal entry is refused.
+COUPLED = "must be diagonal (one rate per agent), entry (1, 2)"
 BAD_RATES = {
-    "indefinite": ("-1, 0, 0, 0, 0, 1, 0, 0, 0, 0, 1, 0, 0, 0, 0, 1", "must be positive semidefinite"),
-    "indefinite_coupled": (
-        "1, 2, 0, 0, 2, 1, 0, 0, 0, 0, 1, 0, 0, 0, 0, 1", "must be positive semidefinite"
+    "indefinite": (
+        "-1, 0, 0, 0, 0, 1, 0, 0, 0, 0, 1, 0, 0, 0, 0, 1",
+        "must be positive semidefinite, entry (1, 1) is -1",
     ),
-    "non_symmetric": ("1, 0.5, 0, 0, 0, 1, 0, 0, 0, 0, 1, 0, 0, 0, 0, 1", "must be symmetric"),
-    "singular_coupled": (
-        "1, 1, 0, 0, 1, 1, 0, 0, 0, 0, 1, 0, 0, 0, 0, 1", "has off-diagonal entries and is singular"
+    "indefinite_coupled": ("1, 2, 0, 0, 2, 1, 0, 0, 0, 0, 1, 0, 0, 0, 0, 1", COUPLED),
+    "non_symmetric": ("1, 0.5, 0, 0, 0, 1, 0, 0, 0, 0, 1, 0, 0, 0, 0, 1", COUPLED),
+    "singular_coupled": ("1, 1, 0, 0, 1, 1, 0, 0, 0, 0, 1, 0, 0, 0, 0, 1", COUPLED),
+    "positive_definite_coupled": (
+        "1, 0.2, 0, 0, 0.2, 1, 0.2, 0, 0, 0.2, 1, 0.2, 0, 0, 0.2, 1", COUPLED
     ),
 }
 
@@ -369,10 +373,11 @@ BAD_RATES = {
 @pytest.mark.parametrize("kind", list(BAD_RATES))
 @pytest.mark.parametrize("key", ["gamma_theta", "gamma_phi"])
 def test_bad_rates_exit_one_naming_the_field(tmp_path, capsys, command, kind, key):
-    """Rates the energy monitor cannot weight by are refused when the
-    scenario is loaded: exit 1, one error line naming the field, no trace."""
+    """Rates that are not one nonnegative rate per agent are refused when
+    the scenario is loaded: exit 1, one error line naming the field and
+    the entry, no output directory."""
     value, message = BAD_RATES[kind]
-    with pytest.raises(ValidationError, match=f"^{key} {message}"):
+    with pytest.raises(ValidationError, match=f"^{key} {re.escape(message)}"):
         load_scenario("example1", (f"controller.{key}={value}",))
     argv = [command, "example1", "--set", f"controller.{key}={value}"]
     if command == "run":
@@ -382,7 +387,28 @@ def test_bad_rates_exit_one_naming_the_field(tmp_path, capsys, command, kind, ke
     assert captured.out == ""
     assert captured.err.splitlines() == [captured.err.strip()]
     assert captured.err.startswith(f"error: {key} {message}")
-    assert not (tmp_path / "o" / "trace.csv").exists()
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize(
+    "overrides",
+    [
+        ("simulation.tau_x=1e-12", "simulation.duration=1"),
+        ("simulation.tau_x=1e-12", "simulation.tau_u=1e-12", "simulation.duration=1"),
+        ("simulation.step=1e300", "simulation.duration=0.05"),
+    ],
+    ids=["tau_x", "both_delays", "huge_step"],
+)
+def test_state_delay_shorter_than_a_step_exits_one(tmp_path, capsys, overrides):
+    """The loop steps in blocks of at most tau_x, so a state delay that
+    rounds to zero steps is refused when the scenario is loaded."""
+    argv = ["run", "example1", "--out", str(tmp_path / "o")]
+    for override in overrides:
+        argv += ["--set", override]
+    assert run_cli(*argv) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: delays must satisfy step <= tau_x")
+    assert not (tmp_path / "o").exists()
 
 
 @pytest.mark.parametrize("command", ["validate", "run"])
