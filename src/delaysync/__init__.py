@@ -21,6 +21,7 @@ from .errors import (
     DimensionMismatch,
     DivergenceDetected,
     EmptyTrace,
+    ExpiredQuery,
     FutureQuery,
     NoMatchingSolution,
     NonFiniteState,
@@ -78,6 +79,7 @@ __all__ = [
     "DimensionMismatch",
     "DivergenceDetected",
     "EmptyTrace",
+    "ExpiredQuery",
     "FleetDynamics",
     "FutureQuery",
     "HistoryBuffer",

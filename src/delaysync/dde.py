@@ -4,22 +4,24 @@
 ``stages``, so a right-hand side receives its delayed operands as an
 argument.  A scenario run calls it once per step, and the delays are whole
 multiples of the step, so every delayed value is a row of the states
-already stored (``lagged``, ``delayed``), or of a window of them read
-through the run row it starts at.  ``HistoryBuffer`` is the
-float-time reference for those reads, linear interpolation on a uniform
-grid with a constant pre-history; it serves ``run`` and the delay
-integrator oracle (acceptance test_08).
+already stored (``lagged``, ``delayed``), whole or in a delay line that
+keeps the last of them, one row per step of the delay and one more.
+``HistoryBuffer`` is the float-time reference for those reads, linear
+interpolation on a uniform grid with a constant pre-history, which keeps
+the samples its largest delay reaches back to; it serves ``run`` and the
+delay integrator oracle (acceptance test_08).
 """
 
 from __future__ import annotations
 
 import math
+from collections import deque
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import FutureQuery, NonFiniteState, ValidationError
+from .errors import ExpiredQuery, FutureQuery, NonFiniteState, ValidationError
 
 # Queries within this fraction of a step of a grid point return the stored
 # sample; queries further past the newest sample than this raise.
@@ -32,7 +34,10 @@ class HistoryBuffer:
     Sample ``k`` sits at ``start_time + k * sample_period``; queries before
     ``start_time`` return the constant ``pre_history`` (dim,), which is also
     the first sample.  ``max_delay``, the largest lookback served, must be
-    an integer multiple of ``sample_period`` (within 1e-9 relative).
+    an integer multiple of ``sample_period`` (within 1e-9 relative), and
+    sizes the buffer: it keeps the newest ``max_delay / sample_period + 1``
+    samples, and a query after ``start_time`` that needs an older one
+    raises ExpiredQuery.
     """
 
     def __init__(self, sample_period: float, start_time: float, pre_history, max_delay: float):
@@ -52,12 +57,13 @@ class HistoryBuffer:
         if self.pre_history.ndim != 1:
             raise ValidationError("pre_history must be a 1-d vector")
         self.dim = self.pre_history.shape[0]
-        self._samples: list[np.ndarray] = []
+        self._samples: deque[np.ndarray] = deque(maxlen=round(steps) + 1)
+        self._appended = 0
         self.append(self.pre_history)
 
     @property
     def latest_index(self) -> int:
-        return len(self._samples) - 1
+        return self._appended - 1
 
     @property
     def latest_time(self) -> float:
@@ -69,6 +75,7 @@ class HistoryBuffer:
         if value.shape != (self.dim,):
             raise ValidationError(f"sample shape {value.shape}, expected {(self.dim,)}")
         self._samples.append(value)
+        self._appended += 1
 
     def sample(self, t: float) -> np.ndarray:
         """Value at time ``t``: stored sample on-grid, linear interpolation off-grid."""
@@ -78,25 +85,30 @@ class HistoryBuffer:
         if k_float - self.latest_index > GRID_TOL:
             raise FutureQuery(f"query at t={t!r} exceeds newest sample t={self.latest_time!r}")
         k_round = round(k_float)
-        if abs(k_float - k_round) <= GRID_TOL:
-            return self._samples[k_round].copy()
-        j = math.floor(k_float)
+        on_grid = abs(k_float - k_round) <= GRID_TOL
+        j = k_round if on_grid else math.floor(k_float)
+        oldest = self._appended - len(self._samples)
+        if j < oldest:
+            raise ExpiredQuery(
+                f"query at t={t!r} precedes the oldest kept sample "
+                f"t={self.start_time + oldest * self.sample_period!r} "
+                f"({self._samples.maxlen} kept)"
+            )
+        if on_grid:
+            return self._samples[j - oldest].copy()
         w = k_float - j
-        return (1.0 - w) * self._samples[j] + w * self._samples[j + 1]
+        return (1.0 - w) * self._samples[j - oldest] + w * self._samples[j + 1 - oldest]
 
 
 def lagged(rows: np.ndarray, start: int, stop: int, lag: int) -> np.ndarray:
-    """``rows[k - lag]`` for k in [start, stop), a slice once ``start`` is
-    past ``lag``; row 0 is the constant pre-history, so it stands in for
-    every k below ``lag``.
+    """``rows[k - lag]`` for k in [start, stop), gathered; row 0 is the
+    constant pre-history, so it stands in for every k below ``lag``.
 
-    ``rows`` may be a window of a longer run whose row 0 is run row
-    ``first``: indices then count from it (``start - first``), which reads
-    the run's rows as long as the window holds every row from ``lag``
-    before ``start`` on, or starts at the pre-history."""
-    if start >= lag:
-        return rows[start - lag:stop - lag]
-    return rows[np.maximum(np.arange(start, stop) - lag, 0)]
+    ``rows`` may be a delay line, which keeps run row j at slot
+    j mod ``len(rows)``: it reads the run's rows as long as it holds every
+    row from ``lag`` before ``start`` on, and slot 0 the pre-history while
+    any k is below ``lag``.  A whole history is the line no index wraps."""
+    return rows.take(np.maximum(np.arange(start, stop) - lag, 0) % len(rows), axis=0)
 
 
 def delayed(rows: np.ndarray, start: int, stop: int, lag: int):

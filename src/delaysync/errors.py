@@ -33,6 +33,10 @@ class FutureQuery(DelaySyncError):
     """A history buffer was asked for a time past its newest sample."""
 
 
+class ExpiredQuery(DelaySyncError):
+    """A history buffer was asked for a time older than the samples it keeps."""
+
+
 class NonFiniteState(DelaySyncError):
     """Integration produced NaN or Inf in the state vector."""
 

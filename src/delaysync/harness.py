@@ -20,11 +20,12 @@ delays are whole multiples of the step, so every delayed value the loop
 reads is a row of the states it has already stored (``dde.delayed``):
 ``tau_x`` or ``tau_u`` rows back at a step's first and last stage, the mean
 of two neighbouring rows at its midpoint stages, and row 0 standing in as
-the constant pre-history.  The loop therefore keeps only a window of
-states, about ``2 (tau_u + 1) + block`` rows long: when the next block
-would not fit, the last ``tau_u + 1`` rows move to its front, about once
-every ``tau_u`` steps, and reads go through the run row the window starts
-at.  Row 0 stays in it until no step reads the pre-history.
+the constant pre-history.  Only the fleet states are read ``tau_x`` back and
+only the gains ``tau_u`` back, so the loop keeps each in a delay line of
+``tau_x + 1`` or ``tau_u + 1`` rows, which holds run row j at slot j mod its
+length and takes a block's new rows after the block; slot 0 keeps row 0
+until no step reads the pre-history.  The whole states are kept only for
+the rows not yet recorded.
 
 The loop precomputes the operands that read stored values only for a
 block of steps and their four RK4 stages at once (``_stage_operands``):
@@ -43,13 +44,13 @@ Fleet rows are checked for divergence once per block.
 Stage 0 of step k evaluates at row k's state with row k's operands, so the
 loop records row k's mismatch, auxiliary input and ``L x`` from it after
 the step; the last row, which starts no step, gets one kernel call of its
-own.  Once a few blocks hold about RECORD_VALUES trace values (and at
-most ``tau_u`` steps, which the window still holds), their rows are
-recorded as one SimTrace and yielded: the augmented error
-``(L x - g x_m) + x_a``, the commanded input against the leader rows
-``tau_u`` ahead (so no per-step forward prediction is needed) and ``V_d``,
-each formed per row, so the rows of a block equal those of the whole trace
-bit for bit.
+own.  The steps write the whole states into the rows of a record block;
+once a few loop blocks fill it with about RECORD_VALUES trace values (and
+at most ``tau_u`` steps), its rows are recorded as one SimTrace and
+yielded: the augmented error ``(L x - g x_m) + x_a``, the commanded input
+against the leader rows ``tau_u`` ahead (so no per-step forward prediction
+is needed) and ``V_d``, each formed per row, so the rows of a block equal
+those of the whole trace bit for bit.
 """
 
 from __future__ import annotations
@@ -88,10 +89,11 @@ from .topology import (
 # Integrated states (fleet, leader, auxiliary, gains) beyond this magnitude
 # abort the run as divergence.
 DIVERGENCE_LIMIT = 1e6
-# Runs whose recorded rows (trace.csv's rows, the leader table) would
-# exceed this many bytes are refused before anything is allocated.  It caps
-# what a run records, not what it holds: a run holds a window of states and
-# one block of rows.
+# Runs whose trace rows, leader table and leader stage inputs, which grow
+# with the horizon plus tau_u, would exceed this many bytes together are
+# refused before anything is allocated.  What a run holds of the closed
+# loop at once is not counted: delay lines of the fleet states and gains,
+# tau_x and tau_u long, and one block of rows.
 MAX_RUN_BYTES = 2**30
 # Reference-gain magnitudes and per-agent adaptation rates below this
 # cannot be inverted for the energy monitor; such a rate freezes its channel.
@@ -711,12 +713,11 @@ def _leader_pass(step: np.ndarray, r_in: np.ndarray, table: np.ndarray, start: i
 def _block_values(ell: int, n: int, p: int) -> int:
     """Values :func:`_stage_operands` holds at most per step of a block.
 
-    Per agent, the delayed gains and states are read at a step's start,
-    midpoint and end and copied to its four stages, 7 (qp + n) values (the
-    first ``lag`` steps gather their start and end rows; later blocks read
-    them as slices), and the four operands with their temporaries take
-    4 (2n + 4p), the leader's adaptation drive counting two values per
-    input channel; the leader's stage states and regressors add 16 q per
+    Per agent, the delayed gains and states are gathered at a step's start
+    and end, their mean forms its midpoint, and the three are copied to its
+    four stages, 7 (qp + n) values; the four operands with their
+    temporaries take 4 (2n + 4p), the leader's adaptation drive counting
+    two values per input channel; the leader's stage states and regressors add 16 q per
     step.
     """
     q = 2 * n + p
@@ -724,8 +725,8 @@ def _block_values(ell: int, n: int, p: int) -> int:
 
 
 def _stage_operands(sc: Scenario, kernel: _StageKernel, stages: np.ndarray, r_in: np.ndarray,
-                    table: np.ndarray, x_arr: np.ndarray, th_arr: np.ndarray, start: int,
-                    stop: int, first: int = 0) -> tuple[np.ndarray, ...]:
+                    table: np.ndarray, x_line: np.ndarray, th_line: np.ndarray, start: int,
+                    stop: int) -> tuple[np.ndarray, ...]:
     """Operands of every RK4 stage of steps ``start`` to ``stop - 1`` that
     read stored rows only: the applied input, the fleet's delayed drive,
     the regressor's delayed entries and the leader's part of the adaptation
@@ -733,12 +734,12 @@ def _stage_operands(sc: Scenario, kernel: _StageKernel, stages: np.ndarray, r_in
 
     ``stages`` are the leader's stage matrices from
     :meth:`LeaderModel.rk4_matrices` and ``r_in`` the steps' stage inputs.
-    Delayed states and gains are read by :func:`delaysync.dde.delayed`, so
-    ``stop - start`` may not exceed the state delay in steps: every row read
-    must already be stored.  ``table`` holds every leader row; ``x_arr`` and
-    ``th_arr`` may be a window of the states whose row 0 is run row
-    ``first``, which must then hold every row from ``tau_u`` before
-    ``start`` on (or be row 0 itself, the pre-history).  Each operand is
+    Delayed states and gains are gathered by :func:`delaysync.dde.delayed`,
+    so ``stop - start`` may not exceed the state delay in steps: every row
+    read must already be stored.  ``table`` holds every leader row;
+    ``x_line`` and ``th_line`` hold the fleet states and gains, whole or as
+    delay lines that keep run row j at slot j mod their length, at least
+    the state and input delay in steps plus one.  Each operand is
     (4 (stop - start), l, ...) or, the leader's drive, (4 (stop - start),
     2l, p), one entry per stage: start, midpoint, midpoint, end of each
     step.
@@ -746,8 +747,8 @@ def _stage_operands(sc: Scenario, kernel: _StageKernel, stages: np.ndarray, r_in
     h = sc.step
     n = sc.state_dim
 
-    def staged(rows, lag, first=0):
-        lo, mid, hi = delayed(rows, start - first, stop - first, lag)
+    def staged(rows, lag):
+        lo, mid, hi = delayed(rows, start, stop, lag)
         return np.stack((lo, mid, mid, hi), axis=1)
 
     t = np.arange(start, stop) * h
@@ -757,8 +758,8 @@ def _stage_operands(sc: Scenario, kernel: _StageKernel, stages: np.ndarray, r_in
     leader = (operand @ stages.reshape(4 * n, -1).T).reshape(stop - start, 4, n)
     dx = int(round(sc.tau_x / h))
     eta_m = regressor(leader, staged(table, dx), r_in)
-    x_del = staged(x_arr, dx, first)
-    th_del = staged(th_arr, int(round(sc.tau_u / h)), first)
+    x_del = staged(x_line, dx)
+    th_del = staged(th_line, int(round(sc.tau_u / h)))
     u_app = applied_input(th_del, eta_m, times, sc.tau_u)
     eta_del = delayed_regressor(x_del, eta_m[..., None, 2 * n:])
     del th_del  # the largest temporary: gone before the drive is formed
@@ -774,12 +775,12 @@ def run_blocks(sc: Scenario) -> Iterator[SimTrace]:
     This call validates and sizes the run before it returns: it raises
     ValidationError when a structural check fails (its message lists them
     and its ``failed`` attribute carries the failed CheckResults), and
-    TraceTooLarge when the rows the run records would pass MAX_RUN_BYTES,
-    before anything is allocated.  The iterator it returns integrates as it
-    is read and yields the trace's rows in order: one SimTrace per few loop
-    blocks (about RECORD_VALUES values, at most ``tau_u`` steps), then the
-    last row alone.  Reading on raises DivergenceDetected
-    (with the offending time) when any integrated state (fleet, leader,
+    TraceTooLarge when the rows the run records, with the leader's stage
+    inputs, would pass MAX_RUN_BYTES, before anything is allocated.  The
+    iterator it returns integrates as it is read and yields the trace's
+    rows in order: one SimTrace per few loop blocks (about RECORD_VALUES
+    values, at most ``tau_u`` steps), then the last row alone.  Reading on
+    raises DivergenceDetected (with the offending time) when any integrated state (fleet, leader,
     auxiliary, gains) passes 1e6 in magnitude, the leader rows read
     ``tau_u`` past the last step included, and propagates integrator
     errors.
@@ -796,14 +797,15 @@ def run_blocks(sc: Scenario) -> Iterator[SimTrace]:
     q = 2 * n + p
     total = int(round(sc.duration / sc.step))
     lead = total + int(round(sc.tau_u / sc.step))
-    # Trace rows (one CSV row each; the leader columns are the table's) and
-    # the leader table.
+    # Trace rows (one CSV row each; the leader columns are the table's), the
+    # leader table and the leader's stage inputs (4 p per leader step).
     row_width = 2 + n + 4 * ell * n + ell * (3 * p + q * p + p * p)
-    floats = (total + 1) * (row_width - n) + (lead + 1) * n
+    floats = (total + 1) * (row_width - n) + (lead + 1) * n + lead * 4 * p
     if 8 * floats > MAX_RUN_BYTES:
         raise TraceTooLarge(
             f"run would record {8 * floats / 2**30:.3g} GiB "
-            f"({total + 1} rows of {row_width} values), over the "
+            f"({total + 1} trace rows of {row_width} values, and {lead} leader "
+            f"steps of {n} states and {4 * p} stage inputs), over the "
             f"{MAX_RUN_BYTES / 2**30:g} GiB limit"
         )
     return _blocks(sc, *_solved(checks), total, row_width)
@@ -830,7 +832,7 @@ def _blocks(sc: Scenario, matrices, p_block: np.ndarray, gains: MatchingGains,
     # long, so that it reads only rows stored before it.
     span = min(dx, max(1, OPERAND_VALUES // _block_values(ell, n, p)))
     # Rows yielded at once: whole blocks, about RECORD_VALUES trace values
-    # and at most du rows, all of which the state window still holds.
+    # and at most du rows.
     per_record = span * max(1, min(du, RECORD_VALUES // row_width) // span)
 
     def diverged(rows: np.ndarray, start: int):
@@ -846,7 +848,6 @@ def _blocks(sc: Scenario, matrices, p_block: np.ndarray, gains: MatchingGains,
     def record(a: int, stop: int, states: np.ndarray, signals: np.ndarray) -> SimTrace:
         """Rows ``a`` to ``stop - 1`` of the trace from their states and the
         phi, u_aux and ``L x`` that stage 0 of their steps evaluated."""
-        states = states.copy()  # the window moves on; the block keeps its rows
         x_m = table[a:stop]
         x_a = states[:, ln:i_th].reshape(-1, ell, n)
         theta = states[:, i_th:i_ph].reshape(-1, ell, q, p)
@@ -906,40 +907,46 @@ def _blocks(sc: Scenario, matrices, p_block: np.ndarray, gains: MatchingGains,
                 end = min(a + leader_bad[0], total)
                 break
 
-    # The states, from run row `first` on.  The window fills from row 0,
-    # the pre-history, until the next block would not fit; then the du + 1
-    # rows before that block, all that later steps read, move to its front.
-    # They lie at least du + 2 rows in, so source and target never overlap.
-    window = np.empty((min(total + 1, 2 * (du + 1) + span), z0.shape[0]))
-    window[0] = z0
-    first = 0
-    x_win = window[:, :ln].reshape(-1, ell, n)
-    th_win = window[:, i_th:i_ph].reshape(-1, ell, q, p)
-    # Rows `done` onward are not yet yielded; row k's phi, u_aux and L x,
-    # as stage 0 of step k evaluates them, wait in signals[k - done].
+    # Delay lines: run row j of the fleet states and of the gains sits at
+    # slot j mod (lag + 1).  A block's operands, formed before its steps,
+    # read rows up to its first (it is at most dx steps long); its new rows
+    # go in after it, over rows older than any later block reads.  Slot 0
+    # keeps row 0, the pre-history, until no step reads it.
+    x_line = np.empty((min(total, dx) + 1, ell, n))
+    th_line = np.empty((min(total, du) + 1, ell, q, p))
+    x_line[0] = sc.x0.reshape(ell, n)
+    th_line[0] = sc.theta0
+    # The whole states of rows `done` onward, as the steps write them, until
+    # they are yielded; row k's phi, u_aux and L x, as stage 0 of step k
+    # evaluates them, wait in signals[k - done].
     done = 0
+    states = np.empty((min(total, per_record) + 1, z0.shape[0]))
+    states[0] = z0
     signals = np.empty((per_record, ell * (2 * p + n)))
     for a in range(0, end, span):
         stop = min(a + span, end)
-        if stop - first >= window.shape[0]:
-            window[:du + 1] = window[a - du - first:a + 1 - first]
-            first = a - du
         with np.errstate(over="ignore", invalid="ignore"):
             kernel.u_app, kernel.drive, kernel.eta_del, kernel.g_off = _stage_operands(
-                sc, kernel, leader_stages, r_in[a:stop], table, x_win, th_win, a, stop, first
+                sc, kernel, leader_stages, r_in[a:stop], table, x_line, th_line, a, stop
             )
             for k in range(a, stop):
                 i = 4 * (k - a)
-                window[k + 1 - first] = step_rk4(kernel, k * h, window[k - first], h,
-                                                 range(i, i + 4))
+                states[k + 1 - done] = step_rk4(kernel, k * h, states[k - done], h,
+                                                range(i, i + 4))
                 signals[k - done] = kernel.signals[0]
-            fleet_bad = diverged(window[a + 1 - first:stop + 1 - first], a + 1)
+            new = states[a + 1 - done:stop + 1 - done]
+            fleet_bad = diverged(new, a + 1)
         if fleet_bad:
             raise fleet_bad[1]
+        rows = np.arange(a + 1, stop + 1)
+        x_line[rows % len(x_line)] = new[:, :ln].reshape(-1, ell, n)
+        th_line[rows % len(th_line)] = new[:, i_th:i_ph].reshape(-1, ell, q, p)
         if stop - done == per_record or stop == end:
             if not leader_bad:
-                yield record(done, stop, window[done - first:stop - first],
-                             signals[:stop - done])
+                yield record(done, stop, states[:stop - done], signals[:stop - done])
+            # the yielded block keeps its rows; its last row seeds the next
+            states = np.empty_like(states)
+            states[0] = new[-1]
             done = stop
             signals = np.empty_like(signals)
     if leader_bad:
@@ -947,12 +954,11 @@ def _blocks(sc: Scenario, matrices, p_block: np.ndarray, gains: MatchingGains,
     # The last row starts no step: evaluate stage 0 of step total alone.
     with np.errstate(over="ignore", invalid="ignore"):
         kernel.u_app, kernel.drive, kernel.eta_del, kernel.g_off = _stage_operands(
-            sc, kernel, leader_stages, r_in[total:total + 1], table, x_win, th_win, total,
-            total + 1, first
+            sc, kernel, leader_stages, r_in[total:total + 1], table, x_line, th_line, total,
+            total + 1
         )
-        kernel(total * h, window[total - first], 0)
-    yield record(total, total + 1, window[total - first:total + 1 - first],
-                 kernel.signals[0][None].copy())
+        kernel(total * h, states[0], 0)
+    yield record(total, total + 1, states[:1], kernel.signals[0][None].copy())
 
 
 def run_scenario(sc: Scenario) -> SimTrace:

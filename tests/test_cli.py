@@ -4,6 +4,7 @@ import errno
 import io
 import os
 import re
+import time
 import tracemalloc
 import warnings
 from pathlib import Path
@@ -314,18 +315,30 @@ def test_run_validates_once_and_solves_gains_at_most_twice(tmp_path, monkeypatch
     assert calls["gains"] <= 2
 
 
-def test_run_refuses_oversized_trace_before_allocating(tmp_path, capsys):
+@pytest.mark.parametrize(
+    "overrides",
+    [
+        ("simulation.duration=1e7",),
+        # 0.89 GiB of leader table and 1.79 GiB of its stage inputs
+        ("simulation.tau_u=300000", "simulation.duration=0"),
+    ],
+    ids=["long_horizon", "long_input_delay"],
+)
+def test_run_refuses_oversized_trace_before_allocating(tmp_path, capsys, overrides):
+    sets = [arg for o in overrides for arg in ("--set", o)]
     tracemalloc.start()
+    began = time.perf_counter()
     try:
-        code = run_cli(
-            "run", "example1", "--set", "simulation.duration=1e7", "--out", str(tmp_path / "o")
-        )
+        code = run_cli("run", "example1", *sets, "--out", str(tmp_path / "o"))
+        elapsed = time.perf_counter() - began
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert code == 2
-    assert "GiB" in capsys.readouterr().err
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: run would record ") and "GiB" in err[0]
     assert peak < 64 * 2**20
+    assert elapsed < 10.0
     assert not (tmp_path / "o").exists()
 
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from delaysync.dde import DdeState, HistoryBuffer, run, step_rk4
-from delaysync.errors import FutureQuery, NonFiniteState, ValidationError
+from delaysync.errors import ExpiredQuery, FutureQuery, NonFiniteState, ValidationError
 
 
 def delayed_decay(h, t_end):
@@ -75,6 +75,20 @@ def test_buffer_future_query_raises():
         buf.sample(0.05)
 
 
+def test_buffer_keeps_max_delay_of_samples():
+    """A buffer keeps max_delay / sample_period + 1 samples; a query that
+    needs an older one raises, while the pre-history stays served."""
+    buf = HistoryBuffer(0.1, 0.0, np.array([0.0]), 0.2)
+    for k in range(1, 6):
+        buf.append(np.array([float(k)]))
+    assert buf.sample(0.3)[0] == 3.0  # the oldest kept sample
+    assert buf.sample(0.35)[0] == pytest.approx(3.5, abs=1e-12)
+    assert buf.sample(-1.0)[0] == 0.0
+    for t in (0.0, 0.2, 0.25):
+        with pytest.raises(ExpiredQuery):
+            buf.sample(t)
+
+
 def test_buffer_validation():
     with pytest.raises(ValidationError):
         HistoryBuffer(0.0, 0.0, np.array([1.0]), 0.1)
@@ -118,7 +132,7 @@ def test_ode_step_and_dde_step_agree_bitwise():
     """A history-free system stepped by ``run`` and by repeated
     ``step_rk4`` calls must give identical floats, not merely close ones."""
     f = lambda t, y, s: np.array([np.sin(t) - 0.5 * y[0]])
-    buf = HistoryBuffer(0.02, 0.0, np.array([0.3]), 0.02)
+    buf = HistoryBuffer(0.02, 0.0, np.array([0.3]), 1.0)  # keeps every sample read below
     state = DdeState(
         state=np.array([0.3]), histories={"y": buf}, recorders=(("y", lambda t, y: y),), step=0.02
     )
@@ -169,7 +183,7 @@ def test_recorders_append_after_each_step():
 
 
 def test_run_time_grid_is_exact():
-    buf = HistoryBuffer(0.1, 0.0, np.array([0.0]), 0.1)
+    buf = HistoryBuffer(0.1, 0.0, np.array([0.0]), 0.5)  # keeps every sample read below
     state = DdeState(
         state=np.array([0.0]), histories={"t": buf}, recorders=(("t", lambda t, y: [t]),), step=0.1
     )

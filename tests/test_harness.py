@@ -393,14 +393,21 @@ def test_divergence_covers_gains_and_auxiliary_states():
 # ------------------------------------------------- recording matches the RHS
 
 
-def test_recorded_signals_match_the_chain_functions():
+@pytest.mark.parametrize(
+    "tau_x, tau_u, duration",
+    [(1.0, 2.0, 7.0), (0.01, 2.0, 7.0), (2.0, 2.0, 7.0), (1.0, 2.0, 0.5)],
+    ids=["tau_x_below_tau_u", "tau_x_one_step", "tau_x_equals_tau_u", "horizon_below_tau_x"],
+)
+def test_recorded_signals_match_the_chain_functions(tau_x, tau_u, duration):
     """The trace's signals, recorded from the loop's own stage-0 kernel
     evaluations and, for the last row, one kernel call of its own, equal
     the reference chain functions evaluated one row at a time on the
     trace's own state rows: before tau_x, between the delays, after tau_u,
     on both sides of square edges, at the final row, and in a run of one
     row.  The commanded input reads leader rows tau_u past the row, so it
-    is checked where those rows are in the trace."""
+    is checked where those rows are in the trace.  The delay lines hold
+    tau_x / h + 1 and tau_u / h + 1 rows (2 rows at a one-step tau_x), and
+    never wrap in a run shorter than tau_x."""
     two = AgentDynamics(a=[[-1.0]], a_zeta=[[0.2]], b=[[2.0]])
     sc = tiny_scenario(
         fleet=[AgentDynamics(a=[[-2.0]], a_zeta=[[0.1]], b=[[1.0]]), two],
@@ -414,7 +421,9 @@ def test_recorded_signals_match_the_chain_functions():
         xm0=np.array([0.4]),
         xa0=np.array([0.2, 0.1]),
         reference=ReferenceSignal(kind="square", amplitude=1.0, period=4.0),
-        duration=7.0,
+        tau_x=tau_x,
+        tau_u=tau_u,
+        duration=duration,
     )
     matrices = build_matrices(sc.topology)
     h = sc.step
@@ -437,11 +446,13 @@ def test_recorded_signals_match_the_chain_functions():
             assert np.array_equal(trace.u[k], control(trace.theta[k], eta_pred))
 
     trace = run_scenario(sc)
-    assert trace.num_rows == 701
+    last = round(duration / h)
+    assert trace.num_rows == last + 1
     # t = 0.5 (< tau_x), 1.5 (between), 3 (> tau_u); r(t) flips at t = 2,
-    # r(t - tau_u) at t = 4; row 700 is the last
-    for k in (0, 50, 150, 199, 200, 300, 399, 400, 500, 700):
-        check(trace, k)
+    # r(t - tau_u) at t = 4; the rows around each delay; the last row
+    for k in {0, 50, 150, 199, 200, 300, 399, 400, 500, dx - 1, dx, dx + 1, du, du + 1, last}:
+        if k <= last:
+            check(trace, k)
     assert np.any(trace.phi[:du] != 0.0) and np.any(trace.u[:du] != 0.0)
     one_row = run_scenario(dataclasses.replace(sc, duration=0.0))
     assert one_row.num_rows == 1
@@ -808,26 +819,24 @@ def test_leader_steps_by_its_rk4_matrices(kind):
                 assert np.max(np.abs(got - ref)) <= 1e-14 * np.max(np.abs(ref))
 
 
-def test_stage_operands_stay_within_their_budget():
-    """On a 128-agent ring the delayed stage operands of one block of steps,
-    with every temporary formed on the way, stay within OPERAND_VALUES
-    doubles, and the budget rather than the delay sets the block length."""
-    ell, n, p = 128, 2, 1
-    q = 2 * n + p
+def ring_scenario(ell, **over):
+    """A ring of ``ell`` identical second-order agents at h = 0.01, a square
+    reference, tau_x = 3 and tau_u = 5; ``over`` replaces fields."""
+    n, p = 2, 1
     ring = np.zeros((ell, ell))
     for i in range(ell):
         ring[i, i - 1] = ring[i, (i + 1) % ell] = 0.3
     agent = AgentDynamics(
         a=[[0.0, 1.0], [-4.0, -3.0]], a_zeta=[[0.0, 0.0], [0.4, 0.2]], b=[[0.0], [4.0]]
     )
-    sc = tiny_scenario(
+    base = dict(
         fleet=[agent] * ell,
         leader=LeaderModel(a_m=[[0.0, 1.0], [-2.0, -3.0]], b_m=[[0.0], [-2.0]]),
         topology=Topology(ell, ring, np.full(ell, 0.4), 0.1),
         gamma_theta=np.eye(ell),
         gamma_phi=np.eye(ell),
         q_tilde=0.2 * np.eye(2),
-        theta0=np.full((ell, q, p), -0.01),
+        theta0=np.full((ell, 2 * n + p, p), -0.01),
         phi_phi0=np.full((ell, p, p), -0.2),
         r_signs=-np.ones(ell),
         tau_x=3.0,
@@ -839,6 +848,17 @@ def test_stage_operands_stay_within_their_budget():
         xm0=np.zeros(n),
         xa0=np.zeros(ell * n),
     )
+    base.update(over)
+    return tiny_scenario(**base)
+
+
+def test_stage_operands_stay_within_their_budget():
+    """On a 128-agent ring the delayed stage operands of one block of steps,
+    with every temporary formed on the way, stay within OPERAND_VALUES
+    doubles, and the budget rather than the delay sets the block length."""
+    ell, n, p = 128, 2, 1
+    q = 2 * n + p
+    sc = ring_scenario(ell)
     dx, du = 300, 500
     span = OPERAND_VALUES // _block_values(ell, n, p)
     assert 1 < span < dx
@@ -861,6 +881,30 @@ def test_stage_operands_stay_within_their_budget():
             tracemalloc.stop()
         assert [o.shape[0] for o in operands] == [4 * span] * 4
         assert peak <= 8 * OPERAND_VALUES
+
+
+def test_run_memory_grows_with_the_input_delay_by_a_line_of_gains():
+    """A run holds the fleet states and gains in delay lines as long as
+    their delays, so on a 32-agent ring doubling tau_u from 3 s to 6 s adds
+    to the traced peak of draining a run at most 1.25 times the gains of the
+    added rows, not rows of whole states.  Both runs fill their lines, and
+    both record blocks are held at the RECORD_VALUES row cap."""
+    ell, n, p = 32, 2, 1
+    q = 2 * n + p
+
+    def drained_peak(tau_u):
+        sc = ring_scenario(ell, tau_x=1.0, tau_u=tau_u, duration=13.0)
+        tracemalloc.start()
+        try:
+            for _ in harness.run_blocks(sc):
+                pass
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    drained_peak(3.0)  # first-run allocations out of the measurement
+    growth = drained_peak(6.0) - drained_peak(3.0)
+    assert growth <= 1.25 * 300 * ell * q * p * 8
 
 
 # ------------------------------------------------------------------ monitor
