@@ -15,9 +15,10 @@ models.
     delaysync validate <builtin|file> [--set ...]
     delaysync list-builtins
 
-``run`` streams: it writes each block of rows ``harness.run_blocks``
-yields to trace.csv as it arrives, and keeps of them only what
-summary.txt needs (``harness.TraceTally``).
+``run`` streams: it hands each block of rows ``harness.run_blocks`` yields
+to one forked child, which formats trace.csv while the loop integrates the
+next block, and keeps of them only what summary.txt needs
+(``harness.TraceTally``).
 
 Exit codes: 0 success, 1 parse or validation failure, 2 runtime failure.
 """
@@ -25,17 +26,29 @@ Exit codes: 0 success, 1 parse or validation failure, 2 runtime failure.
 from __future__ import annotations
 
 import argparse
+import contextlib
+import json
 import math
 import os
+import signal
 import sys
+import threading
+import traceback
+import warnings
 from pathlib import Path
-from typing import Callable, Iterable, NamedTuple
+from typing import Callable, Iterable, Iterator, NamedTuple
+
+try:
+    import fcntl
+except ImportError:  # no fcntl: the pipe keeps its default size
+    fcntl = None
 
 import numpy as np
 
 from . import g17
 from .errors import DelaySyncError, ParseError, ValidationError
 from .harness import (
+    RECORD_VALUES,
     ROW_FIELDS,
     ReferenceSignal,
     Scenario,
@@ -369,14 +382,151 @@ def trace_columns(trace: SimTrace) -> list[str]:
     return cols
 
 
-def _csv_rows(trace: SimTrace, a: int, b: int, buffers: g17.Buffers) -> np.ndarray:
-    """Rows ``[a, b)`` of trace.csv as uint8 text, byte for byte as
-    ``np.savetxt`` with ``fmt="%.17g"`` and ``delimiter=","`` writes them.
+def _chunk_rows(columns: int) -> int:
+    """Rows in one chunk of trace.csv: about CSV_BLOCK_VALUES values, and
+    at least one row."""
+    return max(1, CSV_BLOCK_VALUES // columns)
 
-    Only these rows are copied out of the trace's arrays.
-    """
+
+def _rows(trace: SimTrace, a: int, b: int) -> np.ndarray:
+    """Rows ``[a, b)`` of trace.csv as one float64 array; only these rows
+    are copied out of the trace's arrays."""
     rows = [getattr(trace, name)[a:b].reshape(b - a, -1) for name in ROW_FIELDS]
-    return g17.csv_rows(np.concatenate(rows, axis=1), buffers)
+    return np.concatenate(rows, axis=1)
+
+
+def _write_all(fd: int, data) -> None:
+    """Write every byte of the buffer ``data`` to the file descriptor ``fd``."""
+    view = memoryview(data).cast("B")
+    while view:
+        view = view[os.write(fd, view) :]
+
+
+def _send(fd: int, rows: np.ndarray) -> None:
+    """One chunk message: the (rows, columns) of ``rows`` as two int64, then
+    its float64 values row by row.  A message of no rows (_END) ends the
+    stream."""
+    _write_all(fd, np.array(rows.shape, np.int64))
+    if rows.size:
+        _write_all(fd, rows)
+
+
+_END = np.zeros((0, 0))
+
+
+def _format_chunks(source: int, out: int, status: int) -> int:
+    """Read chunk messages from the file descriptor ``source``, format each
+    with ``g17.csv_rows`` into one reused ``g17.Buffers``, and write the
+    text to ``out``, until the end message.
+
+    Returns 0 once the end message is read and 1 when ``source`` ends
+    before it or the work fails.  A failure is first reported on
+    ``status``: an OSError as its errno and strerror, anything else as its
+    type and text.  Closes ``source`` and ``status``, not ``out``.  Its
+    memory is one chunk, its text and the formatter's buffers, whatever
+    the length of the stream.
+    """
+    try:
+        with open(source, "rb") as chunks:
+            shape = np.empty(2, np.int64)
+            values = buffers = None
+            while chunks.readinto(shape) == shape.nbytes:
+                rows, columns = shape.tolist()
+                if rows == 0:
+                    return 0
+                if buffers is None:
+                    size = _chunk_rows(columns) * columns
+                    values, buffers = np.empty(size), g17.Buffers(size)
+                block = values[: rows * columns].reshape(rows, columns)
+                if chunks.readinto(block) < block.nbytes:
+                    break
+                _write_all(out, g17.csv_rows(block, buffers))
+        return 1
+    except Exception as exc:
+        if isinstance(exc, OSError) and exc.errno is not None:
+            report = [exc.errno, exc.strerror]
+        else:  # not an I/O failure: a defect, whose traceback goes to stderr
+            traceback.print_exc()
+            report = [None, f"{type(exc).__name__}: {exc}"]
+        os.write(status, json.dumps(report).encode())
+        return 1
+    finally:
+        os.close(status)
+
+
+@contextlib.contextmanager
+def _formatter(out: int) -> Iterator[Callable[[np.ndarray], None]]:
+    """Run _format_chunks on the file descriptor ``out`` in one forked child
+    (in a thread where there is no ``os.fork``) and yield the function
+    that sends it a chunk of rows down a pipe.
+
+    When the body ends, the end message is sent, the pipe closed and the
+    child reaped.  A failure the child reported is raised here, an OSError
+    as an OSError of the same errno and strerror, and so is a child that
+    a signal killed or that exited otherwise than 0.  When the body
+    raises, the pipe is closed, the child reaped and the body's exception
+    goes on; a send that finds the child gone raises the child's failure.
+    """
+    source, chunks = os.pipe()
+    reports, status = os.pipe()
+    # A pipe that holds a whole yielded block (harness.RECORD_VALUES) lets
+    # the loop hand a block over and integrate the next while the child
+    # formats it; the default 64 KiB would hold the loop back a chunk at a
+    # time.  Where the size cannot be set, the default works, only slower.
+    if hasattr(fcntl, "F_SETPIPE_SZ"):
+        with contextlib.suppress(OSError):
+            fcntl.fcntl(chunks, fcntl.F_SETPIPE_SZ, 8 * RECORD_VALUES)
+    if hasattr(os, "fork"):
+        # The child calls no BLAS and starts no threads: it formats with
+        # numpy's elementwise routines and writes.  So the BLAS threads
+        # this process may hold, which Python >= 3.12 warns about at a
+        # fork, cannot leave it waiting on a lock they held.
+        with warnings.catch_warnings():
+            warnings.filterwarnings("ignore", "This process", DeprecationWarning)
+            pid = os.fork()
+        if pid == 0:
+            code = 1
+            try:
+                os.close(chunks)
+                os.close(reports)
+                code = _format_chunks(source, out, status)
+            finally:
+                os._exit(code)
+        os.close(source)
+        os.close(status)
+
+        def wait() -> int:
+            return os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+    else:
+        codes = []
+        thread = threading.Thread(
+            target=lambda: codes.append(_format_chunks(source, out, status))
+        )
+        thread.start()
+
+        def wait() -> int:
+            thread.join()
+            return codes[0] if codes else 1
+
+    try:
+        yield lambda rows: _send(chunks, rows)
+        _send(chunks, _END)
+    except BrokenPipeError:
+        pass  # the child stopped early: its report or exit status says why
+    finally:
+        os.close(chunks)
+        code = wait()
+        with open(reports, "rb") as f:
+            report = f.read()
+    if report:
+        number, text = json.loads(report)
+        if number is not None:
+            raise OSError(number, text)
+        raise DelaySyncError(f"trace.csv formatter failed: {text}")
+    if code < 0:
+        raise DelaySyncError(f"trace.csv formatter was killed by {signal.Signals(-code).name}")
+    if code:
+        raise DelaySyncError(f"trace.csv formatter exited with status {code}")
 
 
 def write_trace_csv(trace: SimTrace | Iterable[SimTrace], path) -> None:
@@ -384,30 +534,33 @@ def write_trace_csv(trace: SimTrace | Iterable[SimTrace], path) -> None:
     ``harness.run_blocks`` yields them; %.17g text reproduces every double
     exactly.
 
-    The rows are formatted by ``g17.csv_rows`` in chunks of about
-    CSV_BLOCK_VALUES values and written in order; the bytes are those
-    ``np.savetxt`` writes of the whole trace, however it is split into
-    blocks.  The trace is never copied whole: the write holds one chunk,
-    its text and the formatter's buffers, and a block is formatted as it
-    arrives.  The file is written as ``<path>.partial`` and renamed to
-    ``path`` only once complete; on any failure, the blocks' own included,
-    the partial file is removed.
+    Two processes share the work.  This one writes the header and copies
+    each block, as it arrives, in chunks of about CSV_BLOCK_VALUES values
+    down a pipe to one forked child (a thread where there is no
+    ``os.fork``), which formats them with ``g17.csv_rows`` and writes the
+    text; so a run's loop integrates while its rows are formatted.  The
+    bytes are those ``np.savetxt`` writes of the whole trace, however it is
+    split into blocks.  Neither side copies a block or the trace whole:
+    each holds a chunk at a time, the child also its text and the
+    formatter's buffers.  The file is written as ``<path>.partial`` and
+    renamed to ``path`` only once the child has written all of it; on any
+    failure, the blocks' own included, the child is reaped and the partial
+    file removed.
     """
     blocks = [trace] if isinstance(trace, SimTrace) else trace
     path = Path(path)
     partial = path.with_name(path.name + ".partial")
-    buffers = None
+    per_chunk = None
     try:
-        with open(partial, "wb") as out:
+        with open(partial, "wb", buffering=0) as out, _formatter(out.fileno()) as send:
             for block in blocks:
-                if buffers is None:
+                if per_chunk is None:
                     columns = trace_columns(block)
-                    per_chunk = max(1, CSV_BLOCK_VALUES // len(columns))
-                    buffers = g17.Buffers(per_chunk * len(columns))
-                    out.write(",".join(columns).encode() + b"\n")
+                    per_chunk = _chunk_rows(len(columns))
+                    _write_all(out.fileno(), ",".join(columns).encode() + b"\n")
                 rows = block.num_rows
                 for a in range(0, rows, per_chunk):
-                    out.write(_csv_rows(block, a, min(a + per_chunk, rows), buffers))
+                    send(_rows(block, a, min(a + per_chunk, rows)))
         os.replace(partial, path)
     except BaseException:
         partial.unlink(missing_ok=True)

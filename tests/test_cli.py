@@ -4,6 +4,7 @@ import errno
 import io
 import os
 import re
+import signal
 import time
 import tracemalloc
 import warnings
@@ -12,7 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from delaysync import cli, harness
+from delaysync import cli, g17, harness
 from delaysync.cli import (
     BUILTINS,
     load_scenario,
@@ -732,25 +733,161 @@ def test_trace_csv_memory_is_bounded_by_a_block(traces, tmp_path):
     assert peak < 0.25 * sum(a.nbytes for a in arrays)
 
 
-def test_trace_csv_write_failure_exits_two_and_leaves_no_file(tmp_path, capsys, monkeypatch):
-    """A write that fails part way (here the disk fills on the second block)
-    ends the run with one error line and no trace file, whole or partial."""
-    csv_rows = cli._csv_rows
+def failing_on_second_chunk(monkeypatch, fail):
+    """Make the formatter call ``fail()`` in place of formatting its second
+    chunk.  The formatter runs in the writer's child (or thread), which
+    counts its own calls from zero."""
+    csv_rows = g17.csv_rows
+    calls = []
 
-    def failing(trace, a, b, buffers):
-        if a > 0:
-            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
-        return csv_rows(trace, a, b, buffers)
+    def failing(block, buffers=None):
+        calls.append(None)
+        if len(calls) == 2:
+            fail()
+        return csv_rows(block, buffers)
 
-    monkeypatch.setattr(cli, "_csv_rows", failing)
-    out_dir = tmp_path / "out"
-    code = run_cli("run", "example1", "--out", str(out_dir), "--set", "simulation.duration=12")
+    monkeypatch.setattr(g17, "csv_rows", failing)
+
+
+def disk_full():
+    raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+
+def assert_one_error_and_no_output(code, capsys, out_dir, error):
     assert code == 2
     err = capsys.readouterr().err.splitlines()
-    assert err == [f"error: [Errno {errno.ENOSPC}] {os.strerror(errno.ENOSPC)}"]
+    assert err == [f"error: {error}"]
     assert os.listdir(out_dir) == []
+
+
+def test_trace_csv_write_failure_exits_two_and_leaves_no_file(tmp_path, capsys, monkeypatch):
+    """A write that fails part way (here the disk fills on the second chunk
+    the child formats) ends the run with the child's error as one line and
+    no trace file, whole or partial."""
+    failing_on_second_chunk(monkeypatch, disk_full)
+    out_dir = tmp_path / "out"
+    code = run_cli("run", "example1", "--out", str(out_dir), "--set", "simulation.duration=12")
+    assert_one_error_and_no_output(
+        code, capsys, out_dir, f"[Errno {errno.ENOSPC}] {os.strerror(errno.ENOSPC)}"
+    )
     assert not (out_dir / "trace.csv.partial").exists()
     assert not (out_dir / "summary.txt").exists()
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="the formatter runs in a thread")
+def test_trace_csv_writer_killed_by_a_signal_exits_two(tmp_path, capsys, monkeypatch):
+    """A formatter child that a signal kills part way is an error naming
+    the signal, and leaves no file."""
+    failing_on_second_chunk(monkeypatch, lambda: os.kill(os.getpid(), signal.SIGKILL))
+    out_dir = tmp_path / "out"
+    code = run_cli("run", "example1", "--out", str(out_dir), "--set", "simulation.duration=12")
+    assert_one_error_and_no_output(code, capsys, out_dir, "trace.csv formatter was killed by SIGKILL")
+
+
+@pytest.fixture(params=["fork", "thread"])
+def start(request, monkeypatch):
+    """How the formatter starts: in a forked child, or in a thread where
+    there is no os.fork."""
+    if request.param == "fork" and not hasattr(os, "fork"):
+        pytest.skip("no os.fork")
+    if request.param == "thread" and hasattr(os, "fork"):
+        monkeypatch.delattr(os, "fork")
+    return request.param
+
+
+def test_divergence_after_rows_were_sent_exits_two(start, tmp_path, capsys, monkeypatch):
+    """A loop that diverges after the formatter has been sent rows stops
+    it, reaps it and leaves no file: an unstable agent passes the limit at
+    t=8.935, after the first block of 972 rows."""
+    send = cli._send
+    sent = []
+
+    def counting(fd, rows):
+        sent.append(rows.size)
+        send(fd, rows)
+
+    monkeypatch.setattr(cli, "_send", counting)
+    out_dir = tmp_path / "out"
+    code = run_cli("run", "example1", "--out", str(out_dir),
+                   "--set", "agent.1.a=0,1,3,2", "--set", "simulation.duration=20")
+    assert sum(sent) >= 972 * 72
+    assert_one_error_and_no_output(
+        code, capsys, out_dir, "state magnitude 4.148e+14 at t=8.935 exceeds 1e+06"
+    )
+
+
+def test_trace_csv_written_from_a_thread_without_fork(tmp_path, capsys, monkeypatch):
+    """Where there is no os.fork the formatter runs in a thread, writes the
+    same bytes, and fails the same way."""
+    out_dir = tmp_path / "forked"
+    argv = ["run", "example1", "--set", "simulation.duration=12"]
+    assert run_cli(*argv, "--out", str(out_dir)) == 0
+    monkeypatch.delattr(os, "fork")
+    assert run_cli(*argv, "--out", str(tmp_path / "thread")) == 0
+    for name in ("trace.csv", "summary.txt"):
+        assert (tmp_path / "thread" / name).read_bytes() == (out_dir / name).read_bytes()
+    capsys.readouterr()
+    failing_on_second_chunk(monkeypatch, disk_full)
+    code = run_cli(*argv, "--out", str(tmp_path / "full"))
+    assert_one_error_and_no_output(
+        code, capsys, tmp_path / "full", f"[Errno {errno.ENOSPC}] {os.strerror(errno.ENOSPC)}"
+    )
+
+
+def test_trace_csv_formatter_memory_is_bounded_by_a_chunk(traces, tmp_path):
+    """The formatter, which runs in the writer's child, holds one chunk,
+    its text and its buffers, not the trace: run in this process on the
+    stream the writer sends for the ring64 trace, its tracemalloc peak
+    stays under the bound the writer keeps."""
+    trace = traces["ring64"]
+    per_chunk = cli._chunk_rows(len(trace_columns(trace)))
+    stream = tmp_path / "stream"
+    with open(stream, "wb", buffering=0) as f:
+        for a in range(0, trace.num_rows, per_chunk):
+            cli._send(f.fileno(), cli._rows(trace, a, min(a + per_chunk, trace.num_rows)))
+        cli._send(f.fileno(), cli._END)
+    reports, status = os.pipe()
+    tracemalloc.start()
+    try:
+        with open(tmp_path / "rows.csv", "wb") as out:
+            code = cli._format_chunks(os.open(stream, os.O_RDONLY), out.fileno(), status)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    with open(reports, "rb") as f:
+        assert f.read() == b""
+    assert code == 0
+    assert (tmp_path / "rows.csv").read_bytes() == savetxt_bytes(trace).partition(b"\n")[2]
+    arrays = [getattr(trace, name) for name in harness.ROW_FIELDS]
+    assert peak < 0.25 * sum(a.nbytes for a in arrays)
+
+
+@pytest.mark.parametrize(
+    "argv, code, forks",
+    [
+        (["validate", "example1"], 0, 0),
+        (["run", "example1", "--set", "controller.q_tilde=-0.2, 0, 0, 0.2"], 1, 0),
+        (["run", "example1", "--set", "simulation.duration=1e7"], 2, 0),
+        (["run", "example1", "--set", "simulation.duration=1"], 0, 1),
+    ],
+    ids=["validate", "run_invalid", "run_oversized", "run"],
+)
+def test_only_a_run_that_writes_forks(argv, code, forks, tmp_path, capsys, monkeypatch):
+    """The formatter child is started by a run's trace write alone: not by
+    validate, nor by a run refused at validation or at the size check."""
+    if not hasattr(os, "fork"):
+        pytest.skip("no os.fork")
+    fork = os.fork
+    calls = []
+
+    def counting():
+        calls.append(None)
+        return fork()
+
+    monkeypatch.setattr(os, "fork", counting)
+    out = ["--out", str(tmp_path / "o")] if argv[0] == "run" else []
+    assert run_cli(*argv, *out) == code
+    assert len(calls) == forks
 
 
 # ------------------------------------------------------------ streamed runs
