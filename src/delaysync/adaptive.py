@@ -21,8 +21,9 @@ the one implementation of the closed loop.
 The adaptation rates, the signs of the ideal reference gains and the
 leader's Lyapunov block are not held here: ``harness.Scenario`` checks the
 rates and signs once, and the kernel reads them with the block that
-validation solved.  The controller touches the leader model alone; no
-follower dynamics enter.
+validation solved, a rate at or below ``harness.WEIGHT_TOL`` as 0, as the
+energy monitor weighs it (``harness._live_rates``).  The controller
+touches the leader model alone; no follower dynamics enter.
 """
 
 from __future__ import annotations

@@ -339,7 +339,8 @@ def build_scenario(sections, name: str = "scenario") -> Scenario:
 
 
 def load_scenario(source: str, overrides: tuple[str, ...] = ()) -> Scenario:
-    """Builtin name or file path, plus --set style raw-text overrides."""
+    """Builtin name or file path, plus --set style raw-text overrides.  A
+    file that cannot be read or decoded as text raises ParseError naming it."""
     if source in BUILTINS:
         text = BUILTINS[source]
         name = source
@@ -349,7 +350,10 @@ def load_scenario(source: str, overrides: tuple[str, ...] = ()) -> Scenario:
             raise ParseError(
                 f"{source!r} is neither a builtin ({', '.join(sorted(BUILTINS))}) nor a file"
             )
-        text = path.read_text()
+        try:
+            text = path.read_text()
+        except (OSError, UnicodeDecodeError) as exc:
+            raise ParseError(f"cannot read scenario file {source!r}: {exc}") from None
         name = path.stem
     sections = _tokenize(text)
     _apply_overrides(sections, tuple(overrides))

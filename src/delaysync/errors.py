@@ -46,7 +46,10 @@ class NoMatchingSolution(DelaySyncError):
 
 
 class SingularWeight(DelaySyncError):
-    """A reference-gain weight is too close to zero to invert."""
+    """The energy monitor cannot weigh a gain error: an ideal reference gain
+    is too close to zero to invert, or a frozen channel (rate at or below
+    harness.WEIGHT_TOL), which its zero weight hides, starts off its ideal
+    gains."""
 
 
 class DivergenceDetected(DelaySyncError):

@@ -95,8 +95,9 @@ DIVERGENCE_LIMIT = 1e6
 # loop at once is not counted: delay lines of the fleet states and gains,
 # tau_x and tau_u long, and one block of rows.
 MAX_RUN_BYTES = 2**30
-# Reference-gain magnitudes and per-agent adaptation rates below this
-# cannot be inverted for the energy monitor; such a rate freezes its channel.
+# Reference-gain magnitudes below this cannot be inverted for the energy
+# monitor, and an adaptation rate at or below it freezes its channel: the
+# kernel adapts it at rate 0 and the monitor weighs it 0 (_live_rates).
 WEIGHT_TOL = 1e-12
 # The loop forms the stage operands of a block of steps at once; a block
 # holds about this many values with its temporaries (see _block_values).
@@ -166,9 +167,10 @@ class Scenario:
     the error metric of the adaptation laws.  The (l, l) adaptation rates
     gamma_theta and gamma_phi are diagonal, one nonnegative rate per agent,
     since each agent adapts at its own rate and the energy monitor weights
-    its gain errors by the inverse; a zero rate freezes that agent's
-    channel.  tau_x is at least one step.  Every field is checked here,
-    and a bad one raises a ValidationError or DimensionMismatch naming it.
+    its gain errors by the inverse; a rate at or below WEIGHT_TOL freezes
+    that agent's channel.  tau_x is at least one step.  Every field is
+    checked here, and a bad one raises a ValidationError or DimensionMismatch
+    naming it.
     """
 
     fleet: FleetDynamics
@@ -246,8 +248,16 @@ class Scenario:
             )
         for label, value in (("tau_x", self.tau_x), ("tau_u", self.tau_u), ("duration", self.duration)):
             ratio = value / self.step
-            if abs(ratio - round(ratio)) > GRID_TOL:
+            # a ratio too large to represent counts as not dividing
+            if not math.isfinite(ratio) or abs(ratio - round(ratio)) > GRID_TOL:
                 raise ValidationError(f"step {self.step} does not divide {label}={value}")
+        try:  # read up to the duration, tau_u to spare, its phase must be finite
+            ref(self.duration + self.tau_u)
+        except (ArithmeticError, ValueError):
+            raise ValidationError(
+                f"reference period {ref.period} is too short: the phase at "
+                f"duration + tau_u = {self.duration + self.tau_u} is not finite"
+            ) from None
         if np.any(np.abs(self.r_signs) != 1.0):
             raise ValidationError("r_signs entries must be +1 or -1")
         for label in ("gamma_theta", "gamma_phi"):
@@ -350,7 +360,8 @@ class TraceMetrics:
 def validate_scenario(sc: Scenario) -> list[CheckResult]:
     """Run the five structural checks; failures are reported, not raised.
 
-    The checks that solve something carry it in ``solved``, so that
+    The checks that solve something carry it in ``solved``, the matching
+    check the energy monitor it builds from the ideal gains, so that
     run_scenario reuses them instead of solving again.
     """
     m = build_matrices(sc.topology)
@@ -413,117 +424,93 @@ def validate_scenario(sc: Scenario) -> list[CheckResult]:
 
     try:
         gains = matching_gains(sc.fleet, sc.leader)
+        # the Lyapunov check's block, None when it could not be solved
+        energy = _EnergyMonitor(out[-1].solved, sc, gains)
     except DelaySyncError as exc:
         out.append(CheckResult("matching", False, str(exc)))
     else:
-        fault = None
-        if sc.input_dim == 1:
-            r_star = gains.theta_r[:, 0, 0]
-            signs = np.copysign(1.0, r_star)
-            tiny = np.flatnonzero(np.abs(r_star) < WEIGHT_TOL)
-            if tiny.size:
-                # the energy monitor weights each gain error by 1 / |r*|
-                i = tiny[0]
-                fault = f"agent {i + 1}: ideal reference gain {r_star[i]:.3e} is numerically zero"
-            elif not np.array_equal(signs, sc.r_signs):
-                fault = f"declared r_signs {sc.r_signs.tolist()} but computed {signs.tolist()}"
-            elif min(np.diag(sc.gamma_theta).min(), np.diag(sc.gamma_phi).min()) <= WEIGHT_TOL:
-                # A frozen channel's gains stay at their initial values bit
-                # for bit, so the energy monitor's check fails on them now
-                # or never.
-                try:
-                    _EnergyMonitor(None, sc.gamma_theta, sc.gamma_phi, gains).gain_terms(
-                        sc.theta0[None], sc.phi_phi0[None]
-                    )
-                except SingularWeight as exc:
-                    fault = str(exc)
-            detail = "gains solvable, declared signs agree"
-        else:
-            detail = "gains solvable (signs unchecked for p>1)"
-        if fault is None:
-            out.append(CheckResult("matching", True, detail, gains))
-        else:
-            out.append(CheckResult("matching", False, fault))
+        detail = ("gains solvable, declared signs agree" if sc.input_dim == 1
+                  else "gains solvable (signs unchecked for p>1)")
+        out.append(CheckResult("matching", True, detail, energy))
     return out
 
 
 def _solved(checks: list[CheckResult]):
-    """The topology matrices, Lyapunov block and matching gains that the
+    """The topology matrices, Lyapunov block and energy monitor that the
     passed checks of validate_scenario solved for."""
     solved = {c.name: c.solved for c in checks}
     return solved["balanced"], solved["lyapunov_residual"], solved["matching"]
 
 
-def _gain_energy(
-    weights: np.ndarray, squares: np.ndarray, label: str
-) -> np.ndarray:
-    """Weighted per-agent squared gain errors, summed; squares is (..., l).
-
-    The sum is an einsum, which adds each row's terms in the same order
-    however many rows it is given, so a block of rows gets the values of
-    the whole trace.  Raises SingularWeight naming the first agent whose
-    channel is frozen (infinite weight) but carries a gain error.
-    """
-    finite = np.isfinite(weights)
-    if not np.all(finite):
-        frozen = np.flatnonzero(~finite)
-        worst = squares[..., frozen].reshape(-1, frozen.size).max(axis=0, initial=0.0)
-        bad = frozen[worst > WEIGHT_TOL**2]
-        if bad.size:
-            raise SingularWeight(
-                f"agent {bad[0] + 1}: {label} adaptation is frozen (zero rate) "
-                "but its gain error is nonzero"
-            )
-        squares = squares[..., finite]
-        weights = weights[finite]
-    return np.einsum("...i,i->...", squares, weights)
+def _live_rates(sc: Scenario) -> np.ndarray:
+    """Each agent's theta and phi_phi adaptation rates, (2, l), with a rate
+    at or below WEIGHT_TOL as 0.  The kernel adapts by these and the energy
+    monitor weighs by their inverses, so a channel one sees as frozen the
+    other does too."""
+    rates = np.stack([np.diag(sc.gamma_theta), np.diag(sc.gamma_phi)])
+    return np.where(rates > WEIGHT_TOL, rates, 0.0)
 
 
 class _EnergyMonitor:
-    """The energy monitor ``V_d`` of one scenario over rows of a trace, its
-    weights formed once.
+    """The energy monitor ``V_d`` of one scenario over rows of a trace: the
+    one place that decides its weights, formed and checked once, by the
+    matching check of validate_scenario.
 
-    ``p_block`` is the leader's (n, n) Lyapunov block ``P`` and
-    ``gamma_theta`` and ``gamma_phi`` the diagonal (l, l) adaptation rates.
-    ``V_d`` is the quadratic graph-error term ``sum_i e_a_i^T P e_a_i`` plus
-    each agent's gain errors weighted by its inverse rates, the theta term
-    also by the inverse magnitude of the ideal reference gain.  Building it
-    raises SingularWeight when an ideal reference gain is below 1e-12, and
-    a call when a frozen (zero-rate) adaptation channel carries a nonzero
-    gain error.  Each row is reduced on its own, so any block of rows gets
-    the values of the whole trace.
+    ``p_block`` is the leader's (n, n) Lyapunov block ``P`` and ``gains``
+    the ideal gains.  ``V_d`` is the quadratic graph-error term ``sum_i
+    e_a_i^T P e_a_i`` plus each agent's gain errors weighted by its inverse
+    live rates (:func:`_live_rates`), the theta term also by the inverse
+    magnitude of the ideal reference gain; a frozen channel weighs 0.
+    Building it raises, in this order, SingularWeight for an ideal
+    reference gain below WEIGHT_TOL, ValidationError for declared r_signs
+    that differ from its signs, and SingularWeight for a frozen channel
+    whose initial gains, which it keeps bit for bit, are not the ideal
+    ones.  Each row is reduced on its own, so any block of rows gets the
+    values of the whole trace.
 
     For fleets with more than one input channel the reference-gain weight
     is matrix-valued and not implemented; the quadratic term alone is
-    returned then.
+    returned then, and nothing is checked.
     """
 
-    def __init__(self, p_block, gamma_theta: np.ndarray, gamma_phi: np.ndarray,
-                 gains: MatchingGains):
+    def __init__(self, p_block, sc: Scenario, gains: MatchingGains):
         self.p_block = p_block
-        self.single_input = gains.theta_r.shape[-1] == 1
+        self.single_input = sc.input_dim == 1
         if not self.single_input:
             return
         r_star = gains.theta_r[:, 0, 0]
-        if np.any(np.abs(r_star) < WEIGHT_TOL):
-            raise SingularWeight("an ideal reference gain is numerically zero")
+        tiny = np.flatnonzero(np.abs(r_star) < WEIGHT_TOL)
+        if tiny.size:
+            i = tiny[0]
+            raise SingularWeight(
+                f"agent {i + 1}: ideal reference gain {r_star[i]:.3e} is numerically zero")
+        signs = np.copysign(1.0, r_star)
+        if not np.array_equal(signs, sc.r_signs):
+            raise ValidationError(
+                f"declared r_signs {sc.r_signs.tolist()} but computed {signs.tolist()}")
         self.theta_star = gains.stacked_regressor_gain()[None]
         self.phi_star = (1.0 / r_star)[None, :, None, None]
-        rates = np.stack([np.diag(gamma_theta), np.diag(gamma_phi)])
-        with np.errstate(divide="ignore"):  # a frozen channel (zero rate) weighs inf
-            weights = 1.0 / np.where(rates > WEIGHT_TOL, rates, 0.0)
+        rates = _live_rates(sc)
+        weights = np.divide(1.0, rates, out=np.zeros_like(rates), where=rates > 0.0)
         self.w_theta = weights[0] / np.abs(r_star)
         self.w_phi = weights[1]
+        if rates.all():  # no frozen channel to check
+            return
+        squares = self._squares(sc.theta0[None], sc.phi_phi0[None])
+        for label, live, sq in zip(("theta", "phi_phi"), rates, squares):
+            bad = np.flatnonzero((live == 0.0) & (sq[0] > WEIGHT_TOL**2))
+            if bad.size:
+                raise SingularWeight(
+                    f"agent {bad[0] + 1}: {label} adaptation is frozen (zero rate) "
+                    "but its gain error is nonzero"
+                )
 
-    def gain_terms(self, theta: np.ndarray, phi_phi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """The theta and phi_phi terms over rows of gains, (t, l, 2n+p, 1)
-        and (t, l, 1, 1)."""
+    def _squares(self, theta: np.ndarray, phi_phi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Each row's per-agent squared theta and phi_phi errors, (t, l)
+        each, over rows of gains (t, l, 2n+p, 1) and (t, l, 1, 1)."""
         dth = theta - self.theta_star
         dph = phi_phi - self.phi_star
-        sq_theta = np.einsum("tiqp,tiqp->ti", dth, dth)
-        sq_phi = np.einsum("tipj,tipj->ti", dph, dph)
-        return (_gain_energy(self.w_theta, sq_theta, "theta"),
-                _gain_energy(self.w_phi, sq_phi, "phi_phi"))
+        return np.einsum("tiqp,tiqp->ti", dth, dth), np.einsum("tipj,tipj->ti", dph, dph)
 
     def __call__(self, e_a: np.ndarray, theta: np.ndarray, phi_phi: np.ndarray) -> np.ndarray:
         """``V_d`` over rows of ``e_a`` (t, l, n), ``theta`` (t, l, 2n+p, p)
@@ -531,8 +518,9 @@ class _EnergyMonitor:
         quad = np.einsum("tin,nm,tim->t", e_a, self.p_block, e_a)
         if not self.single_input:
             return quad
-        theta_term, phi_term = self.gain_terms(theta, phi_phi)
-        return quad + theta_term + phi_term
+        sq_theta, sq_phi = self._squares(theta, phi_phi)
+        return (quad + np.einsum("ti,i->t", sq_theta, self.w_theta)
+                + np.einsum("ti,i->t", sq_phi, self.w_phi))
 
 
 def _signal_views(flat: np.ndarray, ell: int, n: int, p: int):
@@ -564,8 +552,9 @@ class _StageKernel:
     a step get four of each, and a result stays valid until the same stage
     of the next step.  Stage 0 of step k evaluates at row k's state with
     row k's delayed operands, so its signals are row k's recorded ones.
-    The adaptation rates and signs are the scenario's; ``p_block`` is the
-    leader's Lyapunov block ``P`` that validation solved.
+    The adaptation rates are the scenario's live ones (:func:`_live_rates`)
+    and the signs its declared ones; ``p_block`` is the leader's Lyapunov
+    block ``P`` that validation solved.
     """
 
     def __init__(self, sc: Scenario, matrices, p_block: np.ndarray):
@@ -583,8 +572,8 @@ class _StageKernel:
         # adaptation drives of a projected error, signs included: the rows
         # of [L^T; L^T] scaled by each agent's signed rate, in C order (BLAS
         # rounds the per-stage product differently on a transposed operand)
-        signed_rates = -np.concatenate([sc.r_signs * np.diag(sc.gamma_theta),
-                                        np.diag(sc.gamma_phi)])
+        theta_rates, phi_rates = _live_rates(sc)
+        signed_rates = -np.concatenate([sc.r_signs * theta_rates, phi_rates])
         self.rates_l = np.ascontiguousarray(
             signed_rates[:, None] * np.vstack([laplacian.T, laplacian.T])
         )
@@ -811,7 +800,7 @@ def run_blocks(sc: Scenario) -> Iterator[SimTrace]:
     return _blocks(sc, *_solved(checks), total, row_width)
 
 
-def _blocks(sc: Scenario, matrices, p_block: np.ndarray, gains: MatchingGains,
+def _blocks(sc: Scenario, matrices, p_block: np.ndarray, energy: _EnergyMonitor,
             total: int, row_width: int) -> Iterator[SimTrace]:
     """The loop of :func:`run_blocks` over ``total`` steps, given what
     validation solved and the values in a trace row."""
@@ -825,7 +814,6 @@ def _blocks(sc: Scenario, matrices, p_block: np.ndarray, gains: MatchingGains,
     lead = total + du  # leader steps: the commanded input looks tau_u ahead
     leader_step, leader_stages = sc.leader.rk4_matrices(h)
     kernel = _StageKernel(sc, matrices, p_block)
-    energy = _EnergyMonitor(p_block, sc.gamma_theta, sc.gamma_phi, gains)
     i_th = 2 * ln
     i_ph = i_th + ell * q * p
     # A block holds about OPERAND_VALUES values and is at most tau_x steps

@@ -285,6 +285,30 @@ def test_run_parse_failure_exits_one(tmp_path, capsys):
     assert "error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["validate", "run"])
+@pytest.mark.parametrize("fault", ["undecodable", "unreadable"])
+def test_unreadable_scenario_file_exits_one(tmp_path, capsys, monkeypatch, command, fault):
+    """A scenario file that cannot be decoded as text, or read at all, is
+    a parse error naming the file: exit 1, one error line, no output
+    directory."""
+    path = tmp_path / "bad.cfg"
+    path.write_bytes(b"\xff\xfe" + TINY.encode())
+    if fault == "unreadable":
+        def denied(self, *args, **kwargs):
+            raise PermissionError(errno.EACCES, "Permission denied", str(self))
+
+        monkeypatch.setattr(Path, "read_text", denied)
+    argv = [command, str(path)]
+    if command == "run":
+        argv += ["--out", str(tmp_path / "o")]
+    assert run_cli(*argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [captured.err.strip()]
+    assert captured.err.startswith(f"error: cannot read scenario file {str(path)!r}: ")
+    assert not (tmp_path / "o").exists()
+
+
 def test_run_invalid_scenario_exits_one(tmp_path, capsys):
     bad = tmp_path / "bad.cfg"
     bad.write_text(TINY.replace("r_signs = 1", "r_signs = -1"))
@@ -351,13 +375,17 @@ def test_run_refuses_oversized_trace_before_allocating(tmp_path, capsys, overrid
         ("agent.1.a=nan, 1, -3, -2", "non-finite"),
         ("reference.amplitude=inf", "non-finite"),
         ("leader.state_dim=2.5", "positive integer"),
+        ("simulation.step=1e-320", "step 1e-320 does not divide tau_x"),
+        ("simulation.tau_u=1e308", "does not divide tau_u=1e+308"),
+        ("reference.period=1e-320", "reference period 1e-320 is too short"),
         (
             "topology.follower_weights=0, nan, 0, 0.3, 0.3, 0, 0.3, 0, "
             "0, 0.3, 0, 0.3, 0.3, 0, 0.3, 0",
             "non-finite",
         ),
     ],
-    ids=["tau_u_inf", "duration_nan", "agent_a_nan", "amplitude_inf", "state_dim_fraction", "weight_nan"],
+    ids=["tau_u_inf", "duration_nan", "agent_a_nan", "amplitude_inf", "state_dim_fraction",
+         "step_subnormal", "tau_u_huge", "period_subnormal", "weight_nan"],
 )
 def test_validate_rejects_non_finite_and_fractional_input(override, message, capsys):
     assert run_cli("validate", "example2", "--set", override) == 1
@@ -422,6 +450,20 @@ def test_state_delay_shorter_than_a_step_exits_one(tmp_path, capsys, overrides):
     assert run_cli(*argv) == 1
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error: delays must satisfy step <= tau_x")
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("kind", ["square", "sine"])
+def test_reference_phase_that_overflows_exits_one_before_the_run(tmp_path, capsys, kind):
+    """A period so short that the reference's phase over the run is not
+    finite is refused when the scenario is loaded: exit 1, one error line
+    naming the reference, no output directory."""
+    argv = ["run", "example1", "--set", f"reference.kind={kind}", "--set", "reference.period=1e-320",
+            "--set", "simulation.duration=1", "--out", str(tmp_path / "o")]
+    assert run_cli(*argv) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert err == ["error: reference period 1e-320 is too short: the phase at "
+                   "duration + tau_u = 6.0 is not finite"]
     assert not (tmp_path / "o").exists()
 
 

@@ -32,7 +32,7 @@ from delaysync.adaptive import (
     regressor,
 )
 from delaysync import harness
-from delaysync.cli import load_scenario
+from delaysync.cli import load_scenario, main
 from delaysync.dde import GRID_TOL, HistoryBuffer, delayed, step_rk4
 from delaysync.harness import (
     OPERAND_VALUES,
@@ -920,16 +920,40 @@ def monitor_gains(r_star=-2.0 / 3.0):
     )
 
 
+def monitor_scenario(ell, **over):
+    """``ell`` second-order agents (n = 2, p = 1) pinned to the leader, with
+    unit rates, negative declared signs and zero initial gains: what the
+    energy monitor reads of a scenario.  ``over`` replaces fields."""
+    agent = AgentDynamics(
+        a=[[0.0, 1.0], [-4.0, -3.0]], a_zeta=[[0.0, 0.0], [0.4, 0.2]], b=[[0.0], [4.0]]
+    )
+    base = dict(
+        fleet=[agent] * ell,
+        leader=LeaderModel(a_m=[[0.0, 1.0], [-2.0, -3.0]], b_m=[[0.0], [-2.0]]),
+        topology=Topology(ell, np.zeros((ell, ell)), np.ones(ell), 0.1),
+        gamma_theta=np.eye(ell),
+        gamma_phi=np.eye(ell),
+        q_tilde=np.eye(2),
+        theta0=np.zeros((ell, 5, 1)),
+        phi_phi0=np.zeros((ell, 1, 1)),
+        r_signs=-np.ones(ell),
+        x0=np.zeros(2 * ell),
+        xm0=np.zeros(2),
+        xa0=np.zeros(2 * ell),
+    )
+    base.update(over)
+    return tiny_scenario(**base)
+
+
 def monitor(gains, gamma_theta=np.eye(1), e_a=np.zeros(2), theta_err=np.zeros((5, 1)),
             phi_err=0.0):
     """V_d of a one-row, one-agent trace whose gains sit the given errors
     away from the ideal ones (theta*, and 1/r* for the input scale), with
-    unit gamma_phi."""
-    theta = gains.stacked_regressor_gain(0) + theta_err
-    phi_phi = np.full((1, 1), 1.0 / gains.theta_r[0][0, 0] + phi_err)
-    v_d = _EnergyMonitor(P_BLOCK, gamma_theta, np.eye(1), gains)(
-        np.reshape(e_a, (1, 1, 2)), theta[None, None], phi_phi[None, None]
-    )
+    unit gamma_phi; the scenario starts at those gains."""
+    theta = (gains.stacked_regressor_gain(0) + theta_err)[None]
+    phi_phi = np.full((1, 1, 1), 1.0 / gains.theta_r[0][0, 0] + phi_err)
+    sc = monitor_scenario(1, gamma_theta=gamma_theta, theta0=theta, phi_phi0=phi_phi)
+    v_d = _EnergyMonitor(P_BLOCK, sc, gains)(np.reshape(e_a, (1, 1, 2)), theta[None], phi_phi[None])
     return float(v_d[0])
 
 
@@ -949,13 +973,14 @@ def test_monitor_quadratic_term():
 
 
 def test_monitor_rejects_vanishing_weight():
-    gains = monitor_gains(r_star=0.0)
-    rows = (np.zeros((1, 1, 2)), np.zeros((1, 1, 5, 1)), np.zeros((1, 1, 1, 1)))
     with pytest.raises(SingularWeight):
-        _EnergyMonitor(P_BLOCK, np.eye(1), np.eye(1), gains)(*rows)
+        _EnergyMonitor(P_BLOCK, monitor_scenario(1), monitor_gains(r_star=0.0))
 
 
 def test_monitor_frozen_channel_must_carry_no_error():
+    """A frozen channel's gains stay at the scenario's initial ones, so the
+    monitor, built for a scenario that starts at the row's gains, refuses
+    a frozen gain error when it is built."""
     frozen = np.zeros((1, 1))
     assert monitor(monitor_gains(), gamma_theta=frozen) == 0.0
     bad = np.zeros((5, 1))
@@ -983,6 +1008,32 @@ def test_frozen_channel_is_decided_at_validation(key, label):
     assert run_scenario(dataclasses.replace(ideal, duration=0.5)).num_rows == 51
 
 
+def test_rate_at_the_tolerance_is_frozen(tmp_path):
+    """A rate at or below WEIGHT_TOL is frozen in the kernel as in the
+    energy monitor: example1 started at its ideal gains with Gamma_theta =
+    1e-12 I and every state at 50, where a rate of 1e-12 would move theta,
+    passes validate, runs to the end, and keeps theta at theta0 bit for bit
+    on every row of trace.csv."""
+    sc = load_scenario("example1")
+    gains = matching_gains(sc.fleet, sc.leader)
+    theta0 = np.stack([gains.stacked_regressor_gain(i) for i in range(sc.num_agents)])
+    overrides = [
+        "controller.theta0=" + ", ".join(map(repr, theta0.ravel().tolist())),
+        "controller.gamma_theta=" + ", ".join(map(repr, (1e-12 * np.eye(4)).ravel().tolist())),
+        "simulation.x0=" + ", ".join(["50"] * 8),
+        "simulation.duration=20",
+    ]
+    sets = [arg for o in overrides for arg in ("--set", o)]
+    assert main(["validate", "example1", *sets]) == 0
+    assert main(["run", "example1", *sets, "--out", str(tmp_path)]) == 0
+    with open(tmp_path / "trace.csv") as f:
+        columns = f.readline().strip().split(",")
+    rows = np.loadtxt(tmp_path / "trace.csv", delimiter=",", skiprows=1)
+    theta = rows[:, [j for j, c in enumerate(columns) if c.startswith("theta_")]]
+    assert theta.shape == (4001, 20)
+    assert np.array_equal(theta, np.broadcast_to(theta0.ravel(), theta.shape))
+
+
 def test_energy_series_of_blocks_matches_the_whole_trace_bitwise():
     """``V_d`` reduces each row on its own, so on a 64-agent ring the rows
     of a block, whatever its length, equal the whole trace's bit for bit."""
@@ -1000,7 +1051,8 @@ def test_energy_series_of_blocks_matches_the_whole_trace_bitwise():
     theta = rng.normal(size=(rows, ell, 2 * n + 1, 1))
     phi_phi = rng.normal(size=(rows, ell, 1, 1))
 
-    energy = _EnergyMonitor(P_BLOCK, gamma_theta, gamma_phi, gains)
+    sc = monitor_scenario(ell, gamma_theta=gamma_theta, gamma_phi=gamma_phi, r_signs=np.ones(ell))
+    energy = _EnergyMonitor(P_BLOCK, sc, gains)
 
     def v_d(a, b):
         return energy(e_a[a:b], theta[a:b], phi_phi[a:b])
