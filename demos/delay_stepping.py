@@ -3,27 +3,27 @@
 The probe equation is dx/dt = -x(t - 1) with x = 1 on t <= 0.  Stepping
 through it by hand: on [0, 1] the lag still reads the pre-history, so
 x(t) = 1 - t; on [1, 2] the lag reads 1 - (t - 1) and integrating gives
-x(2) = -1/2; one interval later x(3) = -1/6.  Over the first two
-intervals the lagged reads are constant or linear, which the history
-lookup reproduces exactly, so x(1) and x(2) come out at roundoff for any
-grid-aligned step.  From t = 2 on the lag reads a curved segment through
-a linear lookup and ordinary step-size error returns.
+x(2) = -1/2; one interval later x(3) = -1/6.  The lag is read the way a
+scenario run reads its delays: as stored rows one delay back, with their
+mean at the RK4 midpoint.  Over the first two intervals the lagged reads
+are constant or linear, which that read reproduces exactly, so x(1) and
+x(2) come out at roundoff for any grid-aligned step.  From t = 2 on the
+lag reads a curved segment through a linear midpoint and ordinary
+step-size error returns.
 """
 
 import numpy as np
 
-from delaysync import DdeState, HistoryBuffer, run
+from delaysync.dde import delayed, step_rk4
 
 
 def lagged_decay(h, t_end):
-    buf = HistoryBuffer(h, 0.0, np.array([1.0]), 1.0)
-    state = DdeState(
-        state=np.array([1.0]),
-        histories={"x": buf},
-        recorders=(("x", lambda t, y: y),),
-        step=h,
-    )
-    return run(lambda t, y, hist: -hist["x"].sample(t - 1.0), state, t_end).state[0]
+    lag, steps = round(1.0 / h), round(t_end / h)
+    rows = np.ones((steps + 1, 1))  # row 0 is the pre-history
+    for k in range(steps):
+        lo, mid, hi = delayed(rows, k, k + 1, lag)
+        rows[k + 1] = step_rk4(lambda t, y, x_lag: -x_lag[0], k * h, rows[k], h, (lo, mid, mid, hi))
+    return rows[-1, 0]
 
 
 print("value at t=1 (exact 0):      % .3e" % lagged_decay(0.01, 1.0))
@@ -36,11 +36,3 @@ print("\nerror at t=3 under step halving:")
 for h in (0.02, 0.01, 0.005, 0.0025):
     err = abs(lagged_decay(h, 3.0) - (-1.0 / 6.0))
     print("  h=%.4f  error=%.3e" % (h, err))
-
-# the history buffer itself: values land on a grid, queries off the grid
-# interpolate linearly, queries before the start read the pre-history, and
-# queries past the newest sample raise
-buf = HistoryBuffer(0.1, 0.0, np.array([0.0]), 0.3)
-for k in range(1, 4):
-    buf.append(np.array([float(k)]))
-print("\nstored 0,1,2,3 on a 0.1 grid; sample(0.25) =", buf.sample(0.25)[0])

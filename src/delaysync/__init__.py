@@ -8,23 +8,14 @@ fixed-step delay integrator, the plant and controller pieces, a scenario
 harness, and a small CLI (``delaysync run|validate|list-builtins``).
 """
 
-from .adaptive import (
-    applied_input,
-    control,
-    leader_block_derivative,
-    predict_leader_regressor,
-    regressor,
-)
-from .dde import DdeState, HistoryBuffer, run, step_rk4
+from .adaptive import applied_input, control, regressor
+from .dde import step_rk4
 from .errors import (
     DelaySyncError,
     DimensionMismatch,
     DivergenceDetected,
     EmptyTrace,
-    ExpiredQuery,
-    FutureQuery,
     NoMatchingSolution,
-    NonFiniteState,
     NotHurwitz,
     NotPositiveDefinite,
     NotSymmetric,
@@ -74,19 +65,14 @@ __version__ = "0.1.0"
 __all__ = [
     "AgentDynamics",
     "CheckResult",
-    "DdeState",
     "DelaySyncError",
     "DimensionMismatch",
     "DivergenceDetected",
     "EmptyTrace",
-    "ExpiredQuery",
     "FleetDynamics",
-    "FutureQuery",
-    "HistoryBuffer",
     "LeaderModel",
     "MatchingGains",
     "NoMatchingSolution",
-    "NonFiniteState",
     "NotHurwitz",
     "NotPositiveDefinite",
     "NotSymmetric",
@@ -109,14 +95,11 @@ __all__ = [
     "check_balanced",
     "check_threshold",
     "control",
-    "leader_block_derivative",
     "leader_reachable",
     "matching_gains",
     "metrics",
-    "predict_leader_regressor",
     "regressor",
     "require_positive_definite",
-    "run",
     "run_blocks",
     "run_scenario",
     "solve_lyapunov",

@@ -5,7 +5,8 @@ state-delay ago, and the reference one input-delay ago, through adaptive
 gains.  Because the input takes ``tau_u`` seconds to reach the plant, the
 commanded value is computed against the leader regressor predicted
 ``tau_u`` ahead; the prediction is exact up to integration error since the
-leader model and the reference are known.  A mismatch signal between the
+leader model and the reference are known, so a run reads it as the row of
+its leader table ``tau_u`` ahead.  A mismatch signal between the
 current virtual input and the actually applied one drives an auxiliary
 compensator so that the gain adaptation sees a delay-free error system.
 
@@ -28,13 +29,10 @@ touches the leader model alone; no follower dynamics enter.
 
 from __future__ import annotations
 
-from typing import Callable
-
 import numpy as np
 
-from .dde import GRID_TOL, step_rk4
-from .errors import DimensionMismatch, ValidationError
-from .plant import LeaderModel
+from .dde import GRID_TOL
+from .errors import DimensionMismatch
 
 
 def regressor(x_now, x_delayed, r_delayed) -> np.ndarray:
@@ -63,64 +61,6 @@ def delayed_regressor(x_delayed: np.ndarray, r_delayed) -> np.ndarray:
     """
     r = np.broadcast_to(r_delayed, x_delayed.shape[:-1] + np.shape(r_delayed)[-1:])
     return np.concatenate((x_delayed, r), axis=-1)
-
-
-def leader_block_derivative(m: LeaderModel, x_m: np.ndarray, r_value: np.ndarray) -> np.ndarray:
-    """Single leader block derivative ``a_m x_m + b_m r``, as the predictor
-    integrates it through ``step_rk4``; a run steps the leader by
-    ``LeaderModel.rk4_matrices``, the same RK4 step written as matrices."""
-    return m.a_m @ x_m + m.b_m @ r_value
-
-
-def predict_leader_regressor(
-    m: LeaderModel,
-    x_m_now: np.ndarray,
-    r_of: Callable[[float], np.ndarray],
-    t: float,
-    tau_u: float,
-    tau_x: float,
-    h: float,
-    hold_reference: bool = False,
-) -> np.ndarray:
-    """Leader regressor predicted ``tau_u`` ahead of ``t``.
-
-    Integrates ``dx_m/ds = a_m x_m + b_m r(s - tau_u)`` forward from
-    ``x_m(t)`` with step ``h``; every reference value needed lies in
-    ``(t - tau_u, t]`` and is exactly known, so the returned
-    ``[x_m(t + tau_u); x_m(t + tau_u - tau_x); r(t)]`` matches the future
-    regressor up to integration error.
-
-    With ``hold_reference`` the input is sampled once per step (at the
-    step's left endpoint) and held through the RK4 stages.  A square wave
-    whose edges land on the grid is constant on every half-open step
-    interval, so the hold reproduces it exactly; stage-time evaluation
-    would instead let the final stage read the value from beyond the edge.
-    Leave it off for smooth references, where stage-time evaluation keeps
-    the full fourth-order accuracy.
-    """
-    for name, delay in (("tau_u", tau_u), ("tau_x", tau_x)):
-        ratio = delay / h
-        if abs(ratio - round(ratio)) > GRID_TOL:
-            raise ValidationError(f"step {h} does not divide {name}={delay}")
-    if tau_x > tau_u:
-        raise ValidationError(f"tau_x={tau_x} exceeds tau_u={tau_u}")
-    steps = int(round(tau_u / h))
-    mid = steps - int(round(tau_x / h))
-
-    f = lambda _, yy, r: leader_block_derivative(m, yy, r)
-    y = np.asarray(x_m_now, dtype=float).copy()
-    x_mid = y.copy() if mid == 0 else None
-    for j in range(steps):
-        s = t + j * h
-        if hold_reference:
-            r_in = (r_of(s - tau_u),) * 4
-        else:
-            r_mid = r_of(s + 0.5 * h - tau_u)
-            r_in = (r_of(s - tau_u), r_mid, r_mid, r_of(s + h - tau_u))
-        y = step_rk4(f, s, y, h, r_in)
-        if j + 1 == mid:
-            x_mid = y.copy()
-    return np.concatenate([y, x_mid, np.asarray(r_of(t), dtype=float).reshape(-1)])
 
 
 def control(theta: np.ndarray, eta_m: np.ndarray) -> np.ndarray:

@@ -29,18 +29,6 @@ class UnbalancedTopology(DelaySyncError):
     """Combined follower plus leader weights of some agent do not sum to one."""
 
 
-class FutureQuery(DelaySyncError):
-    """A history buffer was asked for a time past its newest sample."""
-
-
-class ExpiredQuery(DelaySyncError):
-    """A history buffer was asked for a time older than the samples it keeps."""
-
-
-class NonFiniteState(DelaySyncError):
-    """Integration produced NaN or Inf in the state vector."""
-
-
 class NoMatchingSolution(DelaySyncError):
     """An agent cannot be matched to the leader model within tolerance."""
 

@@ -501,8 +501,8 @@ class _EnergyMonitor:
             bad = np.flatnonzero((live == 0.0) & (sq[0] > WEIGHT_TOL**2))
             if bad.size:
                 raise SingularWeight(
-                    f"agent {bad[0] + 1}: {label} adaptation is frozen (zero rate) "
-                    "but its gain error is nonzero"
+                    f"agent {bad[0] + 1}: {label} adaptation is frozen (rate at or below "
+                    f"{WEIGHT_TOL:g}) but its gain error is nonzero"
                 )
 
     def _squares(self, theta: np.ndarray, phi_phi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -90,8 +90,10 @@ def solve_lyapunov(a_m, q_tilde) -> np.ndarray:
     Raises
     ------
     SingularMatrix
-        When LAPACK finds the vectorized system singular, or when the
-        substituted residual exceeds ``1e-9`` (ill-conditioned system).
+        When a coefficient of the vectorized system is not finite (``a_m``
+        near the float range), when LAPACK finds that system singular, or
+        when the substituted residual exceeds ``1e-9`` (ill-conditioned
+        system).
     """
     a_m = _as_square(a_m, "a_m")
     q_tilde = _as_square(q_tilde, "q_tilde")
@@ -101,7 +103,10 @@ def solve_lyapunov(a_m, q_tilde) -> np.ndarray:
 
     n = a_m.shape[0]
     eye = np.eye(n)
-    coeff = np.kron(eye, a_m.T) + np.kron(a_m.T, eye)
+    with np.errstate(over="ignore", invalid="ignore"):
+        coeff = np.kron(eye, a_m.T) + np.kron(a_m.T, eye)
+    if not np.isfinite(coeff).all():
+        raise SingularMatrix("a_m is too large: the vectorized lyapunov system is not finite")
     rhs = -q_tilde.flatten(order="F")
     try:
         p = np.linalg.solve(coeff, rhs).reshape((n, n), order="F")

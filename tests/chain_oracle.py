@@ -3,12 +3,83 @@
 A run evaluates these inside ``harness._StageKernel``, in fixed buffers;
 here each is written once, as an array function that takes any leading
 axes in front of the per-agent ones, so the tests can check the kernel and
-the recorded traces against them.
+the recorded traces against them.  Beside them are the float-time
+references of what a run reads by row: a stored history sampled at any
+time (``sample``) and the leader regressor forecast ``tau_u`` ahead by
+stepping the leader block (``predict_leader_regressor``).
 """
+
+import math
 
 import numpy as np
 
-from delaysync.errors import DimensionMismatch
+from delaysync.dde import GRID_TOL, step_rk4
+from delaysync.errors import DimensionMismatch, ValidationError
+
+
+def sample(rows, h: float, t: float) -> np.ndarray:
+    """Value at time ``t`` of ``rows`` stored at times ``k h``: the stored
+    row within ``GRID_TOL`` of a step of a grid point, linear interpolation
+    between rows off the grid, and row 0, the pre-history, before t = 0."""
+    k_float = t / h
+    if k_float < -GRID_TOL:
+        return rows[0]
+    k = round(k_float)
+    if abs(k_float - k) <= GRID_TOL:
+        return rows[k]
+    j = math.floor(k_float)
+    w = k_float - j
+    return (1.0 - w) * rows[j] + w * rows[j + 1]
+
+
+def leader_block_derivative(m, x_m: np.ndarray, r_value: np.ndarray) -> np.ndarray:
+    """Single leader block derivative ``a_m x_m + b_m r`` of the
+    ``LeaderModel`` ``m``, as :func:`predict_leader_regressor` integrates
+    it through ``step_rk4``; a run steps the leader by
+    ``LeaderModel.rk4_matrices``, the same RK4 step written as matrices."""
+    return m.a_m @ x_m + m.b_m @ r_value
+
+
+def predict_leader_regressor(m, x_m_now, r_of, t, tau_u, tau_x, h, hold_reference=False):
+    """Leader regressor predicted ``tau_u`` ahead of ``t``.
+
+    Integrates ``dx_m/ds = a_m x_m + b_m r(s - tau_u)`` forward from
+    ``x_m(t)`` with step ``h``; every reference value needed lies in
+    ``(t - tau_u, t]`` and is exactly known, so the returned
+    ``[x_m(t + tau_u); x_m(t + tau_u - tau_x); r(t)]`` matches the future
+    regressor up to integration error.
+
+    With ``hold_reference`` the input is sampled once per step (at the
+    step's left endpoint) and held through the RK4 stages.  A square wave
+    whose edges land on the grid is constant on every half-open step
+    interval, so the hold reproduces it exactly; stage-time evaluation
+    would instead let the final stage read the value from beyond the edge.
+    Leave it off for smooth references, where stage-time evaluation keeps
+    the full fourth-order accuracy.
+    """
+    for name, delay in (("tau_u", tau_u), ("tau_x", tau_x)):
+        ratio = delay / h
+        if abs(ratio - round(ratio)) > GRID_TOL:
+            raise ValidationError(f"step {h} does not divide {name}={delay}")
+    if tau_x > tau_u:
+        raise ValidationError(f"tau_x={tau_x} exceeds tau_u={tau_u}")
+    steps = int(round(tau_u / h))
+    mid = steps - int(round(tau_x / h))
+
+    f = lambda _, yy, r: leader_block_derivative(m, yy, r)
+    y = np.asarray(x_m_now, dtype=float).copy()
+    x_mid = y.copy() if mid == 0 else None
+    for j in range(steps):
+        s = t + j * h
+        if hold_reference:
+            r_in = (r_of(s - tau_u),) * 4
+        else:
+            r_mid = r_of(s + 0.5 * h - tau_u)
+            r_in = (r_of(s - tau_u), r_mid, r_mid, r_of(s + h - tau_u))
+        y = step_rk4(f, s, y, h, r_in)
+        if j + 1 == mid:
+            x_mid = y.copy()
+    return np.concatenate([y, x_mid, np.asarray(r_of(t), dtype=float).reshape(-1)])
 
 
 def mismatch(theta: np.ndarray, eta: np.ndarray, u_applied: np.ndarray) -> np.ndarray:

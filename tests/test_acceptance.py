@@ -11,8 +11,8 @@ import time
 
 import numpy as np
 
-from delaysync.adaptive import predict_leader_regressor
-from delaysync.dde import DdeState, HistoryBuffer, run
+from chain_oracle import predict_leader_regressor
+from delaysync.dde import delayed, step_rk4
 from delaysync.harness import metrics, run_scenario, validate_scenario
 from delaysync.linalg import solve_lyapunov
 from delaysync.plant import matching_gains
@@ -180,18 +180,19 @@ def test_07_topology_checks_and_ring_spectrum(ex1, ex2):
     assert abs(rep.min_nonzero_eigenvalue - 0.4) <= 1e-9
 
 
-def _delayed_decay(h, t_end):
+def delayed_decay(h, t_end):
     """Integrate dx/dt = -x(t-1) with unit pre-history; analytic values are
-    polynomial on unit intervals (0 at t=1, -1/2 at t=2, -1/6 at t=3)."""
-    buf = HistoryBuffer(h, 0.0, np.array([1.0]), 1.0)
-    state = DdeState(
-        state=np.array([1.0]),
-        histories={"x": buf},
-        recorders=(("x", lambda t, y: y),),
-        step=h,
-    )
-    deriv = lambda t, y, hist: -hist["x"].sample(t - 1.0)
-    return run(deriv, state, t_end).state[0]
+    polynomial on unit intervals (0 at t=1, -1/2 at t=2, -1/6 at t=3).
+
+    It is stepped as a run steps its closed loop: one ``step_rk4`` call per
+    step, the lag read as rows back by ``dde.delayed`` (start, midpoint
+    twice, end), with row 0 as the pre-history."""
+    lag, steps = round(1.0 / h), round(t_end / h)
+    rows = np.ones((steps + 1, 1))
+    for k in range(steps):
+        lo, mid, hi = delayed(rows, k, k + 1, lag)
+        rows[k + 1] = step_rk4(lambda t, y, x_lag: -x_lag[0], k * h, rows[k], h, (lo, mid, mid, hi))
+    return rows[-1, 0]
 
 
 def test_08_delay_integrator_oracle():
@@ -206,10 +207,10 @@ def test_08_delay_integrator_oracle():
     A first-order history read (sample-and-hold) gives a ratio of about 2
     there and fails.
     """
-    x1 = _delayed_decay(0.01, 1.0)
-    e2 = abs(_delayed_decay(0.01, 2.0) + 0.5)
-    e3_coarse = abs(_delayed_decay(0.01, 3.0) + 1.0 / 6.0)
-    e3_fine = abs(_delayed_decay(0.005, 3.0) + 1.0 / 6.0)
+    x1 = delayed_decay(0.01, 1.0)
+    e2 = abs(delayed_decay(0.01, 2.0) + 0.5)
+    e3_coarse = abs(delayed_decay(0.01, 3.0) + 1.0 / 6.0)
+    e3_fine = abs(delayed_decay(0.005, 3.0) + 1.0 / 6.0)
     print(
         f"x(1) = {x1:.3e} (bound 1e-6); x(2) error vs -1/2 {e2:.3e} (bound 1e-5); "
         f"x(3) error vs -1/6, h=0.01 -> 0.005: {e3_coarse:.3e} -> {e3_fine:.3e} "

@@ -9,14 +9,15 @@ import numpy as np
 import pytest
 
 import delaysync.adaptive as adaptive_module
-from chain_oracle import augmented_error, auxiliary_input, gain_derivatives, mismatch
-from delaysync.adaptive import (
-    applied_input,
-    control,
+from chain_oracle import (
+    augmented_error,
+    auxiliary_input,
+    gain_derivatives,
     leader_block_derivative,
+    mismatch,
     predict_leader_regressor,
-    regressor,
 )
+from delaysync.adaptive import applied_input, control, regressor
 from delaysync.errors import DimensionMismatch, ValidationError
 from delaysync.plant import LeaderModel
 from delaysync.topology import Topology, build_matrices

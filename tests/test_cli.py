@@ -487,6 +487,24 @@ def test_bad_q_tilde_is_named_in_the_lyapunov_check(tmp_path, capsys, command, q
 
 
 @pytest.mark.parametrize("command", ["validate", "run"])
+def test_leader_matrix_near_the_float_range_fails_the_lyapunov_check(tmp_path, capsys, command):
+    """A leader matrix whose vectorized Lyapunov system overflows fails the
+    Lyapunov check naming a_m, and its ideal gains the matching check: exit
+    1, those two error lines, no numpy warning and no output directory."""
+    argv = [command, "example2", "--set", "leader.a_m=1e308,0,-1,1e200"]
+    if command == "run":
+        argv += ["--out", str(tmp_path / "o")]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run_cli(*argv) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert err[0] == ("error: lyapunov_residual: a_m is too large: "
+                      "the vectorized lyapunov system is not finite")
+    assert len(err) == 2 and err[1].startswith("error: matching: agent 1: ")
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("command", ["validate", "run"])
 @pytest.mark.parametrize(
     "override",
     ["agent.1.b=0,0", "agent.1.b=0,1e-160", "agent.1.b=0,1e-300", "leader.b_m=0,1e-300"],
@@ -535,7 +553,7 @@ def test_frozen_channel_with_gain_error_fails_matching(tmp_path, capsys, command
     assert run_cli(*argv) == 1
     captured = capsys.readouterr()
     assert captured.err.splitlines() == [
-        f"error: matching: agent 1: {label} adaptation is frozen (zero rate) "
+        f"error: matching: agent 1: {label} adaptation is frozen (rate at or below 1e-12) "
         "but its gain error is nonzero"
     ]
     if command == "validate":

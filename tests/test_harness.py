@@ -21,19 +21,16 @@ from chain_oracle import (
     auxiliary_input,
     fleet_derivative,
     gain_derivatives,
+    leader_block_derivative,
     leader_pinning,
     mismatch,
     pinned_error,
+    sample,
 )
-from delaysync.adaptive import (
-    applied_input,
-    control,
-    leader_block_derivative,
-    regressor,
-)
+from delaysync.adaptive import applied_input, control, regressor
 from delaysync import harness
 from delaysync.cli import load_scenario, main
-from delaysync.dde import GRID_TOL, HistoryBuffer, delayed, step_rk4
+from delaysync.dde import GRID_TOL, delayed, step_rk4
 from delaysync.harness import (
     OPERAND_VALUES,
     ReferenceSignal,
@@ -462,25 +459,24 @@ def test_recorded_signals_match_the_chain_functions(tau_x, tau_u, duration):
 # ------------------------------------------------------ delays as row offsets
 
 
-def test_delayed_rows_match_the_history_buffer():
-    """A delay of whole steps, read as rows back, agrees with the
-    interpolating history buffer fed the same rows at every RK4 stage time
-    of every step: exactly at the step's start and end, to 1e-15 at its
-    midpoint, with row 0 as the pre-history (steps with k - lag = -1 and 0)
-    and through the first steps after tau_x and tau_u."""
+def test_delayed_rows_match_interpolated_samples():
+    """A delay of whole steps, read as rows back, agrees with the stored
+    rows sampled at every RK4 stage time of every step, linearly
+    interpolated off the grid: exactly at the step's start and end, to
+    1e-15 at its midpoint, with row 0 as the pre-history (steps with
+    k - lag = -1 and 0) and through the first steps after tau_x and tau_u."""
     h, tau_x, tau_u = 0.005, 0.05, 0.1
     t = np.arange(60) * h
     rows = np.stack([np.sin(3.0 * t), np.cos(2.0 * t) - 0.5, 0.2 * t], axis=1)
     for tau in (tau_x, tau_u):
         lag = round(tau / h)
-        buf = HistoryBuffer(h, 0.0, rows[0], tau)
         for k in range(len(rows) - 1):
             start = k * h  # stage times as step_rk4 forms them
+            stored = rows[: k + 1]  # what a run holds during step k
             lo, mid, hi = (v[0] for v in delayed(rows, k, k + 1, lag))
-            assert np.array_equal(lo, buf.sample(start - tau))
-            assert np.max(np.abs(mid - buf.sample(start + 0.5 * h - tau))) <= 1e-15
-            assert np.array_equal(hi, buf.sample(start + h - tau))
-            buf.append(rows[k + 1])
+            assert np.array_equal(lo, sample(stored, h, start - tau))
+            assert np.max(np.abs(mid - sample(stored, h, start + 0.5 * h - tau))) <= 1e-15
+            assert np.array_equal(hi, sample(stored, h, start + h - tau))
         assert all(np.array_equal(v[0], rows[0]) for v in delayed(rows, lag - 1, lag, lag))
         assert np.array_equal(delayed(rows, lag, lag + 1, lag)[2][0], rows[1])
         # a run reads a block of steps at once, with the same values
@@ -670,9 +666,10 @@ def test_stage_kernel_matches_the_chain_functions(ell, p):
 def per_step_oracle(sc: Scenario) -> np.ndarray:
     """Integrate the closed loop of ``sc`` by one step_rk4 call per step on
     the stacked state [x; x_a; theta; phi_phi; x_m], with every delayed
-    value read from an interpolating HistoryBuffer at its stage time and
-    the right-hand side assembled per stage from the reference chain
-    functions.  Returns the stored rows."""
+    value sampled from the rows stored so far at its stage time, linearly
+    interpolated off the grid (``chain_oracle.sample``), and the right-hand
+    side assembled per stage from the reference chain functions.  Returns
+    the stored rows."""
     ell, n, p = sc.num_agents, sc.state_dim, sc.input_dim
     q = 2 * n + p
     h, tau_x, tau_u = sc.step, sc.tau_x, sc.tau_u
@@ -685,12 +682,12 @@ def per_step_oracle(sc: Scenario) -> np.ndarray:
         return [part.reshape(shape) for part, shape in zip(np.split(v, cuts), shapes)]
 
     y = np.concatenate([sc.x0, sc.xa0, sc.theta0.ravel(), sc.phi_phi0.ravel(), sc.xm0])
-    history = HistoryBuffer(h, 0.0, y, tau_u)
+    rows = [y]
 
     def rhs(t, v, _):
         x, x_a, theta, phi_phi, x_m = split(v)
-        x_del, _, _, _, xm_del = split(history.sample(t - tau_x))
-        theta_del = split(history.sample(t - tau_u))[2]
+        x_del, _, _, _, xm_del = split(sample(rows, h, t - tau_x))
+        theta_del = split(sample(rows, h, t - tau_u))[2]
         r_del = np.full(p, sc.reference(t - tau_u))
         u_app = applied_input(theta_del, regressor(x_m, xm_del, r_del), t, tau_u)
         eta = regressor(x, x_del, r_del)
@@ -710,10 +707,8 @@ def per_step_oracle(sc: Scenario) -> np.ndarray:
         )
         return np.concatenate([d.ravel() for d in parts])
 
-    rows = [y]
     for k in range(round(sc.duration / h)):
         y = step_rk4(rhs, k * h, y, h, (None,) * 4)
-        history.append(y)
         rows.append(y)
     return np.array(rows)
 
@@ -999,7 +994,8 @@ def test_frozen_channel_is_decided_at_validation(key, label):
     frozen = {key: np.zeros((1, 1))}
     matching = validate_scenario(tiny_scenario(**frozen))[-1]
     assert matching.name == "matching" and not matching.passed
-    message = f"agent 1: {label} adaptation is frozen (zero rate) but its gain error is nonzero"
+    message = (f"agent 1: {label} adaptation is frozen (rate at or below 1e-12) "
+               "but its gain error is nonzero")
     assert matching.detail == message
     with pytest.raises(ValidationError, match=re.escape(message)):
         harness.run_blocks(tiny_scenario(**frozen))
