@@ -48,7 +48,7 @@ import numpy as np
 from . import g17
 from .errors import DelaySyncError, ParseError, ValidationError
 from .harness import (
-    RECORD_VALUES,
+    OPERAND_VALUES,
     ROW_FIELDS,
     ReferenceSignal,
     Scenario,
@@ -473,13 +473,13 @@ def _formatter(out: int) -> Iterator[Callable[[np.ndarray], None]]:
     """
     source, chunks = os.pipe()
     reports, status = os.pipe()
-    # A pipe that holds a whole yielded block (harness.RECORD_VALUES) lets
-    # the loop hand a block over and integrate the next while the child
-    # formats it; the default 64 KiB would hold the loop back a chunk at a
-    # time.  Where the size cannot be set, the default works, only slower.
+    # A pipe that holds a whole yielded loop block (a row holds fewer values
+    # than a step's operands) lets the loop hand it over and integrate the
+    # next while the child formats it; the default 64 KiB would hold the
+    # loop back a chunk at a time.  Where the size cannot be set, it works.
     if hasattr(fcntl, "F_SETPIPE_SZ"):
         with contextlib.suppress(OSError):
-            fcntl.fcntl(chunks, fcntl.F_SETPIPE_SZ, 8 * RECORD_VALUES)
+            fcntl.fcntl(chunks, fcntl.F_SETPIPE_SZ, 8 * OPERAND_VALUES)
     if hasattr(os, "fork"):
         # The child calls no BLAS and starts no threads: it formats with
         # numpy's elementwise routines and writes.  So the BLAS threads
@@ -542,14 +542,14 @@ def write_trace_csv(trace: SimTrace | Iterable[SimTrace], path) -> None:
     each block, as it arrives, in chunks of about CSV_BLOCK_VALUES values
     down a pipe to one forked child (a thread where there is no
     ``os.fork``), which formats them with ``g17.csv_rows`` and writes the
-    text; so a run's loop integrates while its rows are formatted.  The
-    bytes are those ``np.savetxt`` writes of the whole trace, however it is
-    split into blocks.  Neither side copies a block or the trace whole:
-    each holds a chunk at a time, the child also its text and the
-    formatter's buffers.  The file is written as ``<path>.partial`` and
-    renamed to ``path`` only once the child has written all of it; on any
-    failure, the blocks' own included, the child is reaped and the partial
-    file removed.
+    text; the pipe holds a run's loop block, so the loop steps the next
+    block while its rows are formatted.  The bytes are those ``np.savetxt``
+    writes of the whole trace, however it is split into blocks.  Neither
+    side copies a block or the trace whole: each holds a chunk at a time,
+    the child also its text and the formatter's buffers.  The file is
+    written as ``<path>.partial`` and renamed to ``path`` only once the
+    child has written all of it; on any failure, the blocks' own included,
+    the child is reaped and the partial file removed.
     """
     blocks = [trace] if isinstance(trace, SimTrace) else trace
     path = Path(path)

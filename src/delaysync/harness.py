@@ -25,7 +25,7 @@ only the gains ``tau_u`` back, so the loop keeps each in a delay line of
 ``tau_x + 1`` or ``tau_u + 1`` rows, which holds run row j at slot j mod its
 length and takes a block's new rows after the block; slot 0 keeps row 0
 until no step reads the pre-history.  The whole states are kept only for
-the rows not yet recorded.
+the block being stepped.
 
 The loop precomputes the operands that read stored values only for a
 block of steps and their four RK4 stages at once (``_stage_operands``):
@@ -44,9 +44,8 @@ Fleet rows are checked for divergence once per block.
 Stage 0 of step k evaluates at row k's state with row k's operands, so the
 loop records row k's mismatch, auxiliary input and ``L x`` from it after
 the step; the last row, which starts no step, gets one kernel call of its
-own.  The steps write the whole states into the rows of a record block;
-once a few loop blocks fill it with about RECORD_VALUES trace values (and
-at most ``tau_u`` steps), its rows are recorded as one SimTrace and
+own.  Each block's steps write its whole states into rows of its own,
+and right after it is stepped its rows are recorded as one SimTrace and
 yielded: the augmented error ``(L x - g x_m) + x_a``, the commanded input
 against the leader rows ``tau_u`` ahead (so no per-step forward prediction
 is needed) and ``V_d``, each formed per row, so the rows of a block equal
@@ -102,11 +101,6 @@ WEIGHT_TOL = 1e-12
 # The loop forms the stage operands of a block of steps at once; a block
 # holds about this many values with its temporaries (see _block_values).
 OPERAND_VALUES = 2**16
-# A run yields its trace in blocks of whole loop blocks that hold about this
-# many trace values, so that the recording and trace.csv's formatter pay
-# their fixed costs per call on tens of rows or more, not on a loop block
-# of a few (6 rows on a 128-agent ring).
-RECORD_VALUES = 2**17
 
 REFERENCE_KINDS = ("constant", "sine", "square")
 # The SimTrace fields with a row axis, in field order (trace.csv's order).
@@ -681,10 +675,9 @@ def _stage_inputs(ref: ReferenceSignal, start: int, stop: int, h: float, tau_u: 
     return _levels(ref, np.stack([starts, mids, mids, starts + h], axis=1) - tau_u, p)
 
 
-def _leader_pass(step: np.ndarray, r_in: np.ndarray, table: np.ndarray, start: int,
-                 stop: int) -> None:
-    """Integrate the leader from ``table[start]`` into rows ``start + 1``
-    to ``stop`` of ``table``, one RK4 step per row.
+def _leader_pass(step: np.ndarray, r_in: np.ndarray, table: np.ndarray) -> None:
+    """Integrate the leader from ``table[0]`` into the rows after it, one
+    RK4 step per row.
 
     ``step`` is the step matrix of :meth:`LeaderModel.rk4_matrices` and
     ``r_in`` the stage inputs from :func:`_stage_inputs`.  The leader is
@@ -694,9 +687,9 @@ def _leader_pass(step: np.ndarray, r_in: np.ndarray, table: np.ndarray, start: i
     """
     n = table.shape[1]
     free = step[:, :n]
-    driven = r_in.reshape(stop - start, -1) @ step[:, n:].T
-    for j in range(start, stop):
-        table[j + 1] = free @ table[j] + driven[j - start]
+    driven = r_in.reshape(len(r_in), -1) @ step[:, n:].T
+    for j in range(len(r_in)):
+        table[j + 1] = free @ table[j] + driven[j]
 
 
 def _block_values(ell: int, n: int, p: int) -> int:
@@ -767,12 +760,12 @@ def run_blocks(sc: Scenario) -> Iterator[SimTrace]:
     TraceTooLarge when the rows the run records, with the leader's stage
     inputs, would pass MAX_RUN_BYTES, before anything is allocated.  The
     iterator it returns integrates as it is read and yields the trace's
-    rows in order: one SimTrace per few loop blocks (about RECORD_VALUES
-    values, at most ``tau_u`` steps), then the last row alone.  Reading on
-    raises DivergenceDetected (with the offending time) when any integrated state (fleet, leader,
-    auxiliary, gains) passes 1e6 in magnitude, the leader rows read
-    ``tau_u`` past the last step included, and propagates integrator
-    errors.
+    rows in order: one SimTrace per loop block (at most ``tau_x`` steps,
+    about OPERAND_VALUES operand values), then the last row alone.
+    Reading on raises DivergenceDetected (with the offending time) when any
+    integrated state (fleet, leader, auxiliary, gains) passes 1e6 in
+    magnitude, the leader rows read ``tau_u`` past the last step included,
+    and propagates integrator errors.
     """
     checks = validate_scenario(sc)
     failed = [c for c in checks if not c.passed]
@@ -797,13 +790,13 @@ def run_blocks(sc: Scenario) -> Iterator[SimTrace]:
             f"steps of {n} states and {4 * p} stage inputs), over the "
             f"{MAX_RUN_BYTES / 2**30:g} GiB limit"
         )
-    return _blocks(sc, *_solved(checks), total, row_width)
+    return _blocks(sc, *_solved(checks), total)
 
 
 def _blocks(sc: Scenario, matrices, p_block: np.ndarray, energy: _EnergyMonitor,
-            total: int, row_width: int) -> Iterator[SimTrace]:
+            total: int) -> Iterator[SimTrace]:
     """The loop of :func:`run_blocks` over ``total`` steps, given what
-    validation solved and the values in a trace row."""
+    validation solved."""
     ell, n, p = sc.num_agents, sc.state_dim, sc.input_dim
     q = 2 * n + p
     ln = ell * n
@@ -819,9 +812,6 @@ def _blocks(sc: Scenario, matrices, p_block: np.ndarray, energy: _EnergyMonitor,
     # A block holds about OPERAND_VALUES values and is at most tau_x steps
     # long, so that it reads only rows stored before it.
     span = min(dx, max(1, OPERAND_VALUES // _block_values(ell, n, p)))
-    # Rows yielded at once: whole blocks, about RECORD_VALUES trace values
-    # and at most du rows.
-    per_record = span * max(1, min(du, RECORD_VALUES // row_width) // span)
 
     def diverged(rows: np.ndarray, start: int):
         """The earliest of ``rows``, run row ``start`` onward, past the
@@ -877,23 +867,15 @@ def _blocks(sc: Scenario, matrices, p_block: np.ndarray, energy: _EnergyMonitor,
     # produced it.
     table = np.empty((lead + 1, n))
     table[0] = sc.xm0
-    r_in = np.empty((lead, 4, p))
-    end, leader_bad = total, None  # the fleet steps up to row `end`
     with np.errstate(over="ignore", invalid="ignore"):
-        for a in range(0, lead, span):
-            b = min(a + span, lead)
-            r_in[a:b] = _stage_inputs(ref, a, b, h, sc.tau_u, p)
-            _leader_pass(leader_step, r_in[a:b], table, a, b)
-            leader_bad = diverged(table[a + 1:b + 1], a + 1)
-            if leader_bad:
-                # The first leader row past the limit ends the run at its
-                # time, the rows read tau_u past the last step included.
-                # The fleet steps up to it, so no step reads a diverged
-                # leader, and its rows, checked once per block, are earlier
-                # and reported first.  Rows that would read the leader past
-                # the limit are not recorded: none is yielded.
-                end = min(a + leader_bad[0], total)
-                break
+        r_in = _stage_inputs(ref, 0, lead, h, sc.tau_u, p)
+        _leader_pass(leader_step, r_in, table)
+        leader_bad = diverged(table[1:], 1)
+    # The first leader row past the limit, the rows read tau_u past the last
+    # step included, ends the run at its time.  The fleet steps up to row
+    # `end`, the one before it, so no step reads a diverged leader and an
+    # earlier fleet row is reported first; no row is yielded.
+    end = min(leader_bad[0], total) if leader_bad else total
 
     # Delay lines: run row j of the fleet states and of the gains sits at
     # slot j mod (lag + 1).  A block's operands, formed before its steps,
@@ -904,39 +886,32 @@ def _blocks(sc: Scenario, matrices, p_block: np.ndarray, energy: _EnergyMonitor,
     th_line = np.empty((min(total, du) + 1, ell, q, p))
     x_line[0] = sc.x0.reshape(ell, n)
     th_line[0] = sc.theta0
-    # The whole states of rows `done` onward, as the steps write them, until
-    # they are yielded; row k's phi, u_aux and L x, as stage 0 of step k
-    # evaluates them, wait in signals[k - done].
-    done = 0
-    states = np.empty((min(total, per_record) + 1, z0.shape[0]))
-    states[0] = z0
-    signals = np.empty((per_record, ell * (2 * p + n)))
+    # Each block's whole states, seeded with the last row of the block
+    # before; row k's phi, u_aux and L x, as stage 0 of step k evaluates
+    # them, go in signals[k - a].
+    last = z0
     for a in range(0, end, span):
         stop = min(a + span, end)
+        states = np.empty((stop - a + 1, z0.shape[0]))
+        states[0] = last
+        signals = np.empty((stop - a, ell * (2 * p + n)))
         with np.errstate(over="ignore", invalid="ignore"):
             kernel.u_app, kernel.drive, kernel.eta_del, kernel.g_off = _stage_operands(
                 sc, kernel, leader_stages, r_in[a:stop], table, x_line, th_line, a, stop
             )
             for k in range(a, stop):
                 i = 4 * (k - a)
-                states[k + 1 - done] = step_rk4(kernel, k * h, states[k - done], h,
-                                                range(i, i + 4))
-                signals[k - done] = kernel.signals[0]
-            new = states[a + 1 - done:stop + 1 - done]
-            fleet_bad = diverged(new, a + 1)
+                states[k + 1 - a] = step_rk4(kernel, k * h, states[k - a], h, range(i, i + 4))
+                signals[k - a] = kernel.signals[0]
+            fleet_bad = diverged(states[1:], a + 1)
         if fleet_bad:
             raise fleet_bad[1]
         rows = np.arange(a + 1, stop + 1)
-        x_line[rows % len(x_line)] = new[:, :ln].reshape(-1, ell, n)
-        th_line[rows % len(th_line)] = new[:, i_th:i_ph].reshape(-1, ell, q, p)
-        if stop - done == per_record or stop == end:
-            if not leader_bad:
-                yield record(done, stop, states[:stop - done], signals[:stop - done])
-            # the yielded block keeps its rows; its last row seeds the next
-            states = np.empty_like(states)
-            states[0] = new[-1]
-            done = stop
-            signals = np.empty_like(signals)
+        x_line[rows % len(x_line)] = states[1:, :ln].reshape(-1, ell, n)
+        th_line[rows % len(th_line)] = states[1:, i_th:i_ph].reshape(-1, ell, q, p)
+        last = states[-1]
+        if not leader_bad:
+            yield record(a, stop, states[:-1], signals)
     if leader_bad:
         raise leader_bad[1]
     # The last row starts no step: evaluate stage 0 of step total alone.
@@ -945,8 +920,8 @@ def _blocks(sc: Scenario, matrices, p_block: np.ndarray, energy: _EnergyMonitor,
             sc, kernel, leader_stages, r_in[total:total + 1], table, x_line, th_line, total,
             total + 1
         )
-        kernel(total * h, states[0], 0)
-    yield record(total, total + 1, states[:1], kernel.signals[0][None].copy())
+        kernel(total * h, last, 0)
+    yield record(total, total + 1, last[None], kernel.signals[0][None].copy())
 
 
 def run_scenario(sc: Scenario) -> SimTrace:

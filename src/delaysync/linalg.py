@@ -91,9 +91,10 @@ def solve_lyapunov(a_m, q_tilde) -> np.ndarray:
     ------
     SingularMatrix
         When a coefficient of the vectorized system is not finite (``a_m``
-        near the float range), when LAPACK finds that system singular, or
-        when the substituted residual exceeds ``1e-9`` (ill-conditioned
-        system).
+        near the float range), when LAPACK finds that system singular, when
+        the solution or its residual is not finite (``q_tilde`` near the
+        float range), or when the substituted residual exceeds ``1e-9``
+        (ill-conditioned system).
     """
     a_m = _as_square(a_m, "a_m")
     q_tilde = _as_square(q_tilde, "q_tilde")
@@ -112,9 +113,11 @@ def solve_lyapunov(a_m, q_tilde) -> np.ndarray:
         p = np.linalg.solve(coeff, rhs).reshape((n, n), order="F")
     except np.linalg.LinAlgError as exc:
         raise SingularMatrix(f"lyapunov system is singular: {exc}") from exc
-    p = 0.5 * (p + p.T)
-
-    residual = np.max(np.abs(a_m.T @ p + p @ a_m + q_tilde))
+    with np.errstate(over="ignore", invalid="ignore"):
+        p = 0.5 * (p + p.T)
+        residual = np.max(np.abs(a_m.T @ p + p @ a_m + q_tilde))
+    if not (np.isfinite(p).all() and np.isfinite(residual)):
+        raise SingularMatrix("q_tilde is too large: the lyapunov solution overflows")
     if residual > 1e-9:
         raise SingularMatrix(f"lyapunov residual {residual:.3e} exceeds 1e-9")
     return p

@@ -473,8 +473,10 @@ def test_reference_phase_that_overflows_exits_one_before_the_run(tmp_path, capsy
     [
         ("0.2, 0.1, 0, 0.2", "q_tilde is not symmetric"),
         ("-0.2, 0, 0, 0.2", "q_tilde is not positive definite: smallest eigenvalue -2.000e-01"),
+        ("1e308, 0, 0, 1e308", "q_tilde is too large"),
+        ("1.7e308, 0, 0, 1.7e308", "q_tilde is too large"),
     ],
-    ids=["non_symmetric", "indefinite"],
+    ids=["non_symmetric", "indefinite", "overflows_p", "overflows_solve"],
 )
 def test_bad_q_tilde_is_named_in_the_lyapunov_check(tmp_path, capsys, command, q_tilde, message):
     argv = [command, "example1", "--set", f"controller.q_tilde={q_tilde}"]
@@ -612,8 +614,9 @@ def test_main_requires_subcommand(capsys):
         # the reference) must stop the run like any other state.
         (("reference.amplitude=1e308", "simulation.duration=1"), 5.005),
         (("reference.amplitude=1e9", "simulation.duration=1"), 5.005),
-        # An unstable agent passes the limit at t=4.21, before the leader
-        # rows computed in the same look-ahead block: the earlier time wins.
+        # An unstable agent passes the limit at t=4.21, before the first
+        # leader row past it (5.005) in the table made before the loop: the
+        # earlier time wins.
         (
             ("agent.1.a=0,1,3,2", "simulation.x0=3e-3,0,0,0,0,0,0,0",
              "reference.amplitude=1e9", "simulation.duration=8"),
@@ -858,7 +861,7 @@ def start(request, monkeypatch):
 def test_divergence_after_rows_were_sent_exits_two(start, tmp_path, capsys, monkeypatch):
     """A loop that diverges after the formatter has been sent rows stops
     it, reaps it and leaves no file: an unstable agent passes the limit at
-    t=8.935, after the first block of 972 rows."""
+    t=8.935, after eleven blocks of 162 rows (1782 rows) were sent."""
     send = cli._send
     sent = []
 
@@ -1002,10 +1005,12 @@ def test_streamed_run_writes_the_files_of_the_whole_trace(case, tmp_path, capsys
     """``run`` writes each block of rows as the loop yields it and keeps only
     what summary.txt needs, yet writes trace.csv and summary.txt byte for
     byte as they are written from run_scenario's whole trace, whose fields
-    are the blocks joined.  Every case has more rows than the state window
-    (2 (tau_u + 1) rows and a block), so the window moves its rows at least
-    once; the two-input fleet (201 rows, tau_u 30 rows) and the 32-agent
-    ring (4001 rows, tau_u 500 rows) move them several times."""
+    are the blocks joined.  The loop yields each block as it steps it, a
+    span of rows (the last block of steps holding what is left), then the
+    last row alone.  Every case has more rows than 2 (tau_u + 1) and a
+    block, so both delay lines wrap round at least once; the two-input
+    fleet (201 rows, tau_u 30 rows) and the 32-agent ring (4001 rows, tau_u
+    500 rows) wrap them several times."""
     source = STREAMED[case]()
     if source not in BUILTINS:
         path = tmp_path / f"{case}.cfg"
@@ -1020,6 +1025,9 @@ def test_streamed_run_writes_the_files_of_the_whole_trace(case, tmp_path, capsys
                harness.OPERAND_VALUES // harness._block_values(sc.num_agents,
                                                               sc.state_dim, sc.input_dim))
     assert trace.num_rows > 2 * (round(sc.tau_u / sc.step) + 1) + span
+    total = trace.num_rows - 1
+    assert [b.num_rows for b in blocks[:-2]] == [span] * (len(blocks) - 2)
+    assert blocks[-2].num_rows == total - span * ((total - 1) // span)
     for name in harness.ROW_FIELDS:
         joined = np.concatenate([getattr(b, name) for b in blocks])
         assert np.array_equal(joined, getattr(trace, name), equal_nan=True), name

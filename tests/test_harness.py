@@ -883,7 +883,7 @@ def test_run_memory_grows_with_the_input_delay_by_a_line_of_gains():
     their delays, so on a 32-agent ring doubling tau_u from 3 s to 6 s adds
     to the traced peak of draining a run at most 1.25 times the gains of the
     added rows, not rows of whole states.  Both runs fill their lines, and
-    both record blocks are held at the RECORD_VALUES row cap."""
+    both yield blocks of the same loop span."""
     ell, n, p = 32, 2, 1
     q = 2 * n + p
 
