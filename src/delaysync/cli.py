@@ -15,10 +15,10 @@ models.
     delaysync validate <builtin|file> [--set ...]
     delaysync list-builtins
 
-``run`` streams: it hands each block of rows ``harness.run_blocks`` yields
-to one forked child, which formats trace.csv while the loop integrates the
-next block, and keeps of them only what summary.txt needs
-(``harness.TraceTally``).
+``run`` streams: it sends the raw rows of each block ``harness.run_blocks``
+yields down a pipe to one forked child, which formats trace.csv while the
+loop integrates the next block (in this process where there is no fork),
+and keeps of them only what summary.txt needs (``harness.TraceTally``).
 
 Exit codes: 0 success, 1 parse or validation failure, 2 runtime failure.
 """
@@ -27,21 +27,16 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import itertools
 import json
 import math
 import os
 import signal
 import sys
-import threading
 import traceback
 import warnings
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, NamedTuple
-
-try:
-    import fcntl
-except ImportError:  # no fcntl: the pipe keeps its default size
-    fcntl = None
 
 import numpy as np
 
@@ -406,72 +401,51 @@ def _write_all(fd: int, data) -> None:
         view = view[os.write(fd, view) :]
 
 
-def _send(fd: int, rows: np.ndarray) -> None:
-    """One chunk message: the (rows, columns) of ``rows`` as two int64, then
-    its float64 values row by row.  A message of no rows (_END) ends the
-    stream."""
-    _write_all(fd, np.array(rows.shape, np.int64))
-    if rows.size:
-        _write_all(fd, rows)
-
-
-_END = np.zeros((0, 0))
-
-
-def _format_chunks(source: int, out: int, status: int) -> int:
-    """Read chunk messages from the file descriptor ``source``, format each
-    with ``g17.csv_rows`` into one reused ``g17.Buffers``, and write the
-    text to ``out``, until the end message.
-
-    Returns 0 once the end message is read and 1 when ``source`` ends
-    before it or the work fails.  A failure is first reported on
-    ``status``: an OSError as its errno and strerror, anything else as its
-    type and text.  Closes ``source`` and ``status``, not ``out``.  Its
-    memory is one chunk, its text and the formatter's buffers, whatever
-    the length of the stream.
-    """
-    try:
-        with open(source, "rb") as chunks:
-            shape = np.empty(2, np.int64)
-            values = buffers = None
-            while chunks.readinto(shape) == shape.nbytes:
-                rows, columns = shape.tolist()
-                if rows == 0:
-                    return 0
-                if buffers is None:
-                    size = _chunk_rows(columns) * columns
-                    values, buffers = np.empty(size), g17.Buffers(size)
-                block = values[: rows * columns].reshape(rows, columns)
-                if chunks.readinto(block) < block.nbytes:
-                    break
-                _write_all(out, g17.csv_rows(block, buffers))
-        return 1
-    except Exception as exc:
-        if isinstance(exc, OSError) and exc.errno is not None:
-            report = [exc.errno, exc.strerror]
-        else:  # not an I/O failure: a defect, whose traceback goes to stderr
-            traceback.print_exc()
-            report = [None, f"{type(exc).__name__}: {exc}"]
-        os.write(status, json.dumps(report).encode())
-        return 1
-    finally:
-        os.close(status)
-
-
 @contextlib.contextmanager
-def _formatter(out: int) -> Iterator[Callable[[np.ndarray], None]]:
-    """Run _format_chunks on the file descriptor ``out`` in one forked child
-    (in a thread where there is no ``os.fork``) and yield the function
-    that sends it a chunk of rows down a pipe.
+def _replacing(path) -> Iterator[Path]:
+    """Yield ``<path>.partial`` to be written; it is renamed to ``path`` when
+    the body ends, and removed when the body raises."""
+    path = Path(path)
+    partial = path.with_name(path.name + ".partial")
+    try:
+        yield partial
+        os.replace(partial, path)
+    except BaseException:
+        partial.unlink(missing_ok=True)
+        raise
 
-    When the body ends, the end message is sent, the pipe closed and the
-    child reaped.  A failure the child reported is raised here, an OSError
-    as an OSError of the same errno and strerror, and so is a child that
-    a signal killed or that exited otherwise than 0.  When the body
-    raises, the pipe is closed, the child reaped and the body's exception
-    goes on; a send that finds the child gone raises the child's failure.
+
+def _format_rows(chunks: Iterable[np.ndarray], out: int, columns: int) -> None:
+    """Format each chunk of rows of ``columns`` values with ``g17.csv_rows``
+    into one reused ``g17.Buffers`` and write the text to the file
+    descriptor ``out``.  Its memory is a chunk's text and the buffers."""
+    buffers = g17.Buffers(_chunk_rows(columns) * columns)
+    for rows in chunks:
+        _write_all(out, g17.csv_rows(rows, buffers))
+        del rows  # not held while the next chunk is made
+
+
+def _read_chunks(stream, columns: int) -> Iterator[np.ndarray]:
+    """Raw float64 rows of ``columns`` values read from the binary file
+    ``stream`` until it ends, _chunk_rows at a time into one array."""
+    values = np.empty((_chunk_rows(columns), columns))
+    while rows := stream.readinto(values) // values[0].nbytes:
+        yield values[:rows]
+
+
+def _format_in_child(chunks: Iterable[np.ndarray], out: int, columns: int) -> None:
+    """Send each chunk of rows raw down a pipe to one forked child, which
+    formats what it reads with _format_rows until the pipe ends.
+
+    Returns once the child has exited 0 with no report.  A failure it
+    reported is raised here (an OSError with its errno and strerror), and
+    so is a child that a signal killed or that exited otherwise than 0.
+    When ``chunks`` raises, the pipe is closed, the child reaped and the
+    exception goes on.
     """
-    source, chunks = os.pipe()
+    import fcntl  # POSIX, as os.fork is
+
+    source, sink = os.pipe()
     reports, status = os.pipe()
     # A pipe that holds a whole yielded loop block (a row holds fewer values
     # than a step's operands) lets the loop hand it over and integrate the
@@ -479,47 +453,42 @@ def _formatter(out: int) -> Iterator[Callable[[np.ndarray], None]]:
     # loop back a chunk at a time.  Where the size cannot be set, it works.
     if hasattr(fcntl, "F_SETPIPE_SZ"):
         with contextlib.suppress(OSError):
-            fcntl.fcntl(chunks, fcntl.F_SETPIPE_SZ, 8 * OPERAND_VALUES)
-    if hasattr(os, "fork"):
-        # The child calls no BLAS and starts no threads: it formats with
-        # numpy's elementwise routines and writes.  So the BLAS threads
-        # this process may hold, which Python >= 3.12 warns about at a
-        # fork, cannot leave it waiting on a lock they held.
-        with warnings.catch_warnings():
-            warnings.filterwarnings("ignore", "This process", DeprecationWarning)
-            pid = os.fork()
-        if pid == 0:
-            code = 1
-            try:
-                os.close(chunks)
-                os.close(reports)
-                code = _format_chunks(source, out, status)
-            finally:
-                os._exit(code)
-        os.close(source)
-        os.close(status)
-
-        def wait() -> int:
-            return os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
-    else:
-        codes = []
-        thread = threading.Thread(
-            target=lambda: codes.append(_format_chunks(source, out, status))
-        )
-        thread.start()
-
-        def wait() -> int:
-            thread.join()
-            return codes[0] if codes else 1
-
+            fcntl.fcntl(sink, fcntl.F_SETPIPE_SZ, 8 * OPERAND_VALUES)
+    # The child calls no BLAS and starts no threads: it formats with numpy's
+    # elementwise routines and writes.  So the BLAS threads this process may
+    # hold, which Python >= 3.12 warns about at a fork, cannot leave it
+    # waiting on a lock they held.
+    with warnings.catch_warnings():
+        warnings.filterwarnings("ignore", "This process", DeprecationWarning)
+        pid = os.fork()
+    if pid == 0:
+        code = 1
+        try:
+            os.close(sink)
+            os.close(reports)
+            with open(source, "rb") as stream:
+                _format_rows(_read_chunks(stream, columns), out, columns)
+            code = 0
+        except Exception as exc:
+            if isinstance(exc, OSError) and exc.errno is not None:
+                report = [exc.errno, exc.strerror]
+            else:  # not an I/O failure: a defect, whose traceback goes to stderr
+                traceback.print_exc()
+                report = [None, f"{type(exc).__name__}: {exc}"]
+            os.write(status, json.dumps(report).encode())
+        finally:
+            os._exit(code)
+    os.close(source)
+    os.close(status)
     try:
-        yield lambda rows: _send(chunks, rows)
-        _send(chunks, _END)
+        for rows in chunks:
+            _write_all(sink, rows)
+            del rows  # not held while the next chunk is made
     except BrokenPipeError:
         pass  # the child stopped early: its report or exit status says why
     finally:
-        os.close(chunks)
-        code = wait()
+        os.close(sink)
+        code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
         with open(reports, "rb") as f:
             report = f.read()
     if report:
@@ -536,39 +505,34 @@ def _formatter(out: int) -> Iterator[Callable[[np.ndarray], None]]:
 def write_trace_csv(trace: SimTrace | Iterable[SimTrace], path) -> None:
     """Full-precision CSV of a trace, or of its blocks of rows in order as
     ``harness.run_blocks`` yields them; %.17g text reproduces every double
-    exactly.
+    exactly, in the bytes ``np.savetxt`` writes of the whole trace.
 
-    Two processes share the work.  This one writes the header and copies
-    each block, as it arrives, in chunks of about CSV_BLOCK_VALUES values
-    down a pipe to one forked child (a thread where there is no
-    ``os.fork``), which formats them with ``g17.csv_rows`` and writes the
-    text; the pipe holds a run's loop block, so the loop steps the next
-    block while its rows are formatted.  The bytes are those ``np.savetxt``
-    writes of the whole trace, however it is split into blocks.  Neither
-    side copies a block or the trace whole: each holds a chunk at a time,
-    the child also its text and the formatter's buffers.  The file is
-    written as ``<path>.partial`` and renamed to ``path`` only once the
-    child has written all of it; on any failure, the blocks' own included,
-    the child is reaped and the partial file removed.
+    The header is written when the first block arrives.  Then the rows go,
+    in chunks of about CSV_BLOCK_VALUES values, raw down a pipe to one
+    child forked there, which formats them with ``g17.csv_rows``; the pipe
+    holds a run's loop block, so the loop steps the next block while its
+    rows are formatted.  Where there is no ``os.fork`` the same loop
+    formats them in this process.  Neither side holds more than a chunk
+    of rows at a time.  The file is written as ``<path>.partial`` and
+    renamed to ``path`` only once every row is written; on any failure,
+    the blocks' own included, the partial file is removed.
     """
-    blocks = [trace] if isinstance(trace, SimTrace) else trace
-    path = Path(path)
-    partial = path.with_name(path.name + ".partial")
-    per_chunk = None
-    try:
-        with open(partial, "wb", buffering=0) as out, _formatter(out.fileno()) as send:
-            for block in blocks:
-                if per_chunk is None:
-                    columns = trace_columns(block)
-                    per_chunk = _chunk_rows(len(columns))
-                    _write_all(out.fileno(), ",".join(columns).encode() + b"\n")
-                rows = block.num_rows
-                for a in range(0, rows, per_chunk):
-                    send(_rows(block, a, min(a + per_chunk, rows)))
-        os.replace(partial, path)
-    except BaseException:
-        partial.unlink(missing_ok=True)
-        raise
+    blocks = iter([trace] if isinstance(trace, SimTrace) else trace)
+    with _replacing(path) as partial, open(partial, "wb", buffering=0) as f:
+        first = next(blocks)
+        names = trace_columns(first)
+        _write_all(f.fileno(), ",".join(names).encode() + b"\n")
+        per_chunk = _chunk_rows(len(names))
+        # An exhausted iterator lets go of the first block once it is sent.
+        blocks = itertools.chain(iter([first]), blocks)
+        del first
+        chunks = (
+            _rows(block, a, min(a + per_chunk, block.num_rows))
+            for block in blocks
+            for a in range(0, block.num_rows, per_chunk)
+        )
+        format_rows = _format_in_child if hasattr(os, "fork") else _format_rows
+        format_rows(chunks, f.fileno(), len(names))
 
 
 def write_summary(sc: Scenario, trace: SimTrace | TraceTally, path) -> None:
@@ -597,7 +561,8 @@ def write_summary(sc: Scenario, trace: SimTrace | TraceTally, path) -> None:
         else:
             for k in range(flat_phi.shape[1]):
                 lines.append(f"phi_phi_final_{i + 1}_{k + 1}: {flat_phi[i, k]:.17g}")
-    Path(path).write_text("\n".join(lines) + "\n")
+    with _replacing(path) as partial:
+        partial.write_text("\n".join(lines) + "\n")
 
 
 def run_command(args: argparse.Namespace) -> int:
@@ -629,7 +594,11 @@ def run_command(args: argparse.Namespace) -> int:
         out.mkdir(parents=True, exist_ok=True)
         tally = TraceTally(sc.tau_u)
         write_trace_csv(map(tally.add, blocks), out / "trace.csv")
-        write_summary(sc, tally, out / "summary.txt")
+        try:
+            write_summary(sc, tally, out / "summary.txt")
+        except BaseException:
+            (out / "trace.csv").unlink()
+            raise
     except ValidationError as exc:
         for line in [f"{c.name}: {c.detail}" for c in exc.failed] or [str(exc)]:
             print(f"error: {line}", file=sys.stderr)

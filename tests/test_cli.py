@@ -2,6 +2,7 @@
 
 import errno
 import io
+import itertools
 import os
 import re
 import signal
@@ -601,6 +602,20 @@ def test_run_unwritable_output_exits_two(tmp_path, capsys):
     assert "error" in capsys.readouterr().err
 
 
+def test_unwritable_summary_exits_two_and_leaves_no_trace(tmp_path, capsys):
+    """A summary.txt that cannot be written (a directory stands in its
+    place) ends the run with exit 2 and one error line, and leaves neither
+    this run's trace.csv nor a partial summary."""
+    out_dir = tmp_path / "out"
+    (out_dir / "summary.txt").mkdir(parents=True)
+    code = run_cli("run", "example1", "--out", str(out_dir), "--set", "simulation.duration=2")
+    assert code == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith(f"error: [Errno {errno.EISDIR}] ")
+    assert os.listdir(out_dir) == ["summary.txt"]
+    assert os.listdir(out_dir / "summary.txt") == []
+
+
 def test_main_requires_subcommand(capsys):
     with pytest.raises(SystemExit):
         main([])
@@ -780,26 +795,37 @@ def test_trace_csv_of_non_finite_and_signed_zero_values_matches_savetxt(tmp_path
     assert (tmp_path / "trace.csv").read_bytes() == savetxt_bytes(trace)
 
 
-def test_trace_csv_memory_is_bounded_by_a_block(traces, tmp_path):
-    """The write holds one block, not a copy of the trace."""
+def formatter_paths(monkeypatch):
+    """Name each way trace.csv is formatted, in turn: in a forked child
+    where there is os.fork, then in this process, with os.fork removed."""
+    if hasattr(os, "fork"):
+        yield "fork"
+    monkeypatch.delattr(os, "fork", raising=False)
+    yield "in_process"
+
+
+def test_trace_csv_memory_is_bounded_by_a_block(traces, tmp_path, monkeypatch):
+    """The write holds one block, not a copy of the trace, whether it
+    formats in a forked child or in this process."""
     trace = traces["ring64"]
     arrays = (
         trace.times, trace.x, trace.x_m, trace.x_a, trace.e, trace.e_a, trace.u,
         trace.u_aux, trace.phi, trace.theta, trace.phi_phi, trace.v_d,
     )
-    tracemalloc.start()
-    try:
-        write_trace_csv(trace, tmp_path / "trace.csv")
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak < 0.25 * sum(a.nbytes for a in arrays)
+    for path in formatter_paths(monkeypatch):
+        tracemalloc.start()
+        try:
+            write_trace_csv(trace, tmp_path / f"{path}.csv")
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.25 * sum(a.nbytes for a in arrays), path
 
 
 def failing_on_second_chunk(monkeypatch, fail):
     """Make the formatter call ``fail()`` in place of formatting its second
-    chunk.  The formatter runs in the writer's child (or thread), which
-    counts its own calls from zero."""
+    chunk.  A formatter in the writer's forked child counts its own calls
+    from zero."""
     csv_rows = g17.csv_rows
     calls = []
 
@@ -825,19 +851,20 @@ def assert_one_error_and_no_output(code, capsys, out_dir, error):
 
 def test_trace_csv_write_failure_exits_two_and_leaves_no_file(tmp_path, capsys, monkeypatch):
     """A write that fails part way (here the disk fills on the second chunk
-    the child formats) ends the run with the child's error as one line and
-    no trace file, whole or partial."""
+    formatted, in the child or in this process) ends the run with the
+    error as one line and no trace file, whole or partial."""
     failing_on_second_chunk(monkeypatch, disk_full)
-    out_dir = tmp_path / "out"
-    code = run_cli("run", "example1", "--out", str(out_dir), "--set", "simulation.duration=12")
-    assert_one_error_and_no_output(
-        code, capsys, out_dir, f"[Errno {errno.ENOSPC}] {os.strerror(errno.ENOSPC)}"
-    )
-    assert not (out_dir / "trace.csv.partial").exists()
-    assert not (out_dir / "summary.txt").exists()
+    for path in formatter_paths(monkeypatch):
+        out_dir = tmp_path / path
+        code = run_cli("run", "example1", "--out", str(out_dir), "--set", "simulation.duration=12")
+        assert_one_error_and_no_output(
+            code, capsys, out_dir, f"[Errno {errno.ENOSPC}] {os.strerror(errno.ENOSPC)}"
+        )
+        assert not (out_dir / "trace.csv.partial").exists()
+        assert not (out_dir / "summary.txt").exists()
 
 
-@pytest.mark.skipif(not hasattr(os, "fork"), reason="the formatter runs in a thread")
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="no os.fork")
 def test_trace_csv_writer_killed_by_a_signal_exits_two(tmp_path, capsys, monkeypatch):
     """A formatter child that a signal kills part way is an error naming
     the signal, and leaves no file."""
@@ -847,13 +874,13 @@ def test_trace_csv_writer_killed_by_a_signal_exits_two(tmp_path, capsys, monkeyp
     assert_one_error_and_no_output(code, capsys, out_dir, "trace.csv formatter was killed by SIGKILL")
 
 
-@pytest.fixture(params=["fork", "thread"])
+@pytest.fixture(params=["fork", "in_process"])
 def start(request, monkeypatch):
-    """How the formatter starts: in a forked child, or in a thread where
-    there is no os.fork."""
+    """Where the formatter runs: in a forked child, or in this process
+    where there is no os.fork."""
     if request.param == "fork" and not hasattr(os, "fork"):
         pytest.skip("no os.fork")
-    if request.param == "thread" and hasattr(os, "fork"):
+    if request.param == "in_process" and hasattr(os, "fork"):
         monkeypatch.delattr(os, "fork")
     return request.param
 
@@ -862,14 +889,15 @@ def test_divergence_after_rows_were_sent_exits_two(start, tmp_path, capsys, monk
     """A loop that diverges after the formatter has been sent rows stops
     it, reaps it and leaves no file: an unstable agent passes the limit at
     t=8.935, after eleven blocks of 162 rows (1782 rows) were sent."""
-    send = cli._send
+    rows = cli._rows
     sent = []
 
-    def counting(fd, rows):
-        sent.append(rows.size)
-        send(fd, rows)
+    def counting(*args):
+        chunk = rows(*args)
+        sent.append(chunk.size)
+        return chunk
 
-    monkeypatch.setattr(cli, "_send", counting)
+    monkeypatch.setattr(cli, "_rows", counting)
     out_dir = tmp_path / "out"
     code = run_cli("run", "example1", "--out", str(out_dir),
                    "--set", "agent.1.a=0,1,3,2", "--set", "simulation.duration=20")
@@ -879,47 +907,66 @@ def test_divergence_after_rows_were_sent_exits_two(start, tmp_path, capsys, monk
     )
 
 
-def test_trace_csv_written_from_a_thread_without_fork(tmp_path, capsys, monkeypatch):
-    """Where there is no os.fork the formatter runs in a thread, writes the
-    same bytes, and fails the same way."""
+def test_trace_csv_written_in_process_without_fork(tmp_path, monkeypatch):
+    """Where there is no os.fork the rows are formatted in this process,
+    into the same bytes."""
     out_dir = tmp_path / "forked"
     argv = ["run", "example1", "--set", "simulation.duration=12"]
     assert run_cli(*argv, "--out", str(out_dir)) == 0
     monkeypatch.delattr(os, "fork")
-    assert run_cli(*argv, "--out", str(tmp_path / "thread")) == 0
+    assert run_cli(*argv, "--out", str(tmp_path / "in_process")) == 0
     for name in ("trace.csv", "summary.txt"):
-        assert (tmp_path / "thread" / name).read_bytes() == (out_dir / name).read_bytes()
-    capsys.readouterr()
-    failing_on_second_chunk(monkeypatch, disk_full)
-    code = run_cli(*argv, "--out", str(tmp_path / "full"))
-    assert_one_error_and_no_output(
-        code, capsys, tmp_path / "full", f"[Errno {errno.ENOSPC}] {os.strerror(errno.ENOSPC)}"
-    )
+        assert (tmp_path / "in_process" / name).read_bytes() == (out_dir / name).read_bytes()
+
+
+def test_stream_that_ends_between_chunks_is_formatted_but_not_kept(start, traces, tmp_path,
+                                                                     monkeypatch):
+    """Blocks that stop with an error after 486 rows, which end inside the
+    formatter's sixth chunk of 85 rows, are formatted to the last row
+    received, and the file is removed rather than renamed."""
+    sc = load_scenario("example1", ("simulation.duration=12",))
+    sent = list(itertools.islice(harness.run_blocks(sc), 3))
+    received = sum(block.num_rows for block in sent)
+    assert received % cli._chunk_rows(72) != 0
+
+    def blocks():
+        yield from sent
+        raise RuntimeError("the loop stopped")
+
+    unlink = Path.unlink
+    removed = {}
+
+    def keeping(self, missing_ok=False):
+        removed[self.name] = self.read_bytes()
+        unlink(self, missing_ok=missing_ok)
+
+    monkeypatch.setattr(Path, "unlink", keeping)
+    with pytest.raises(RuntimeError, match="the loop stopped"):
+        write_trace_csv(blocks(), tmp_path / "trace.csv")
+    assert os.listdir(tmp_path) == []
+    lines = savetxt_bytes(traces["example1"]).splitlines(keepends=True)
+    assert removed == {"trace.csv.partial": b"".join(lines[: 1 + received])}
 
 
 def test_trace_csv_formatter_memory_is_bounded_by_a_chunk(traces, tmp_path):
     """The formatter, which runs in the writer's child, holds one chunk,
     its text and its buffers, not the trace: run in this process on the
-    stream the writer sends for the ring64 trace, its tracemalloc peak
+    raw rows the writer sends for the ring64 trace, its tracemalloc peak
     stays under the bound the writer keeps."""
     trace = traces["ring64"]
-    per_chunk = cli._chunk_rows(len(trace_columns(trace)))
+    columns = len(trace_columns(trace))
+    per_chunk = cli._chunk_rows(columns)
     stream = tmp_path / "stream"
     with open(stream, "wb", buffering=0) as f:
         for a in range(0, trace.num_rows, per_chunk):
-            cli._send(f.fileno(), cli._rows(trace, a, min(a + per_chunk, trace.num_rows)))
-        cli._send(f.fileno(), cli._END)
-    reports, status = os.pipe()
+            cli._write_all(f.fileno(), cli._rows(trace, a, min(a + per_chunk, trace.num_rows)))
     tracemalloc.start()
     try:
-        with open(tmp_path / "rows.csv", "wb") as out:
-            code = cli._format_chunks(os.open(stream, os.O_RDONLY), out.fileno(), status)
+        with open(stream, "rb") as f, open(tmp_path / "rows.csv", "wb") as out:
+            cli._format_rows(cli._read_chunks(f, columns), out.fileno(), columns)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    with open(reports, "rb") as f:
-        assert f.read() == b""
-    assert code == 0
     assert (tmp_path / "rows.csv").read_bytes() == savetxt_bytes(trace).partition(b"\n")[2]
     arrays = [getattr(trace, name) for name in harness.ROW_FIELDS]
     assert peak < 0.25 * sum(a.nbytes for a in arrays)

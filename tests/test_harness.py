@@ -902,6 +902,27 @@ def test_run_memory_grows_with_the_input_delay_by_a_line_of_gains():
     assert growth <= 1.25 * 300 * ell * q * p * 8
 
 
+def test_stage_inputs_are_filled_without_horizon_sized_temporaries():
+    """With tau_u = 500 s the leader's stage inputs (100 200 steps, 3.06
+    MiB) dominate what the first block allocates.  A sine reference, read
+    at three stage times per step, peaks no higher there than a square one,
+    read once per step: each stage column is filled in place, not stacked,
+    shifted and repeated."""
+    def first_block_peak(kind):
+        sc = load_scenario("example1", ("simulation.tau_u=500", "simulation.duration=1",
+                                        f"reference.kind={kind}"))
+        blocks = harness.run_blocks(sc)
+        tracemalloc.start()
+        try:
+            next(blocks)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    first_block_peak("sine")  # first-run allocations out of the measurement
+    assert first_block_peak("sine") <= first_block_peak("square")
+
+
 # ------------------------------------------------------------------ monitor
 
 
