@@ -355,29 +355,23 @@ def load_scenario(source: str, overrides: tuple[str, ...] = ()) -> Scenario:
     return build_scenario(sections, name)
 
 
-def _axis_names(prefix: str, ell: int, width: int) -> list[str]:
+def _axis_names(prefix: str, count: int, width: int) -> list[str]:
+    """Names of ``count`` groups of ``width`` values: ``prefix_i``, or
+    ``prefix_i_k`` when a group holds more than one."""
     if width == 1:
-        return [f"{prefix}_{i}" for i in range(1, ell + 1)]
-    return [f"{prefix}_{i}_{k}" for i in range(1, ell + 1) for k in range(1, width + 1)]
+        return [f"{prefix}_{i}" for i in range(1, count + 1)]
+    return [f"{prefix}_{i}_{k}" for i in range(1, count + 1) for k in range(1, width + 1)]
 
 
 def trace_columns(trace: SimTrace) -> list[str]:
-    """CSV column names matching the row layout of write_trace_csv."""
-    _, ell, n = trace.x.shape
-    p = trace.u.shape[2]
-    q = trace.theta.shape[2]
-    cols = ["t"]
-    cols += _axis_names("x", ell, n)
-    cols += [f"xm_{j}" for j in range(1, n + 1)]
-    cols += _axis_names("xa", ell, n)
-    cols += _axis_names("e", ell, n)
-    cols += _axis_names("ea", ell, n)
-    cols += _axis_names("u", ell, p)
-    cols += _axis_names("ua", ell, p)
-    cols += _axis_names("phi", ell, p)
-    cols += _axis_names("theta", ell, q * p)
-    cols += _axis_names("phi_phi", ell, p * p)
-    cols.append("V_d")
+    """CSV column names matching the row layout of write_trace_csv: each
+    field of ROW_FIELDS by its prefix, alone for one value per row, else
+    numbered along the row's first axis (the agents, or the leader's
+    states) and the rest of it flattened."""
+    cols = []
+    for name, prefix in ROW_FIELDS.items():
+        shape = getattr(trace, name).shape[1:]
+        cols += _axis_names(prefix, shape[0], math.prod(shape[1:])) if shape else [prefix]
     return cols
 
 
@@ -539,7 +533,6 @@ def write_summary(sc: Scenario, trace: SimTrace | TraceTally, path) -> None:
     """summary.txt: the metrics of a trace, whole or tallied as it was
     written, and its final gains."""
     summary = metrics(trace)
-    ell = sc.num_agents
     lines = [
         f"scenario: {sc.name}",
         f"rows: {trace.num_rows}",
@@ -550,17 +543,10 @@ def write_summary(sc: Scenario, trace: SimTrace | TraceTally, path) -> None:
         f"settling_time: {summary.settling_time:.17g}",
         f"max_vd_slope: {summary.max_vd_slope:.17g}",
     ]
-    flat_theta = summary.theta_final.reshape(ell, -1)
-    for i in range(ell):
-        for k in range(flat_theta.shape[1]):
-            lines.append(f"theta_final_{i + 1}_{k + 1}: {flat_theta[i, k]:.17g}")
-    flat_phi = summary.phi_phi_final.reshape(ell, -1)
-    for i in range(ell):
-        if flat_phi.shape[1] == 1:
-            lines.append(f"phi_phi_final_{i + 1}: {flat_phi[i, 0]:.17g}")
-        else:
-            for k in range(flat_phi.shape[1]):
-                lines.append(f"phi_phi_final_{i + 1}_{k + 1}: {flat_phi[i, k]:.17g}")
+    for prefix, final in (("theta_final", summary.theta_final),
+                          ("phi_phi_final", summary.phi_phi_final)):
+        names = _axis_names(prefix, sc.num_agents, final[0].size)
+        lines += [f"{name}: {value:.17g}" for name, value in zip(names, final.ravel())]
     with _replacing(path) as partial:
         partial.write_text("\n".join(lines) + "\n")
 
@@ -618,22 +604,18 @@ def main(argv=None) -> int:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_run = sub.add_parser("run", help="integrate a scenario and write trace.csv + summary.txt")
-    p_run.add_argument("scenario", help="builtin name or scenario file path")
     p_run.add_argument("--out", default="out", help="output directory (default: out)")
-    p_run.add_argument(
-        "--set",
-        action="append",
-        default=[],
-        dest="overrides",
-        metavar="SECTION.KEY=VALUE",
-        help="override a scenario entry, e.g. --set simulation.duration=50",
-    )
-
     p_val = sub.add_parser("validate", help="run the structural checks and print pass/fail")
-    p_val.add_argument("scenario", help="builtin name or scenario file path")
-    p_val.add_argument(
-        "--set", action="append", default=[], dest="overrides", metavar="SECTION.KEY=VALUE"
-    )
+    for command in (p_run, p_val):
+        command.add_argument("scenario", help="builtin name or scenario file path")
+        command.add_argument(
+            "--set",
+            action="append",
+            default=[],
+            dest="overrides",
+            metavar="SECTION.KEY=VALUE",
+            help="override a scenario entry, e.g. --set simulation.duration=50",
+        )
 
     sub.add_parser("list-builtins", help="print the names of the bundled scenarios")
 

@@ -28,7 +28,7 @@ until no step reads the pre-history.  The whole states are kept only for
 the block being stepped.
 
 The loop precomputes the operands that read stored values only for a
-block of steps and their four RK4 stages at once (``_stage_operands``):
+block of steps and their four RK4 stages at once (``_StageKernel.load``):
 the applied input (the gains one input-delay back against the leader
 regressor, zero before the first command arrives), the regressor's delayed
 entries, the fleet's delayed drive ``a_zeta x(t - tau_x) + b u(t - tau_u)``
@@ -103,10 +103,12 @@ WEIGHT_TOL = 1e-12
 OPERAND_VALUES = 2**16
 
 REFERENCE_KINDS = ("constant", "sine", "square")
-# The SimTrace fields with a row axis, in field order (trace.csv's order).
-ROW_FIELDS = (
-    "times", "x", "x_m", "x_a", "e", "e_a", "u", "u_aux", "phi", "theta", "phi_phi", "v_d",
-)
+# The SimTrace fields with a row axis, in field order (trace.csv's order),
+# and the prefix of each one's trace.csv column names.
+ROW_FIELDS = {
+    "times": "t", "x": "x", "x_m": "xm", "x_a": "xa", "e": "e", "e_a": "ea", "u": "u",
+    "u_aux": "ua", "phi": "phi", "theta": "theta", "phi_phi": "phi_phi", "v_d": "V_d",
+}
 
 
 @dataclass(frozen=True)
@@ -534,13 +536,13 @@ class _StageKernel:
     ``out=``, because the arrays are small enough that each fresh array,
     reshape or concatenate costs more than its arithmetic.  The tests
     compare it against the reference formulas in ``tests/chain_oracle.py``.
-    The leader term enters the adaptation drive as the delay-only operand
-    ``g_off`` (:meth:`leader_offset`), so the augmented error itself is not
-    formed here.  A call copies ``y`` into the stage-state buffer and writes
-    the derivative into output buffer ``i & 3`` and phi, u_aux and ``L x``
-    into signal buffer ``i & 3`` (:func:`_signal_views`): the four stages of
-    a step get four of each, and a result stays valid until the same stage
-    of the next step.  Stage 0 of step k evaluates at row k's state with
+    :meth:`load` forms a block's delay-only operands, the leader term of
+    the adaptation drive ``g_off`` (:meth:`leader_offset`) among them, so
+    the augmented error itself is not formed here.  A call copies ``y``
+    into the stage-state buffer and writes the derivative into output
+    buffer ``i & 3`` and phi, u_aux and ``L x`` into signal buffer ``i & 3``
+    (:func:`_signal_views`): the four stages of a step get four of each,
+    and a result stays valid until the same stage of the next step.  Stage 0 of step k evaluates at row k's state with
     row k's delayed operands, so its signals are row k's recorded ones.
     The adaptation rates are the scenario's live ones (:func:`_live_rates`)
     and the signs its declared ones; ``p_block`` is the leader's Lyapunov
@@ -553,6 +555,8 @@ class _StageKernel:
         ln = ell * n
         size = 2 * ln + ell * (q * p + p * p)
         laplacian = matrices.laplacian_like
+        self.sc = sc
+        self.stages = sc.leader.rk4_matrices(sc.step)[1]
         self.a = sc.fleet.a
         self.a_m_t = sc.leader.a_m.T
         self.b_m_t = sc.leader.b_m.T
@@ -597,14 +601,56 @@ class _StageKernel:
             self.signals.append(signals)
             self.out.append((flat, dx, dx[:, :, None], dx_a, d_theta, d_phi_phi, phi,
                              phi[:, None, :], phi[:, :, None], u_aux, u_aux[:, :, None], l_x))
-        # A block's stage operands (_stage_operands); stage i reads entry i.
-        self.u_app = self.drive = self.eta_del = self.g_off = None
 
     def leader_offset(self, x_m: np.ndarray) -> np.ndarray:
         """The leader's part of the adaptation drive for leader states
         (..., n): ``-(signed rates) L^T (pinned P b_m)`` with ``pinned`` the
         leader term ``g_i x_m``, (..., 2l, p)."""
         return self.leader_rates * (x_m @ self.p_b)[..., None, :]
+
+    def load(self, r_in: np.ndarray, table: np.ndarray, x_line: np.ndarray,
+             th_line: np.ndarray, start: int, stop: int) -> None:
+        """Form the operands of every RK4 stage of steps ``start`` to
+        ``stop - 1`` that read stored rows only: the applied input
+        ``u_app``, the fleet's delayed drive ``drive``, the regressor's
+        delayed entries ``eta_del`` and the leader's part of the adaptation
+        drive ``g_off`` (:meth:`leader_offset`).
+
+        ``r_in`` are the steps' stage inputs.  Delayed states and gains are
+        gathered by :func:`delaysync.dde.delayed`, so ``stop - start`` may
+        not exceed the state delay in steps: every row read must already be
+        stored.  ``table`` holds every leader row; ``x_line`` and
+        ``th_line`` hold the fleet states and gains, whole or as delay
+        lines that keep run row j at slot j mod their length, at least the
+        state and input delay in steps plus one.  Each operand is
+        (4 (stop - start), l, ...) or, ``g_off``, (4 (stop - start), 2l, p),
+        one entry per stage, which stage i reads at entry i: start,
+        midpoint, midpoint, end of each step.
+        """
+        sc = self.sc
+        h = sc.step
+        n = sc.state_dim
+
+        def staged(rows, lag):
+            lo, mid, hi = delayed(rows, start, stop, lag)
+            return np.stack((lo, mid, mid, hi), axis=1)
+
+        t = np.arange(start, stop) * h
+        mid = t + 0.5 * h
+        times = np.stack((t, mid, mid, t + h), axis=1)
+        operand = np.concatenate((table[start:stop], r_in.reshape(stop - start, -1)), axis=1)
+        leader = (operand @ self.stages.reshape(4 * n, -1).T).reshape(stop - start, 4, n)
+        dx = int(round(sc.tau_x / h))
+        eta_m = regressor(leader, staged(table, dx), r_in)
+        x_del = staged(x_line, dx)
+        th_del = staged(th_line, int(round(sc.tau_u / h)))
+        u_app = applied_input(th_del, eta_m, times, sc.tau_u)
+        eta_del = delayed_regressor(x_del, eta_m[..., None, 2 * n:])
+        del th_del  # the largest temporary: gone before the drive is formed
+        drive = sc.fleet.delayed_drive(x_del, u_app)
+        g_off = self.leader_offset(leader)
+        self.u_app, self.drive, self.eta_del, self.g_off = (
+            v.reshape((-1,) + v.shape[2:]) for v in (u_app, drive, eta_del, g_off))
 
     def __call__(self, t: float, y: np.ndarray, i: int) -> np.ndarray:
         np.copyto(self.y, y)
@@ -665,19 +711,17 @@ def _stage_inputs(ref: ReferenceSignal, start: int, stop: int, h: float, tau_u: 
 
     The result is filled in place a stage column at a time, and a stage at
     the same time as the one before it is copied from it, so besides the
-    result only a column's times and levels are held.
+    result only a column's levels are held: each stage time is formed as
+    it is read.
     """
     r_in = np.empty((stop - start, 4, p))
-    times = np.empty(stop - start)
     offsets = (0.0,) * 4 if ref.piecewise_constant else (0.0, 0.5 * h, 0.5 * h, h)
     for j, offset in enumerate(offsets):
         if j and offset == offsets[j - 1]:
             r_in[:, j] = r_in[:, j - 1]
             continue
-        np.multiply(np.arange(start, stop), h, out=times)
-        times += offset
-        times -= tau_u
-        r_in[:, j] = np.fromiter(map(ref, times), float, len(times))[:, None]
+        levels = (ref(k * h + offset - tau_u) for k in range(start, stop))
+        r_in[:, j] = np.fromiter(levels, float, stop - start)[:, None]
     return r_in
 
 
@@ -699,7 +743,7 @@ def _leader_pass(step: np.ndarray, r_in: np.ndarray, table: np.ndarray) -> None:
 
 
 def _block_values(ell: int, n: int, p: int) -> int:
-    """Values :func:`_stage_operands` holds at most per step of a block.
+    """Values :meth:`_StageKernel.load` holds at most per step of a block.
 
     Per agent, the delayed gains and states are gathered at a step's start
     and end, their mean forms its midpoint, and the three are copied to its
@@ -710,50 +754,6 @@ def _block_values(ell: int, n: int, p: int) -> int:
     """
     q = 2 * n + p
     return ell * (7 * (q * p + n) + 4 * (2 * n + 4 * p)) + 16 * q
-
-
-def _stage_operands(sc: Scenario, kernel: _StageKernel, stages: np.ndarray, r_in: np.ndarray,
-                    table: np.ndarray, x_line: np.ndarray, th_line: np.ndarray, start: int,
-                    stop: int) -> tuple[np.ndarray, ...]:
-    """Operands of every RK4 stage of steps ``start`` to ``stop - 1`` that
-    read stored rows only: the applied input, the fleet's delayed drive,
-    the regressor's delayed entries and the leader's part of the adaptation
-    drive (:meth:`_StageKernel.leader_offset`).
-
-    ``stages`` are the leader's stage matrices from
-    :meth:`LeaderModel.rk4_matrices` and ``r_in`` the steps' stage inputs.
-    Delayed states and gains are gathered by :func:`delaysync.dde.delayed`,
-    so ``stop - start`` may not exceed the state delay in steps: every row
-    read must already be stored.  ``table`` holds every leader row;
-    ``x_line`` and ``th_line`` hold the fleet states and gains, whole or as
-    delay lines that keep run row j at slot j mod their length, at least
-    the state and input delay in steps plus one.  Each operand is
-    (4 (stop - start), l, ...) or, the leader's drive, (4 (stop - start),
-    2l, p), one entry per stage: start, midpoint, midpoint, end of each
-    step.
-    """
-    h = sc.step
-    n = sc.state_dim
-
-    def staged(rows, lag):
-        lo, mid, hi = delayed(rows, start, stop, lag)
-        return np.stack((lo, mid, mid, hi), axis=1)
-
-    t = np.arange(start, stop) * h
-    mid = t + 0.5 * h
-    times = np.stack((t, mid, mid, t + h), axis=1)
-    operand = np.concatenate((table[start:stop], r_in.reshape(stop - start, -1)), axis=1)
-    leader = (operand @ stages.reshape(4 * n, -1).T).reshape(stop - start, 4, n)
-    dx = int(round(sc.tau_x / h))
-    eta_m = regressor(leader, staged(table, dx), r_in)
-    x_del = staged(x_line, dx)
-    th_del = staged(th_line, int(round(sc.tau_u / h)))
-    u_app = applied_input(th_del, eta_m, times, sc.tau_u)
-    eta_del = delayed_regressor(x_del, eta_m[..., None, 2 * n:])
-    del th_del  # the largest temporary: gone before the drive is formed
-    drive = sc.fleet.delayed_drive(x_del, u_app)
-    g_off = kernel.leader_offset(leader)
-    return tuple(v.reshape((-1,) + v.shape[2:]) for v in (u_app, drive, eta_del, g_off))
 
 
 def run_blocks(sc: Scenario) -> Iterator[SimTrace]:
@@ -811,7 +811,7 @@ def _blocks(sc: Scenario, matrices, p_block: np.ndarray, energy: _EnergyMonitor,
     du = int(round(sc.tau_u / h))
     dx = int(round(sc.tau_x / h))
     lead = total + du  # leader steps: the commanded input looks tau_u ahead
-    leader_step, leader_stages = sc.leader.rk4_matrices(h)
+    leader_step = sc.leader.rk4_matrices(h)[0]
     kernel = _StageKernel(sc, matrices, p_block)
     i_th = 2 * ln
     i_ph = i_th + ell * q * p
@@ -821,13 +821,13 @@ def _blocks(sc: Scenario, matrices, p_block: np.ndarray, energy: _EnergyMonitor,
 
     def diverged(rows: np.ndarray, start: int):
         """The earliest of ``rows``, run row ``start`` onward, past the
-        limit: its offset in ``rows`` and its DivergenceDetected, or None."""
+        limit: its run row and its DivergenceDetected, or None."""
         worst = np.abs(rows).max(axis=1)
         bad = np.flatnonzero(~(worst <= DIVERGENCE_LIMIT))
         if not bad.size:
             return None
         j = int(bad[0])
-        return j, _diverged(float(worst[j]), (start + j) * h)
+        return start + j, _diverged(float(worst[j]), (start + j) * h)
 
     def record(a: int, stop: int, states: np.ndarray, signals: np.ndarray) -> SimTrace:
         """Rows ``a`` to ``stop - 1`` of the trace from their states and the
@@ -876,12 +876,15 @@ def _blocks(sc: Scenario, matrices, p_block: np.ndarray, energy: _EnergyMonitor,
     with np.errstate(over="ignore", invalid="ignore"):
         r_in = _stage_inputs(ref, 0, lead, h, sc.tau_u, p)
         _leader_pass(leader_step, r_in, table)
-        leader_bad = diverged(table[1:], 1)
+        # about OPERAND_VALUES values at a time: no copy of the whole table
+        chunk = max(1, OPERAND_VALUES // n)
+        leader_bad = next(filter(None, (diverged(table[j:j + chunk], j)
+                                        for j in range(1, lead + 1, chunk))), None)
     # The first leader row past the limit, the rows read tau_u past the last
     # step included, ends the run at its time.  The fleet steps up to row
     # `end`, the one before it, so no step reads a diverged leader and an
     # earlier fleet row is reported first; no row is yielded.
-    end = min(leader_bad[0], total) if leader_bad else total
+    end = min(leader_bad[0] - 1, total) if leader_bad else total
 
     # Delay lines: run row j of the fleet states and of the gains sits at
     # slot j mod (lag + 1).  A block's operands, formed before its steps,
@@ -902,9 +905,7 @@ def _blocks(sc: Scenario, matrices, p_block: np.ndarray, energy: _EnergyMonitor,
         states[0] = last
         signals = np.empty((stop - a, ell * (2 * p + n)))
         with np.errstate(over="ignore", invalid="ignore"):
-            kernel.u_app, kernel.drive, kernel.eta_del, kernel.g_off = _stage_operands(
-                sc, kernel, leader_stages, r_in[a:stop], table, x_line, th_line, a, stop
-            )
+            kernel.load(r_in[a:stop], table, x_line, th_line, a, stop)
             for k in range(a, stop):
                 i = 4 * (k - a)
                 states[k + 1 - a] = step_rk4(kernel, k * h, states[k - a], h, range(i, i + 4))
@@ -922,10 +923,7 @@ def _blocks(sc: Scenario, matrices, p_block: np.ndarray, energy: _EnergyMonitor,
         raise leader_bad[1]
     # The last row starts no step: evaluate stage 0 of step total alone.
     with np.errstate(over="ignore", invalid="ignore"):
-        kernel.u_app, kernel.drive, kernel.eta_del, kernel.g_off = _stage_operands(
-            sc, kernel, leader_stages, r_in[total:total + 1], table, x_line, th_line, total,
-            total + 1
-        )
+        kernel.load(r_in[total:total + 1], table, x_line, th_line, total, total + 1)
         kernel(total * h, last, 0)
     yield record(total, total + 1, last[None], kernel.signals[0][None].copy())
 

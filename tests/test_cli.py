@@ -23,8 +23,8 @@ from delaysync.cli import (
     trace_columns,
     write_trace_csv,
 )
-from delaysync.errors import DivergenceDetected, ParseError, ValidationError
-from delaysync.harness import run_scenario
+from delaysync.errors import DivergenceDetected, ParseError, TraceTooLarge, ValidationError
+from delaysync.harness import run_scenario, validate_scenario
 
 TINY = """
 [simulation]
@@ -594,6 +594,50 @@ def test_readme_scenario_table_matches_the_schema():
     assert table == schema
 
 
+def test_readme_trace_columns_follow_the_row_layout():
+    """README's list of trace.csv columns under "Trace format" names
+    exactly the column prefixes of harness.ROW_FIELDS, in file order."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    listed = re.search(r"Columns, in order: (.*?)\. For the builtins", readme, flags=re.DOTALL)
+    prefixes = re.findall(r"`(\w+?)(?:_i)?(?:_k)?`", listed.group(1))
+    assert prefixes == list(harness.ROW_FIELDS.values())
+
+
+@pytest.mark.parametrize("setting, leader_row, line", [
+    ("reference.amplitude=1e7", 1011,
+     "error: state magnitude 1.232e+29 at t=5.005 exceeds 1e+06"),
+    ("leader.a_m=0, 1, -2000, -3000", 1003,
+     "error: state magnitude 2.963e+06 at t=5.015 exceeds 1e+06"),
+], ids=["huge_reference", "unstable_leader"])
+def test_leader_divergence_yields_no_row_and_exits_two(setting, leader_row, line, tmp_path,
+                                                       capsys):
+    """A leader table that passes the limit ends the run before any row is
+    yielded.  With a huge reference the leader's first row past it is row
+    1011, and the fleet, stepped up to the row before, passes it first (t =
+    5.005, row 1001); with a leader whose RK4 step is unstable at h = 0.005
+    the leader's row 1003 is the one reported.  Both scenarios pass
+    validation, and the CLI exits 2 with that one line and writes no file."""
+    sets = ("simulation.duration=20", setting)
+    sc = load_scenario("example1", sets)
+    assert all(c.passed for c in validate_scenario(sc))
+    h, lead = sc.step, round((sc.duration + sc.tau_u) / sc.step)
+    table = np.empty((lead + 1, sc.state_dim))
+    table[0] = sc.xm0
+    with np.errstate(over="ignore", invalid="ignore"):
+        r_in = harness._stage_inputs(sc.reference, 0, lead, h, sc.tau_u, sc.input_dim)
+        harness._leader_pass(sc.leader.rk4_matrices(h)[0], r_in, table)
+        past = ~(np.abs(table).max(axis=1) <= harness.DIVERGENCE_LIMIT)
+    assert np.flatnonzero(past)[0] == leader_row
+    with pytest.raises(DivergenceDetected) as info:
+        next(harness.run_blocks(sc))
+    assert f"error: {info.value}" == line
+    out = tmp_path / "out"
+    argv = ["run", "example1", "--out", str(out), *[a for s in sets for a in ("--set", s)]]
+    assert run_cli(*argv) == 2
+    assert capsys.readouterr().err.splitlines() == [line]
+    assert os.listdir(out) == []
+
+
 def test_run_unwritable_output_exits_two(tmp_path, capsys):
     blocker = tmp_path / "blocked"
     blocker.write_text("a file, not a directory")
@@ -1045,6 +1089,23 @@ STREAMED_SETS = {
     "example1": ("simulation.duration=12",),
     "example2_sine": ("simulation.duration=12", "reference.kind=sine"),
 }
+
+
+@pytest.mark.parametrize("case", ["example1", "two_input"])
+def test_size_check_counts_every_trace_column(case, tmp_path, monkeypatch):
+    """The size check of run_blocks counts a trace row as wide as
+    trace.csv's header, for a one-input and a two-input fleet, so a column
+    added to the layout is counted against MAX_RUN_BYTES."""
+    source = STREAMED[case]()
+    if source not in BUILTINS:
+        path = tmp_path / f"{case}.cfg"
+        path.write_text(source)
+        source = str(path)
+    sc = load_scenario(source, ("simulation.duration=1",))
+    columns = len(trace_columns(next(harness.run_blocks(sc))))
+    monkeypatch.setattr(harness, "MAX_RUN_BYTES", 0)
+    with pytest.raises(TraceTooLarge, match=rf"trace rows of {columns} values"):
+        harness.run_blocks(sc)
 
 
 @pytest.mark.parametrize("case", list(STREAMED))

@@ -39,7 +39,6 @@ from delaysync.harness import (
     _block_values,
     _EnergyMonitor,
     _stage_inputs,
-    _stage_operands,
     _StageKernel,
     metrics,
     run_scenario,
@@ -862,18 +861,16 @@ def test_stage_operands_stay_within_their_budget():
     table = rng.normal(size=(rows, n))
     x_arr = rng.normal(size=(rows, ell, n))
     th_arr = rng.normal(size=(rows, ell, q, p))
-    _, stages = sc.leader.rk4_matrices(sc.step)
     kernel = _StageKernel(sc, build_matrices(sc.topology), P_BLOCK)
     for a in (0, du):  # reads of the pre-history row, and of stored rows
         r_in = _stage_inputs(sc.reference, a, a + span, sc.step, sc.tau_u, p)
         tracemalloc.start()
         try:
-            operands = _stage_operands(
-                sc, kernel, stages, r_in, table, x_arr, th_arr, a, a + span
-            )
+            kernel.load(r_in, table, x_arr, th_arr, a, a + span)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
+        operands = (kernel.u_app, kernel.drive, kernel.eta_del, kernel.g_off)
         assert [o.shape[0] for o in operands] == [4 * span] * 4
         assert peak <= 8 * OPERAND_VALUES
 
@@ -902,25 +899,39 @@ def test_run_memory_grows_with_the_input_delay_by_a_line_of_gains():
     assert growth <= 1.25 * 300 * ell * q * p * 8
 
 
+def first_block_peak(kind):
+    """The tracemalloc peak of reading the first block of ``example1`` with
+    tau_u = 500 s, duration 1 s and a ``kind`` reference."""
+    sc = load_scenario("example1", ("simulation.tau_u=500", "simulation.duration=1",
+                                    f"reference.kind={kind}"))
+    blocks = harness.run_blocks(sc)
+    tracemalloc.start()
+    try:
+        next(blocks)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 def test_stage_inputs_are_filled_without_horizon_sized_temporaries():
     """With tau_u = 500 s the leader's stage inputs (100 200 steps, 3.06
     MiB) dominate what the first block allocates.  A sine reference, read
     at three stage times per step, peaks no higher there than a square one,
     read once per step: each stage column is filled in place, not stacked,
     shifted and repeated."""
-    def first_block_peak(kind):
-        sc = load_scenario("example1", ("simulation.tau_u=500", "simulation.duration=1",
-                                        f"reference.kind={kind}"))
-        blocks = harness.run_blocks(sc)
-        tracemalloc.start()
-        try:
-            next(blocks)
-            return tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-
     first_block_peak("sine")  # first-run allocations out of the measurement
     assert first_block_peak("sine") <= first_block_peak("square")
+
+
+def test_leader_table_is_checked_in_bounded_chunks():
+    """The divergence check reads the leader table (100 201 rows, 1.53 MiB
+    on the run above) about OPERAND_VALUES values at a time, so no
+    magnitude copy of the whole table lifts the first block's peak: it
+    stays below 6.5 MiB, which the stage inputs' fill sets, for either
+    reference."""
+    first_block_peak("square")  # first-run allocations out of the measurement
+    for kind in ("square", "sine"):
+        assert first_block_peak(kind) < 6.5 * 2**20, kind
 
 
 # ------------------------------------------------------------------ monitor
