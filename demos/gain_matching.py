@@ -26,7 +26,7 @@ for i in range(sc.fleet.num_agents):
     )
 
 worst = 0.0
-for i, ag in enumerate(sc.fleet):
+for i, ag in enumerate(sc.fleet.agents):
     worst = max(
         worst,
         np.max(np.abs(ag.a + ag.b @ gains.theta_x[i].T - sc.leader.a_m)),

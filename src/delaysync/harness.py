@@ -14,8 +14,9 @@ blocks into one SimTrace.
 
 The leader is driven by the reference alone, so it stays outside that
 state.  It is linear and time-invariant, so its RK4 step is a matrix
-(``LeaderModel.rk4_matrices``): the pass over [0, duration + tau_u] costs
-one matrix-vector product per row and runs, whole, before the loop.  The
+(``LeaderModel.rk4_matrices``) and row k of the leader table is its
+operand, ``[x_m; r at step k's four stages]``: the pass over [0, duration
++ tau_u] fills and steps it a chunk of rows at a time, before the loop.  The
 delays are whole multiples of the step, so every delayed value the loop
 reads is a row of the states it has already stored (``dde.delayed``):
 ``tau_x`` or ``tau_u`` rows back at a step's first and last stage, the mean
@@ -88,8 +89,8 @@ from .topology import (
 # Integrated states (fleet, leader, auxiliary, gains) beyond this magnitude
 # abort the run as divergence.
 DIVERGENCE_LIMIT = 1e6
-# Runs whose trace rows, leader table and leader stage inputs, which grow
-# with the horizon plus tau_u, would exceed this many bytes together are
+# Runs whose trace rows and leader table ((lead + 1) (n + 4p) values), which
+# grow with the horizon plus tau_u, would exceed this many bytes together are
 # refused before anything is allocated.  What a run holds of the closed
 # loop at once is not counted: delay lines of the fleet states and gains,
 # tau_x and tau_u long, and one block of rows.
@@ -556,7 +557,7 @@ class _StageKernel:
         size = 2 * ln + ell * (q * p + p * p)
         laplacian = matrices.laplacian_like
         self.sc = sc
-        self.stages = sc.leader.rk4_matrices(sc.step)[1]
+        self.leader_step, self.stages = sc.leader.rk4_matrices(sc.step)
         self.a = sc.fleet.a
         self.a_m_t = sc.leader.a_m.T
         self.b_m_t = sc.leader.b_m.T
@@ -608,18 +609,19 @@ class _StageKernel:
         leader term ``g_i x_m``, (..., 2l, p)."""
         return self.leader_rates * (x_m @ self.p_b)[..., None, :]
 
-    def load(self, r_in: np.ndarray, table: np.ndarray, x_line: np.ndarray,
-             th_line: np.ndarray, start: int, stop: int) -> None:
+    def load(self, table: np.ndarray, x_line: np.ndarray, th_line: np.ndarray,
+             start: int, stop: int) -> None:
         """Form the operands of every RK4 stage of steps ``start`` to
         ``stop - 1`` that read stored rows only: the applied input
         ``u_app``, the fleet's delayed drive ``drive``, the regressor's
         delayed entries ``eta_del`` and the leader's part of the adaptation
         drive ``g_off`` (:meth:`leader_offset`).
 
-        ``r_in`` are the steps' stage inputs.  Delayed states and gains are
-        gathered by :func:`delaysync.dde.delayed`, so ``stop - start`` may
-        not exceed the state delay in steps: every row read must already be
-        stored.  ``table`` holds every leader row; ``x_line`` and
+        Delayed values are gathered by :func:`delaysync.dde.delayed`, so
+        ``stop - start`` may not exceed the state delay in steps: every row
+        read must already be stored.  ``table`` is the leader table, whose
+        rows (:func:`_leader_pass`) give the leader's stage states and
+        regressors' reference entries and are gathered whole; ``x_line`` and
         ``th_line`` hold the fleet states and gains, whole or as delay
         lines that keep run row j at slot j mod their length, at least the
         state and input delay in steps plus one.  Each operand is
@@ -638,10 +640,11 @@ class _StageKernel:
         t = np.arange(start, stop) * h
         mid = t + 0.5 * h
         times = np.stack((t, mid, mid, t + h), axis=1)
-        operand = np.concatenate((table[start:stop], r_in.reshape(stop - start, -1)), axis=1)
+        operand = table[start:stop]
         leader = (operand @ self.stages.reshape(4 * n, -1).T).reshape(stop - start, 4, n)
         dx = int(round(sc.tau_x / h))
-        eta_m = regressor(leader, staged(table, dx), r_in)
+        eta_m = regressor(leader, staged(table, dx)[..., :n],
+                          operand[:, n:].reshape(stop - start, 4, -1))
         x_del = staged(x_line, dx)
         th_del = staged(th_line, int(round(sc.tau_u / h)))
         u_app = applied_input(th_del, eta_m, times, sc.tau_u)
@@ -680,24 +683,28 @@ class _StageKernel:
         return flat
 
 
-def _levels(ref: ReferenceSignal, times: np.ndarray, p: int) -> np.ndarray:
-    """Reference levels at ``times``, one row of ``p`` equal channels each."""
-    values = np.fromiter(map(ref, times.ravel()), float, times.size)
-    return np.repeat(values.reshape(times.shape + (1,)), p, axis=-1)
-
-
-def _diverged(worst: float, t: float) -> DivergenceDetected:
-    if not math.isfinite(worst):
-        return DivergenceDetected(f"non-finite state at t={t:.6g}", time=t)
-    return DivergenceDetected(
-        f"state magnitude {worst:.3e} at t={t:.6g} exceeds {DIVERGENCE_LIMIT:.0e}", time=t
+def _diverged(rows: np.ndarray, start: int, h: float):
+    """The earliest of ``rows``, run row ``start`` onward, past
+    DIVERGENCE_LIMIT: its run row and its DivergenceDetected, or None."""
+    worst = np.abs(rows).max(axis=1)
+    bad = np.flatnonzero(~(worst <= DIVERGENCE_LIMIT))
+    if not bad.size:
+        return None
+    row, value = start + int(bad[0]), float(worst[bad[0]])
+    t = row * h
+    if not math.isfinite(value):
+        return row, DivergenceDetected(f"non-finite state at t={t:.6g}", time=t)
+    return row, DivergenceDetected(
+        f"state magnitude {value:.3e} at t={t:.6g} exceeds {DIVERGENCE_LIMIT:.0e}", time=t
     )
 
 
-def _stage_inputs(ref: ReferenceSignal, start: int, stop: int, h: float, tau_u: float,
-                  p: int) -> np.ndarray:
-    """The leader's input ``r(t - tau_u)`` at the four RK4 stages of steps
-    ``start`` to ``stop - 1``, (stop - start, 4, p).
+def _stage_inputs(ref: ReferenceSignal, inputs: np.ndarray, du: int, h: float) -> None:
+    """Fill ``inputs`` (rows, 4p), the leader table's input columns, with
+    the leader's input ``r(t - tau_u)`` at the four RK4 stages of step k,
+    ``r((k - du) h + c h)`` at stage offset c, in p equal channels.  The
+    whole number of steps k - du makes a time before the first command
+    exactly negative and its start exactly 0, so that step reads r(0).
 
     Piecewise-constant references are sampled at the step boundary and
     held through the RK4 stages.  The final stage lands exactly on the next
@@ -709,37 +716,46 @@ def _stage_inputs(ref: ReferenceSignal, start: int, stop: int, h: float, tau_u: 
     interval.  Smooth references keep stage-time evaluation and with it the
     integrator's full order.
 
-    The result is filled in place a stage column at a time, and a stage at
-    the same time as the one before it is copied from it, so besides the
-    result only a column's levels are held: each stage time is formed as
-    it is read.
+    Rows are filled about OPERAND_VALUES values and a stage column at a
+    time, a stage at the time of the one before it copied from it.
     """
-    r_in = np.empty((stop - start, 4, p))
+    stages = inputs.reshape(len(inputs), 4, -1)
     offsets = (0.0,) * 4 if ref.piecewise_constant else (0.0, 0.5 * h, 0.5 * h, h)
-    for j, offset in enumerate(offsets):
-        if j and offset == offsets[j - 1]:
-            r_in[:, j] = r_in[:, j - 1]
-            continue
-        levels = (ref(k * h + offset - tau_u) for k in range(start, stop))
-        r_in[:, j] = np.fromiter(levels, float, stop - start)[:, None]
-    return r_in
+    chunk = max(1, OPERAND_VALUES // inputs.shape[1])
+    for a in range(0, len(inputs), chunk):
+        rows = stages[a:a + chunk]
+        for j, offset in enumerate(offsets):
+            if j and offset == offsets[j - 1]:
+                rows[:, j] = rows[:, j - 1]
+                continue
+            levels = (ref(m * h + offset) for m in range(a - du, a - du + len(rows)))
+            rows[:, j] = np.fromiter(levels, float, len(rows))[:, None]
 
 
-def _leader_pass(step: np.ndarray, r_in: np.ndarray, table: np.ndarray) -> None:
-    """Integrate the leader from ``table[0]`` into the rows after it, one
-    RK4 step per row.
+def _leader_pass(step: np.ndarray, table: np.ndarray, h: float):
+    """Integrate the leader's x_m columns from ``table[0]`` into the rows
+    after it, one RK4 step per row, and return the first row past
+    DIVERGENCE_LIMIT as :func:`_diverged` does, or None.
 
-    ``step`` is the step matrix of :meth:`LeaderModel.rk4_matrices` and
-    ``r_in`` the stage inputs from :func:`_stage_inputs`.  The leader is
-    driven by the reference alone, so it needs nothing from the closed loop
-    and runs, whole, before it.  The run reports a leader that passes
-    DIVERGENCE_LIMIT from the rows written here.
+    Row k of ``table`` is ``[x_m(kh); stage inputs of step k]``
+    (:func:`_stage_inputs`), the operand of ``step``, the step matrix of
+    :meth:`LeaderModel.rk4_matrices`.  The leader is driven by the
+    reference alone, so it runs, whole, before the loop.  Each chunk of
+    about OPERAND_VALUES values is stepped as ``free @ x_m + chunk @
+    drive`` and its x_m columns checked (its inputs hold r itself); rows
+    after a chunk with a row past the limit are not written.
     """
-    n = table.shape[1]
-    free = step[:, :n]
-    driven = r_in.reshape(len(r_in), -1) @ step[:, n:].T
-    for j in range(len(r_in)):
-        table[j + 1] = free @ table[j] + driven[j]
+    n = step.shape[0]
+    free, drive = step[:, :n], step[:, n:].T
+    chunk = max(1, OPERAND_VALUES // table.shape[1])
+    for a in range(0, len(table) - 1, chunk):
+        rows = table[a:a + chunk + 1]
+        for j, driven in enumerate(rows[:-1, n:] @ drive):
+            rows[j + 1, :n] = free @ rows[j, :n] + driven
+        bad = _diverged(rows[1:, :n], a + 1, h)
+        if bad:
+            return bad
+    return None
 
 
 def _block_values(ell: int, n: int, p: int) -> int:
@@ -749,11 +765,11 @@ def _block_values(ell: int, n: int, p: int) -> int:
     and end, their mean forms its midpoint, and the three are copied to its
     four stages, 7 (qp + n) values; the four operands with their
     temporaries take 4 (2n + 4p), the leader's adaptation drive counting
-    two values per input channel; the leader's stage states and regressors add 16 q per
-    step.
+    two values per input channel.  The leader's table rows, gathered the
+    same way, take 7 (n + 4p), and its stage states and regressors 4 (n + q).
     """
     q = 2 * n + p
-    return ell * (7 * (q * p + n) + 4 * (2 * n + 4 * p)) + 16 * q
+    return ell * (7 * (q * p + n) + 4 * (2 * n + 4 * p)) + 7 * (n + 4 * p) + 4 * (n + q)
 
 
 def run_blocks(sc: Scenario) -> Iterator[SimTrace]:
@@ -785,15 +801,15 @@ def run_blocks(sc: Scenario) -> Iterator[SimTrace]:
     q = 2 * n + p
     total = int(round(sc.duration / sc.step))
     lead = total + int(round(sc.tau_u / sc.step))
-    # Trace rows (one CSV row each; the leader columns are the table's), the
-    # leader table and the leader's stage inputs (4 p per leader step).
+    # Trace rows (one CSV row each; the leader columns are the table's) and
+    # the leader table (n states and 4 p stage inputs a row).
     row_width = 2 + n + 4 * ell * n + ell * (3 * p + q * p + p * p)
-    floats = (total + 1) * (row_width - n) + (lead + 1) * n + lead * 4 * p
+    floats = (total + 1) * (row_width - n) + (lead + 1) * (n + 4 * p)
     if 8 * floats > MAX_RUN_BYTES:
         raise TraceTooLarge(
             f"run would record {8 * floats / 2**30:.3g} GiB "
-            f"({total + 1} trace rows of {row_width} values, and {lead} leader "
-            f"steps of {n} states and {4 * p} stage inputs), over the "
+            f"({total + 1} trace rows of {row_width} values, and {lead + 1} leader "
+            f"rows of {n} states and {4 * p} stage inputs), over the "
             f"{MAX_RUN_BYTES / 2**30:g} GiB limit"
         )
     return _blocks(sc, *_solved(checks), total)
@@ -807,11 +823,9 @@ def _blocks(sc: Scenario, matrices, p_block: np.ndarray, energy: _EnergyMonitor,
     q = 2 * n + p
     ln = ell * n
     h = sc.step
-    ref = sc.reference
     du = int(round(sc.tau_u / h))
     dx = int(round(sc.tau_x / h))
     lead = total + du  # leader steps: the commanded input looks tau_u ahead
-    leader_step = sc.leader.rk4_matrices(h)[0]
     kernel = _StageKernel(sc, matrices, p_block)
     i_th = 2 * ln
     i_ph = i_th + ell * q * p
@@ -819,20 +833,10 @@ def _blocks(sc: Scenario, matrices, p_block: np.ndarray, energy: _EnergyMonitor,
     # long, so that it reads only rows stored before it.
     span = min(dx, max(1, OPERAND_VALUES // _block_values(ell, n, p)))
 
-    def diverged(rows: np.ndarray, start: int):
-        """The earliest of ``rows``, run row ``start`` onward, past the
-        limit: its run row and its DivergenceDetected, or None."""
-        worst = np.abs(rows).max(axis=1)
-        bad = np.flatnonzero(~(worst <= DIVERGENCE_LIMIT))
-        if not bad.size:
-            return None
-        j = int(bad[0])
-        return start + j, _diverged(float(worst[j]), (start + j) * h)
-
     def record(a: int, stop: int, states: np.ndarray, signals: np.ndarray) -> SimTrace:
         """Rows ``a`` to ``stop - 1`` of the trace from their states and the
         phi, u_aux and ``L x`` that stage 0 of their steps evaluated."""
-        x_m = table[a:stop]
+        x_m = table[a:stop, :n]
         x_a = states[:, ln:i_th].reshape(-1, ell, n)
         theta = states[:, i_th:i_ph].reshape(-1, ell, q, p)
         phi_phi = states[:, i_ph:].reshape(-1, ell, p, p)
@@ -843,9 +847,11 @@ def _blocks(sc: Scenario, matrices, p_block: np.ndarray, energy: _EnergyMonitor,
         np.add(e_a, x_a, out=e_a)
         np.subtract(e_a, x_a, out=e)
         times = np.arange(a, stop) * h
-        # commanded input: current gains against the leader regressor tau_u ahead
-        u = control(theta, regressor(table[a + du:stop + du], table[a + du - dx:stop + du - dx],
-                                     _levels(ref, times, p)))
+        # commanded input: current gains against the leader regressor tau_u
+        # ahead; r(kh) is the first stage input of row k + du
+        ahead = table[a + du:stop + du]
+        u = control(theta, regressor(ahead[:, :n], table[a + du - dx:stop + du - dx, :n],
+                                     ahead[:, n:n + p]))
         return SimTrace(
             times=times,
             x=states[:, :ln].reshape(-1, ell, n),
@@ -864,22 +870,18 @@ def _blocks(sc: Scenario, matrices, p_block: np.ndarray, energy: _EnergyMonitor,
         )
 
     z0 = np.concatenate([sc.x0, sc.xa0, sc.theta0.reshape(-1), sc.phi_phi0.reshape(-1)])
-    start_bad = diverged(np.append(z0, sc.xm0)[None], 0)
+    start_bad = _diverged(np.append(z0, sc.xm0)[None], 0, h)
     if start_bad:
         raise start_bad[1]
-    # The leader table, whole: row k's commanded input reads row k + du.
-    # Overflow is left silent here and in the loop: the divergence check
-    # reports it, non-finite values included, at the time of the step that
-    # produced it.
-    table = np.empty((lead + 1, n))
-    table[0] = sc.xm0
+    # The leader table, whole: row k is step k's operand [x_m; stage
+    # inputs], and row k's commanded input reads row k + du.  Overflow is
+    # left silent here and in the loop: the divergence check reports it,
+    # non-finite values included, at the time of the step that produced it.
+    table = np.empty((lead + 1, n + 4 * p))
+    table[0, :n] = sc.xm0
     with np.errstate(over="ignore", invalid="ignore"):
-        r_in = _stage_inputs(ref, 0, lead, h, sc.tau_u, p)
-        _leader_pass(leader_step, r_in, table)
-        # about OPERAND_VALUES values at a time: no copy of the whole table
-        chunk = max(1, OPERAND_VALUES // n)
-        leader_bad = next(filter(None, (diverged(table[j:j + chunk], j)
-                                        for j in range(1, lead + 1, chunk))), None)
+        _stage_inputs(sc.reference, table[:, n:], du, h)
+        leader_bad = _leader_pass(kernel.leader_step, table, h)
     # The first leader row past the limit, the rows read tau_u past the last
     # step included, ends the run at its time.  The fleet steps up to row
     # `end`, the one before it, so no step reads a diverged leader and an
@@ -905,12 +907,12 @@ def _blocks(sc: Scenario, matrices, p_block: np.ndarray, energy: _EnergyMonitor,
         states[0] = last
         signals = np.empty((stop - a, ell * (2 * p + n)))
         with np.errstate(over="ignore", invalid="ignore"):
-            kernel.load(r_in[a:stop], table, x_line, th_line, a, stop)
+            kernel.load(table, x_line, th_line, a, stop)
             for k in range(a, stop):
                 i = 4 * (k - a)
                 states[k + 1 - a] = step_rk4(kernel, k * h, states[k - a], h, range(i, i + 4))
                 signals[k - a] = kernel.signals[0]
-            fleet_bad = diverged(states[1:], a + 1)
+            fleet_bad = _diverged(states[1:], a + 1, h)
         if fleet_bad:
             raise fleet_bad[1]
         rows = np.arange(a + 1, stop + 1)
@@ -923,7 +925,7 @@ def _blocks(sc: Scenario, matrices, p_block: np.ndarray, energy: _EnergyMonitor,
         raise leader_bad[1]
     # The last row starts no step: evaluate stage 0 of step total alone.
     with np.errstate(over="ignore", invalid="ignore"):
-        kernel.load(r_in[total:total + 1], table, x_line, th_line, total, total + 1)
+        kernel.load(table, x_line, th_line, total, total + 1)
         kernel(total * h, last, 0)
     yield record(total, total + 1, last[None], kernel.signals[0][None].copy())
 

@@ -162,9 +162,6 @@ class FleetDynamics:
         self.b = np.stack([ag.b for ag in fleet])
         self.delayed = np.concatenate([self.a_zeta, self.b], axis=2)
 
-    def __iter__(self):
-        return iter(self.agents)
-
     def delayed_drive(self, x_delayed: np.ndarray, u_delayed: np.ndarray) -> np.ndarray:
         """The delayed part ``a_zeta x(t - tau_x) + b u(t - tau_u)`` of the
         fleet derivative, blockwise; states (..., l, n), inputs (..., l, p).

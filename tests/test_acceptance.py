@@ -52,7 +52,7 @@ def test_01_ideal_gain_solver_matches_hand_values(ex1):
 
     a_m, b_m = sc.leader.a_m, sc.leader.b_m
     worst = 0.0
-    for i, ag in enumerate(sc.fleet):
+    for i, ag in enumerate(sc.fleet.agents):
         worst = max(worst, np.max(np.abs(ag.a + ag.b @ g.theta_x[i].T - a_m)))
         worst = max(worst, np.max(np.abs(ag.a_zeta + ag.b @ g.theta_zeta[i].T)))
         worst = max(worst, np.max(np.abs(ag.b @ g.theta_r[i] - b_m)))

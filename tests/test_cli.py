@@ -345,7 +345,7 @@ def test_run_validates_once_and_solves_gains_at_most_twice(tmp_path, monkeypatch
     "overrides",
     [
         ("simulation.duration=1e7",),
-        # 0.89 GiB of leader table and 1.79 GiB of its stage inputs
+        # 2.68 GiB of leader table, two thirds of it stage inputs
         ("simulation.tau_u=300000", "simulation.duration=0"),
     ],
     ids=["long_horizon", "long_input_delay"],
@@ -612,22 +612,24 @@ def test_readme_trace_columns_follow_the_row_layout():
 def test_leader_divergence_yields_no_row_and_exits_two(setting, leader_row, line, tmp_path,
                                                        capsys):
     """A leader table that passes the limit ends the run before any row is
-    yielded.  With a huge reference the leader's first row past it is row
-    1011, and the fleet, stepped up to the row before, passes it first (t =
-    5.005, row 1001); with a leader whose RK4 step is unstable at h = 0.005
-    the leader's row 1003 is the one reported.  Both scenarios pass
+    yielded.  With a huge reference the leader's first row past it, which
+    the leader pass returns, is row 1011, and the fleet, stepped up to the
+    row before, passes it first (t = 5.005, row 1001); with a leader whose
+    RK4 step is unstable at h = 0.005 the leader's row 1003 is the one
+    reported.  Both scenarios pass
     validation, and the CLI exits 2 with that one line and writes no file."""
     sets = ("simulation.duration=20", setting)
     sc = load_scenario("example1", sets)
     assert all(c.passed for c in validate_scenario(sc))
     h, lead = sc.step, round((sc.duration + sc.tau_u) / sc.step)
-    table = np.empty((lead + 1, sc.state_dim))
-    table[0] = sc.xm0
+    n, du = sc.state_dim, round(sc.tau_u / sc.step)
+    table = np.zeros((lead + 1, n + 4 * sc.input_dim))
+    table[0, :n] = sc.xm0
     with np.errstate(over="ignore", invalid="ignore"):
-        r_in = harness._stage_inputs(sc.reference, 0, lead, h, sc.tau_u, sc.input_dim)
-        harness._leader_pass(sc.leader.rk4_matrices(h)[0], r_in, table)
-        past = ~(np.abs(table).max(axis=1) <= harness.DIVERGENCE_LIMIT)
-    assert np.flatnonzero(past)[0] == leader_row
+        harness._stage_inputs(sc.reference, table[:, n:], du, h)
+        first = harness._leader_pass(sc.leader.rk4_matrices(h)[0], table, h)
+        past = ~(np.abs(table[:, :n]).max(axis=1) <= harness.DIVERGENCE_LIMIT)
+    assert np.flatnonzero(past)[0] == leader_row == first[0]
     with pytest.raises(DivergenceDetected) as info:
         next(harness.run_blocks(sc))
     assert f"error: {info.value}" == line
@@ -932,7 +934,7 @@ def start(request, monkeypatch):
 def test_divergence_after_rows_were_sent_exits_two(start, tmp_path, capsys, monkeypatch):
     """A loop that diverges after the formatter has been sent rows stops
     it, reaps it and leaves no file: an unstable agent passes the limit at
-    t=8.935, after eleven blocks of 162 rows (1782 rows) were sent."""
+    t=8.935, after ten blocks of 166 rows (1660 rows) were sent."""
     rows = cli._rows
     sent = []
 

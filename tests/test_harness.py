@@ -782,15 +782,25 @@ def test_leader_steps_by_its_rk4_matrices(kind):
     """The leader's RK4 matrices reproduce step_rk4 on a_m x_m + b_m r
     with held (square) and stage-varying (sine) inputs: the step to 1e-14
     relative and the states its four stages evaluate at; a run's leader rows
-    stay within 1e-12 of that per-step recurrence."""
+    stay within 1e-12 of that per-step recurrence.  The recurrence reads the
+    scenario's reference on the step grid, r((k - du) h + c h) at stage
+    offset c, held at c = 0 for the square wave, and _stage_inputs fills
+    those same inputs."""
     sc = load_scenario("example2", ("simulation.duration=12", f"reference.kind={kind}"))
-    m, h, tau_u = sc.leader, sc.step, sc.tau_u
+    m, h = sc.leader, sc.step
     step, stages = m.rk4_matrices(h)
     n = m.state_dim
     trace = run_scenario(sc)
     steps = trace.num_rows - 1
-    r_in = _stage_inputs(sc.reference, 0, steps, h, tau_u, 1)
-    assert np.all(r_in[:, :, 0] == r_in[:, :1, 0]) == (kind == "square")
+    du = round(sc.tau_u / h)
+    offsets = (0.0,) * 4 if kind == "square" else (0.0, 0.5, 0.5, 1.0)
+    r_in = np.array([[[sc.reference((k - du) * h + c * h)] for c in offsets]
+                     for k in range(steps)])
+    assert r_in[du:, 0, 0].any()  # the leader is driven from the first command on
+    filled = np.empty((steps, 4))
+    _stage_inputs(sc.reference, filled, du, h)
+    assert np.all(filled == filled[:, :1]) == (kind == "square")
+    assert np.array_equal(filled, r_in[:, :, 0])
     rng = np.random.default_rng(3)
     y = sc.xm0
     seen = []
@@ -858,15 +868,15 @@ def test_stage_operands_stay_within_their_budget():
     assert 1 < span < dx
     rng = np.random.default_rng(11)
     rows = du + span + 1
-    table = rng.normal(size=(rows, n))
+    table = rng.normal(size=(rows, n + 4 * p))
+    _stage_inputs(sc.reference, table[:, n:], du, sc.step)
     x_arr = rng.normal(size=(rows, ell, n))
     th_arr = rng.normal(size=(rows, ell, q, p))
     kernel = _StageKernel(sc, build_matrices(sc.topology), P_BLOCK)
     for a in (0, du):  # reads of the pre-history row, and of stored rows
-        r_in = _stage_inputs(sc.reference, a, a + span, sc.step, sc.tau_u, p)
         tracemalloc.start()
         try:
-            kernel.load(r_in, table, x_arr, th_arr, a, a + span)
+            kernel.load(table, x_arr, th_arr, a, a + span)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -914,24 +924,64 @@ def first_block_peak(kind):
 
 
 def test_stage_inputs_are_filled_without_horizon_sized_temporaries():
-    """With tau_u = 500 s the leader's stage inputs (100 200 steps, 3.06
-    MiB) dominate what the first block allocates.  A sine reference, read
-    at three stage times per step, peaks no higher there than a square one,
-    read once per step: each stage column is filled in place, not stacked,
-    shifted and repeated."""
+    """With tau_u = 500 s the leader table (100 201 rows of 2 states and 4
+    stage inputs, 4.59 MiB) dominates what the first block allocates.  A
+    sine reference, read at three stage times per step, peaks no higher
+    there than a square one, read once per step: the input columns are
+    filled in place a chunk of rows and a stage column at a time, not
+    stacked, shifted and repeated."""
     first_block_peak("sine")  # first-run allocations out of the measurement
     assert first_block_peak("sine") <= first_block_peak("square")
 
 
 def test_leader_table_is_checked_in_bounded_chunks():
-    """The divergence check reads the leader table (100 201 rows, 1.53 MiB
-    on the run above) about OPERAND_VALUES values at a time, so no
-    magnitude copy of the whole table lifts the first block's peak: it
-    stays below 6.5 MiB, which the stage inputs' fill sets, for either
-    reference."""
+    """The leader pass steps and checks the table's x_m columns about
+    OPERAND_VALUES values at a time, so neither a product over the whole
+    horizon nor a magnitude copy of the whole table lifts the first block's
+    peak: it stays below 5.5 MiB, the 4.59 MiB table and one block's
+    operands, for either reference."""
     first_block_peak("square")  # first-run allocations out of the measurement
     for kind in ("square", "sine"):
-        assert first_block_peak(kind) < 6.5 * 2**20, kind
+        assert first_block_peak(kind) < 5.5 * 2**20, kind
+
+
+@pytest.mark.parametrize("kind", ["square", "constant"])
+def test_leader_starts_at_the_first_command(kind):
+    """With h = 0.009 and tau_u = 0.054 (du = 6) the float time
+    du h - tau_u rounds below zero; the leader's first commanded step still
+    reads r(0) at every stage, so row du + 1 is the RK4 step matrix applied
+    to [x_m(du h); r(0), r(0), r(0), r(0)], and the leader has moved."""
+    sc = load_scenario("example1", (
+        "simulation.step=0.009", "simulation.tau_x=0.027", "simulation.tau_u=0.054",
+        "simulation.duration=0.9", f"reference.kind={kind}"))
+    h = sc.step
+    du = round(sc.tau_u / h)
+    assert du == 6 and du * h - sc.tau_u < 0.0
+    trace = run_scenario(sc)
+    want = sc.leader.rk4_matrices(h)[0] @ np.concatenate(
+        (trace.x_m[du], np.full(4 * sc.input_dim, sc.reference(0.0))))
+    assert np.max(np.abs(want)) > 1e-3
+    assert np.max(np.abs(trace.x_m[du + 1] - want)) <= 1e-15 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("kind", ["square", "constant"])
+def test_stage_inputs_read_r0_at_the_first_command(kind):
+    """For steps h = j / 1000 (j < 200) and input delays of du = 1 to 599
+    steps in strides of 23, the stage inputs of step du, the first
+    commanded step, are r(0) and those of step du - 1 all 0 (its held start
+    is before time 0).  For some of these pairs the float time
+    du h - tau_u, with tau_u the decimal du j / 1000, rounds below zero."""
+    ref = ReferenceSignal(kind=kind, amplitude=1.0, period=4.0, offset=0.5)
+    below = 0
+    for j in range(1, 200):
+        h = j / 1000
+        for du in range(1, 600, 23):
+            below += du * h - du * j / 1000 < 0.0
+            inputs = np.full((du + 1, 4), np.nan)
+            _stage_inputs(ref, inputs, du, h)
+            assert np.all(inputs[du] == ref(0.0)), (h, du)
+            assert np.all(inputs[du - 1] == 0.0), (h, du)
+    assert below > 0
 
 
 # ------------------------------------------------------------------ monitor

@@ -62,7 +62,7 @@ def test_fleet_stacking():
     assert dyn.state_dim == 2
     assert dyn.input_dim == 1
     assert np.array_equal(dyn.a[2], FLEET[2].a)
-    assert all(got is ag for got, ag in zip(dyn, FLEET))
+    assert all(got is ag for got, ag in zip(dyn.agents, FLEET))
     with pytest.raises(DimensionMismatch):
         FleetDynamics([])
     scalar = AgentDynamics(a=[[-1.0]], a_zeta=[[0.0]], b=[[1.0]])
