@@ -20,9 +20,13 @@ from delaysync.dde import delayed, step_rk4
 def lagged_decay(h, t_end):
     lag, steps = round(1.0 / h), round(t_end / h)
     rows = np.ones((steps + 1, 1))  # row 0 is the pre-history
+    work = np.empty((6, 1))  # the state, four slopes and the stage state
+    work[0] = rows[0]
     for k in range(steps):
         lo, mid, hi = delayed(rows, k, k + 1, lag)
-        rows[k + 1] = step_rk4(lambda t, y, x_lag: -x_lag[0], k * h, rows[k], h, (lo, mid, mid, hi))
+        step_rk4(lambda t, z, out, x_lag: np.negative(x_lag[0], out=out), k * h, h, work,
+                 (lo, mid, mid, hi))
+        rows[k + 1] = work[0]
     return rows[-1, 0]
 
 

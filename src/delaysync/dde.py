@@ -1,9 +1,12 @@
 """Fixed-step RK4 integration of delay differential systems.
 
-``step_rk4`` is the one RK4 step; it hands each stage its entry of
-``stages``, so a right-hand side receives its delayed operands as an
-argument.  A scenario run calls it once per step, and the delays are whole
-multiples of the step, so every delayed value is a row of the states
+``step_rk4`` is the one RK4 step.  It works in place, in a ``(6, size)``
+array its caller owns and reuses: the state, the four slopes and the stage
+state, each stage state and the update one product of fixed weights with
+the rows before it, so a step forms no array.  It hands each stage its
+entry of ``stages``, so a right-hand side receives its delayed operands as
+an argument.  A scenario run calls it once per step, and the delays are
+whole multiples of the step, so every delayed value is a row of the states
 already stored (``lagged``, ``delayed``), whole or in a delay line that
 keeps the last of them, one row per step of the delay and one more.  At
 the RK4 midpoint the read is the mean of its two rows, linear
@@ -13,6 +16,7 @@ second order, on a scalar delay equation stepped the same way.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from typing import Callable, Sequence
 
 import numpy as np
@@ -42,17 +46,42 @@ def delayed(rows: np.ndarray, start: int, stop: int, lag: int):
     return lo, 0.5 * (lo + hi), hi
 
 
-def step_rk4(f: Callable, t: float, y: np.ndarray, h: float, stages: Sequence) -> np.ndarray:
-    """One classical RK4 step of size ``h`` from ``y`` at time ``t``.
+@lru_cache(maxsize=16)
+def _rk4_weights(h: float) -> tuple[np.ndarray, ...]:
+    """The weights of the rows ``[y; k1; ...]`` that form RK4's second,
+    third and fourth stage states and its update, for step ``h``."""
+    w = np.array([
+        [1.0, 0.5 * h, 0.0, 0.0, 0.0],
+        [1.0, 0.0, 0.5 * h, 0.0, 0.0],
+        [1.0, 0.0, 0.0, h, 0.0],
+        [1.0, h / 6.0, h / 3.0, h / 3.0, h / 6.0],
+    ])
+    w.flags.writeable = False
+    return w[0, :2], w[1, :3], w[2, :4], w[3]
 
-    ``f(t, y, s)`` is evaluated at the step's start, its midpoint twice and
-    its end, and gets that stage's entry ``s`` of the four ``stages``.  A
-    stage's result needs to stay valid only until this call returns, so
-    ``f`` may write the four into buffers it reuses on the next step.
+
+def step_rk4(f: Callable, t: float, h: float, work: np.ndarray, stages: Sequence) -> None:
+    """One classical RK4 step of size ``h`` at time ``t``, in place.
+
+    ``work`` is a C-contiguous (6, size) array the caller owns: row 0 holds
+    the state y, and the state after the step on return; rows 1 to 4 take
+    the slopes k1 to k4 and row 5 the stage states.  ``f(t, z, out, s)``
+    writes the slope at stage state ``z`` into ``out``.  It is evaluated
+    at the step's start, its midpoint twice and its end, gets that stage's
+    entry ``s`` of the four ``stages``, and is handed row 0 and row 1 at
+    the first stage and row 5 and row ``1 + j`` at stage j after it.  Each
+    stage state, and the update, is one ``np.dot`` of fixed weights with
+    rows 0 to j, so the step allocates nothing.
     """
+    w2, w3, w4, update = _rk4_weights(h)
     s1, s2, s3, s4 = stages
-    k1 = f(t, y, s1)
-    k2 = f(t + 0.5 * h, y + (0.5 * h) * k1, s2)
-    k3 = f(t + 0.5 * h, y + (0.5 * h) * k2, s3)
-    k4 = f(t + h, y + h * k3, s4)
-    return y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    y, k1, k2, k3, k4, z = work
+    f(t, y, k1, s1)
+    np.dot(w2, work[:2], out=z)
+    f(t + 0.5 * h, z, k2, s2)
+    np.dot(w3, work[:3], out=z)
+    f(t + 0.5 * h, z, k3, s3)
+    np.dot(w4, work[:4], out=z)
+    f(t + h, z, k4, s4)
+    np.dot(update, work[:5], out=z)
+    np.copyto(y, z)

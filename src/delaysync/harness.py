@@ -29,28 +29,30 @@ until no step reads the pre-history.  The whole states are kept only for
 the block being stepped.
 
 The loop precomputes the operands that read stored values only for a
-block of steps and their four RK4 stages at once (``_StageKernel.load``):
-the applied input (the gains one input-delay back against the leader
-regressor, zero before the first command arrives), the regressor's delayed
-entries, the fleet's delayed drive ``a_zeta x(t - tau_x) + b u(t - tau_u)``
-and the leader's part of the adaptation drive.  A block is at most
-``tau_x`` long, so every row it reads is stored before it starts, and holds
-about OPERAND_VALUES values.  Each step is one ``dde.step_rk4`` call, which
-hands every stage the index of its operands.  The right-hand side is
-``_StageKernel``, the one evaluation of the controller's signals: it forms
-the mismatch, the auxiliary input and the graph term ``L x``, then the
-fleet, auxiliary and gain derivatives, in buffers made once per run.
-Fleet rows are checked for divergence once per block.
+block of steps and their four RK4 stages at once (``_StageKernel.load``),
+one row of a run-long array per stage: the applied input (the gains one
+input-delay back against the leader regressor, zero before the first
+command arrives), the regressor's delayed entries, the fleet's delayed
+drive ``a_zeta x(t - tau_x) + b u(t - tau_u)`` and the leader's projected
+state ``x_m P b_m``.  A block is at most ``tau_x`` long, so every row it
+reads is stored before it starts, and holds about OPERAND_VALUES values.
+Each step is one ``dde.step_rk4`` call in the kernel's work rows, which
+forms no array and hands every stage the index of its operand row.  The
+right-hand side is ``_StageKernel.stage``, the one evaluation of the
+controller's signals: it forms the mismatch, the auxiliary input and the
+adaptation drive, then the fleet, auxiliary and gain derivatives, in
+buffers made once per run.  Fleet rows are checked for divergence once
+per block.
 
 Stage 0 of step k evaluates at row k's state with row k's operands, so the
-loop records row k's mismatch, auxiliary input and ``L x`` from it after
-the step; the last row, which starts no step, gets one kernel call of its
-own.  Each block's steps write its whole states into rows of its own,
-and right after it is stepped its rows are recorded as one SimTrace and
-yielded: the augmented error ``(L x - g x_m) + x_a``, the commanded input
-against the leader rows ``tau_u`` ahead (so no per-step forward prediction
-is needed) and ``V_d``, each formed per row, so the rows of a block equal
-those of the whole trace bit for bit.
+loop records row k's mismatch and auxiliary input from it after the step;
+the last row, which starts no step, gets one kernel call of its own.  Each
+block's steps write its whole states into rows of its own, and right after
+it is stepped its rows are recorded as one SimTrace and yielded: the
+augmented error ``(L x - g x_m) + x_a``, the commanded input against the
+leader rows ``tau_u`` ahead (so no per-step forward prediction is needed)
+and ``V_d``, each formed per row, so the rows of a block equal those of
+the whole trace bit for bit.
 """
 
 from __future__ import annotations
@@ -516,171 +518,174 @@ class _EnergyMonitor:
                 + np.einsum("ti,i->t", sq_phi, self.w_phi))
 
 
-def _signal_views(flat: np.ndarray, ell: int, n: int, p: int):
-    """The mismatch phi (..., l, p), auxiliary input u_aux (..., l, p) and
-    graph term ``L x`` (..., l, n) laid out in ``flat`` (..., l (2p + n)),
-    one row of the signals a stage evaluates."""
-    lead = flat.shape[:-1]
-    lp = ell * p
-    return (flat[..., :lp].reshape(lead + (ell, p)),
-            flat[..., lp:2 * lp].reshape(lead + (ell, p)),
-            flat[..., 2 * lp:].reshape(lead + (ell, n)))
-
-
 class _StageKernel:
     """The run's right-hand side: one RK4 stage of the coupled state
     ``[x; x_a; theta; phi_phi]``, evaluated in buffers made once per run.
 
-    It forms the regressor, the mismatch phi, the auxiliary input u_aux,
-    the graph term ``L x`` and from them the fleet, auxiliary and gain
-    derivatives, with every product written into a fixed buffer through
-    ``out=``, because the arrays are small enough that each fresh array,
-    reshape or concatenate costs more than its arithmetic.  The tests
-    compare it against the reference formulas in ``tests/chain_oracle.py``.
-    :meth:`load` forms a block's delay-only operands, the leader term of
-    the adaptation drive ``g_off`` (:meth:`leader_offset`) among them, so
-    the augmented error itself is not formed here.  A call copies ``y``
-    into the stage-state buffer and writes the derivative into output
-    buffer ``i & 3`` and phi, u_aux and ``L x`` into signal buffer ``i & 3``
-    (:func:`_signal_views`): the four stages of a step get four of each,
-    and a result stays valid until the same stage of the next step.  Stage 0 of step k evaluates at row k's state with
-    row k's delayed operands, so its signals are row k's recorded ones.
-    The adaptation rates are the scenario's live ones (:func:`_live_rates`)
-    and the signs its declared ones; ``p_block`` is the leader's Lyapunov
+    ``stage(t, z, out, i)`` is what the loop hands ``dde.step_rk4``.  It
+    forms the regressor, the mismatch phi and the auxiliary input u_aux,
+    and from them the fleet, auxiliary and gain derivatives, with every
+    product written into a fixed buffer through ``out=``, because the
+    arrays are small enough that each fresh array, reshape or concatenate
+    costs more than its arithmetic; the buffers are bound as locals of the
+    function.  It works in ``work``, the (6, size) array of ``step_rk4``,
+    through views made once: stage ``i & 3 == 0`` reads the state in row 0
+    and the others the stage state in row 5, and stage ``i & 3`` writes its
+    derivative into row ``1 + (i & 3)``, the rows ``step_rk4`` hands it as
+    ``z`` and ``out``.  It writes phi and u_aux into ``signals[i & 3]``:
+    the four stages of a step get four, and a result stays valid until the
+    same stage of the next step.  Stage 0 of step k evaluates at row k's
+    state with row k's delayed operands, so its signals are row k's
+    recorded ones.  The tests compare it against the reference formulas in
+    ``tests/chain_oracle.py``.
+
+    :meth:`load` writes each stage's delay-only operands into its row
+    ``i`` of ``operands``, which holds ``steps`` steps and lives for the
+    run, and the stage copies that row into one work row whose views it
+    reads: the regressor, whose current state it copies in, the applied
+    input, the fleet's delayed drive and the projected errors.  The
+    adaptation drive of the projected error ``(L x - g x_m + x_a) P b_m``
+    is one product ``K [x P b_m; x_a P b_m; x_m P b_m]`` with
+    ``K = [R L | R | -R g]``, formed once, R the signed rates times
+    ``L^T`` and g the pinning column, and the auxiliary drive
+    ``(L u_aux) b_m^T`` one product with ``kron(L, b_m)``.  The
+    adaptation rates are the scenario's live ones (:func:`_live_rates`) and
+    the signs its declared ones; ``p_block`` is the leader's Lyapunov
     block ``P`` that validation solved.
     """
 
-    def __init__(self, sc: Scenario, matrices, p_block: np.ndarray):
+    def __init__(self, sc: Scenario, matrices, p_block: np.ndarray, steps: int):
         ell, n, p = sc.num_agents, sc.state_dim, sc.input_dim
         q = 2 * n + p
         ln = ell * n
-        size = 2 * ln + ell * (q * p + p * p)
         laplacian = matrices.laplacian_like
         self.sc = sc
         self.leader_step, self.stages = sc.leader.rk4_matrices(sc.step)
-        self.a = sc.fleet.a
-        self.a_m_t = sc.leader.a_m.T
-        self.b_m_t = sc.leader.b_m.T
-        self.laplacian = laplacian
         self.p_b = p_block @ sc.leader.b_m
-        # (2l, l): [-sign(theta_r*) Gamma_theta; -Gamma_phi] L^T, the
-        # adaptation drives of a projected error, signs included: the rows
-        # of [L^T; L^T] scaled by each agent's signed rate, in C order (BLAS
-        # rounds the per-stage product differently on a transposed operand)
+        # R (2l, l) = [-sign(theta_r*) Gamma_theta; -Gamma_phi] L^T: the
+        # rows of [L^T; L^T] scaled by each agent's signed rate
         theta_rates, phi_rates = _live_rates(sc)
         signed_rates = -np.concatenate([sc.r_signs * theta_rates, phi_rates])
-        self.rates_l = np.ascontiguousarray(
-            signed_rates[:, None] * np.vstack([laplacian.T, laplacian.T])
-        )
-        # (2l, 1): the drives of the leader's projected term, g_i x_m P b_m
-        self.leader_rates = -(self.rates_l @ matrices.pinning)
+        rates_l = signed_rates[:, None] * np.vstack([laplacian.T, laplacian.T])
+        drive_gain = np.hstack([rates_l @ laplacian, rates_l, -(rates_l @ matrices.pinning)])
+        aux_gain = np.kron(laplacian, sc.leader.b_m)
+        a, a_m_t, p_b = sc.fleet.a, sc.leader.a_m.T, self.p_b
+
+        # A stage's operands, one row: [eta | u_app | drive | projected].
+        # The current state's part of eta and the fleet's part of the
+        # projected errors are written per stage.
+        cuts = np.cumsum([ell * q, ell * p, ln])
+        width = cuts[-1] + (2 * ell + 1) * p
+
+        def operand_views(rows):
+            lead = rows.shape[:-1]
+            return (rows[..., :cuts[0]].reshape(lead + (ell, q)),
+                    rows[..., cuts[0]:cuts[1]].reshape(lead + (ell, p)),
+                    rows[..., cuts[1]:cuts[2]].reshape(lead + (ell, n)),
+                    rows[..., cuts[2]:].reshape(lead + (2 * ell + 1, p)))
+
+        self.operands = operands = np.zeros((4 * steps, width))
+        self.eta_ops, self.u_app_ops, self.drive_ops, projected_ops = operand_views(operands)
+        self.leader_ops = projected_ops[:, -1]
+        row = np.empty(width)
+        eta, u_app, drive, projected = operand_views(row)
+        eta_x, eta_row, eta_col = eta[:, :n], eta[:, None, :], eta[:, :, None]
+        projected_fleet = projected[:2 * ell]
+        aux_drive = np.empty(ln)
+        aux_drive_rows = aux_drive.reshape(ell, n)
+        g = np.empty((2 * ell, p))
+        g_theta, g_phi = g[:ell, None, :], g[ell:, :, None]
 
         def split(flat):
             return (flat[:ln].reshape(ell, n), flat[ln:2 * ln].reshape(ell, n),
                     flat[2 * ln:2 * ln + ell * q * p].reshape(ell, q, p),
                     flat[2 * ln + ell * q * p:].reshape(ell, p, p))
 
-        self.y = np.empty(size)
-        self.x, self.x_a, self.theta, self.phi_phi = split(self.y)
-        self.x_col = self.x[:, :, None]
-        self.eta = np.empty((ell, q))
-        self.eta_x, self.eta_tail = self.eta[:, :n], self.eta[:, n:]
-        self.eta_row, self.eta_col = self.eta[:, None, :], self.eta[:, :, None]
-        self.l_u_aux = np.empty((ell, p))
-        self.aux_drive = np.empty((ell, n))
-        self.e = np.empty((ell, n))
-        self.s = np.empty((ell, p))
-        self.g = np.empty((2 * ell, p))
-        self.g_theta, self.g_phi = self.g[:ell, None, :], self.g[ell:, :, None]
-        self.out = []
-        self.signals = []
-        for _ in range(4):
-            flat = np.empty(size)
-            dx, dx_a, d_theta, d_phi_phi = split(flat)
-            signals = np.empty(ell * (2 * p + n))
-            phi, u_aux, l_x = _signal_views(signals, ell, n, p)
-            self.signals.append(signals)
-            self.out.append((flat, dx, dx[:, :, None], dx_a, d_theta, d_phi_phi, phi,
-                             phi[:, None, :], phi[:, :, None], u_aux, u_aux[:, :, None], l_x))
+        self.work = work = np.empty((6, 2 * ln + ell * (q * p + p * p)))
+        self.signals = np.empty((4, 2, ell, p))
+        views = []
+        for j in range(4):
+            state = work[0 if j == 0 else 5]
+            x, x_a, theta, phi_phi = split(state)
+            dx, dx_a, d_theta, d_phi_phi = split(work[1 + j])
+            phi, u_aux = self.signals[j]
+            views.append((x, x[:, :, None], state[:2 * ln].reshape(2 * ell, n), x_a, theta,
+                          phi_phi, dx, dx[:, :, None], dx_a, d_theta, d_phi_phi, phi,
+                          phi[:, None, :], phi[:, :, None], u_aux.reshape(-1), u_aux[:, :, None]))
 
-    def leader_offset(self, x_m: np.ndarray) -> np.ndarray:
-        """The leader's part of the adaptation drive for leader states
-        (..., n): ``-(signed rates) L^T (pinned P b_m)`` with ``pinned`` the
-        leader term ``g_i x_m``, (..., 2l, p)."""
-        return self.leader_rates * (x_m @ self.p_b)[..., None, :]
+        def stage(t, z, out, i):
+            (x, x_col, fleet, x_a, theta, phi_phi, dx, dx_col, dx_a, d_theta, d_phi_phi, phi,
+             phi_row, phi_col, u_aux, u_aux_col) = views[i & 3]
+            np.copyto(row, operands[i])
+            np.copyto(eta_x, x)
+            # mismatch theta^T eta - u_app, and the auxiliary input phi_phi phi
+            np.matmul(eta_row, theta, out=phi_row)
+            np.subtract(phi, u_app, out=phi)
+            np.matmul(phi_phi, phi_col, out=u_aux_col)
+            # fleet a x + drive, auxiliary x_a a_m^T + (L u_aux) b_m^T
+            np.matmul(a, x_col, out=dx_col)
+            np.add(dx, drive, out=dx)
+            np.dot(x_a, a_m_t, out=dx_a)
+            np.dot(aux_gain, u_aux, out=aux_drive)
+            np.add(dx_a, aux_drive_rows, out=dx_a)
+            # adaptation drive K [x P b_m; x_a P b_m; x_m P b_m], then the laws
+            np.dot(fleet, p_b, out=projected_fleet)
+            np.dot(drive_gain, projected, out=g)
+            np.multiply(eta_col, g_theta, out=d_theta)
+            np.multiply(g_phi, phi_row, out=d_phi_phi)
+
+        self.stage = stage
 
     def load(self, table: np.ndarray, x_line: np.ndarray, th_line: np.ndarray,
              start: int, stop: int) -> None:
-        """Form the operands of every RK4 stage of steps ``start`` to
-        ``stop - 1`` that read stored rows only: the applied input
-        ``u_app``, the fleet's delayed drive ``drive``, the regressor's
-        delayed entries ``eta_del`` and the leader's part of the adaptation
-        drive ``g_off`` (:meth:`leader_offset`).
+        """Write the operands of every RK4 stage of steps ``start`` to
+        ``stop - 1`` that read stored rows only into rows ``0`` to
+        ``4 (stop - start) - 1`` of ``operands``, one row a stage, which
+        stage i reads at row i: start, midpoint, midpoint, end of each
+        step.  They are the regressor's delayed entries (``eta_ops``), the
+        applied input (``u_app_ops``), the fleet's delayed drive
+        (``drive_ops``) and the leader's projected state ``x_m P b_m``
+        (``leader_ops``).
 
         Delayed values are gathered by :func:`delaysync.dde.delayed`, so
-        ``stop - start`` may not exceed the state delay in steps: every row
-        read must already be stored.  ``table`` is the leader table, whose
-        rows (:func:`_leader_pass`) give the leader's stage states and
-        regressors' reference entries and are gathered whole; ``x_line`` and
-        ``th_line`` hold the fleet states and gains, whole or as delay
+        ``stop - start`` may not exceed the state delay in steps, nor the
+        ``steps`` the kernel was made for: every row read must already be
+        stored.  ``table`` is the leader table, whose rows
+        (:func:`_leader_pass`) give the leader's stage states and
+        regressors' reference entries and are gathered whole; ``x_line``
+        and ``th_line`` hold the fleet states and gains, whole or as delay
         lines that keep run row j at slot j mod their length, at least the
-        state and input delay in steps plus one.  Each operand is
-        (4 (stop - start), l, ...) or, ``g_off``, (4 (stop - start), 2l, p),
-        one entry per stage, which stage i reads at entry i: start,
-        midpoint, midpoint, end of each step.
+        state and input delay in steps plus one.
         """
         sc = self.sc
         h = sc.step
         n = sc.state_dim
+        steps = stop - start
+        m = 4 * steps
 
         def staged(rows, lag):
             lo, mid, hi = delayed(rows, start, stop, lag)
             return np.stack((lo, mid, mid, hi), axis=1)
 
+        def block(ops):
+            return ops[:m].reshape((steps, 4) + ops.shape[1:])
+
         t = np.arange(start, stop) * h
         mid = t + 0.5 * h
         times = np.stack((t, mid, mid, t + h), axis=1)
         operand = table[start:stop]
-        leader = (operand @ self.stages.reshape(4 * n, -1).T).reshape(stop - start, 4, n)
+        leader = (operand @ self.stages.reshape(4 * n, -1).T).reshape(steps, 4, n)
+        np.matmul(leader, self.p_b, out=block(self.leader_ops))
         dx = int(round(sc.tau_x / h))
-        eta_m = regressor(leader, staged(table, dx)[..., :n],
-                          operand[:, n:].reshape(stop - start, 4, -1))
-        x_del = staged(x_line, dx)
+        r = operand[:, n:].reshape(steps, 4, -1)
+        eta_m = regressor(leader, staged(table, dx)[..., :n], r)
         th_del = staged(th_line, int(round(sc.tau_u / h)))
-        u_app = applied_input(th_del, eta_m, times, sc.tau_u)
-        eta_del = delayed_regressor(x_del, eta_m[..., None, 2 * n:])
+        u_app = block(self.u_app_ops)
+        u_app[...] = applied_input(th_del, eta_m, times, sc.tau_u)
         del th_del  # the largest temporary: gone before the drive is formed
-        drive = sc.fleet.delayed_drive(x_del, u_app)
-        g_off = self.leader_offset(leader)
-        self.u_app, self.drive, self.eta_del, self.g_off = (
-            v.reshape((-1,) + v.shape[2:]) for v in (u_app, drive, eta_del, g_off))
-
-    def __call__(self, t: float, y: np.ndarray, i: int) -> np.ndarray:
-        np.copyto(self.y, y)
-        np.copyto(self.eta_x, self.x)
-        np.copyto(self.eta_tail, self.eta_del[i])
-        (flat, dx, dx_col, dx_a, d_theta, d_phi_phi, phi, phi_row, phi_col, u_aux, u_aux_col,
-         l_x) = self.out[i & 3]
-        # mismatch theta^T eta - u_app, and the auxiliary input phi_phi phi
-        np.matmul(self.eta_row, self.theta, out=phi_row)
-        np.subtract(phi, self.u_app[i], out=phi)
-        np.matmul(self.phi_phi, phi_col, out=u_aux_col)
-        # fleet a x + drive, auxiliary x_a a_m^T + (L u_aux) b_m^T
-        np.matmul(self.a, self.x_col, out=dx_col)
-        np.add(dx, self.drive[i], out=dx)
-        np.dot(self.x_a, self.a_m_t, out=dx_a)
-        np.dot(self.laplacian, u_aux, out=self.l_u_aux)
-        np.dot(self.l_u_aux, self.b_m_t, out=self.aux_drive)
-        np.add(dx_a, self.aux_drive, out=dx_a)
-        # adaptation drive of the projected error (L x + x_a) P b_m, then the laws
-        np.dot(self.laplacian, self.x, out=l_x)
-        np.add(l_x, self.x_a, out=self.e)
-        np.dot(self.e, self.p_b, out=self.s)
-        np.dot(self.rates_l, self.s, out=self.g)
-        np.add(self.g, self.g_off[i], out=self.g)
-        np.multiply(self.eta_col, self.g_theta, out=d_theta)
-        np.multiply(self.g_phi, phi_row, out=d_phi_phi)
-        return flat
+        x_del = staged(x_line, dx)
+        block(self.eta_ops)[..., n:] = delayed_regressor(x_del, r[:, :, None, :])
+        block(self.drive_ops)[...] = sc.fleet.delayed_drive(x_del, u_app)
 
 
 def _diverged(rows: np.ndarray, start: int, h: float):
@@ -759,17 +764,21 @@ def _leader_pass(step: np.ndarray, table: np.ndarray, h: float):
 
 
 def _block_values(ell: int, n: int, p: int) -> int:
-    """Values :meth:`_StageKernel.load` holds at most per step of a block.
+    """Values a loop block holds at most per step: the operand rows of
+    :class:`_StageKernel` and what :meth:`_StageKernel.load` forms to fill
+    them.
 
-    Per agent, the delayed gains and states are gathered at a step's start
-    and end, their mean forms its midpoint, and the three are copied to its
-    four stages, 7 (qp + n) values; the four operands with their
-    temporaries take 4 (2n + 4p), the leader's adaptation drive counting
-    two values per input channel.  The leader's table rows, gathered the
-    same way, take 7 (n + 4p), and its stage states and regressors 4 (n + q).
+    The operands of a step's four stages take 4 (3n + 4p) values per agent
+    and 4p more, the projected errors counting two values per input
+    channel and agent and the leader's one.  Per agent, the delayed gains
+    and states are gathered at a step's start and end, their mean forms
+    its midpoint, and the three are copied to its four stages, 7 (qp + n)
+    values.  The leader's table rows, gathered the same way, take
+    7 (n + 4p), and its stage states and regressors 4 (n + q).
     """
     q = 2 * n + p
-    return ell * (7 * (q * p + n) + 4 * (2 * n + 4 * p)) + 7 * (n + 4 * p) + 4 * (n + q)
+    return (ell * (7 * (q * p + n) + 4 * (3 * n + 4 * p)) + 4 * p
+            + 7 * (n + 4 * p) + 4 * (n + q))
 
 
 def run_blocks(sc: Scenario) -> Iterator[SimTrace]:
@@ -826,22 +835,25 @@ def _blocks(sc: Scenario, matrices, p_block: np.ndarray, energy: _EnergyMonitor,
     du = int(round(sc.tau_u / h))
     dx = int(round(sc.tau_x / h))
     lead = total + du  # leader steps: the commanded input looks tau_u ahead
-    kernel = _StageKernel(sc, matrices, p_block)
     i_th = 2 * ln
     i_ph = i_th + ell * q * p
     # A block holds about OPERAND_VALUES values and is at most tau_x steps
     # long, so that it reads only rows stored before it.
     span = min(dx, max(1, OPERAND_VALUES // _block_values(ell, n, p)))
+    kernel = _StageKernel(sc, matrices, p_block, span)
+    work, stage = kernel.work, kernel.stage
+    y, stage0_signals = work[0], kernel.signals[0]
 
     def record(a: int, stop: int, states: np.ndarray, signals: np.ndarray) -> SimTrace:
         """Rows ``a`` to ``stop - 1`` of the trace from their states and the
-        phi, u_aux and ``L x`` that stage 0 of their steps evaluated."""
+        phi and u_aux that stage 0 of their steps evaluated."""
+        x = states[:, :ln].reshape(-1, ell, n)
         x_m = table[a:stop, :n]
         x_a = states[:, ln:i_th].reshape(-1, ell, n)
         theta = states[:, i_th:i_ph].reshape(-1, ell, q, p)
         phi_phi = states[:, i_ph:].reshape(-1, ell, p, p)
-        phi, u_aux, e_a = _signal_views(signals, ell, n, p)
-        # e_a = (L x - g x_m) + x_a, written over L x; e holds the leader term first
+        # e_a = (L x - g x_m) + x_a; e holds the leader term first
+        e_a = matrices.laplacian_like @ x
         e = np.multiply(matrices.pinning, x_m[:, None, :])
         np.subtract(e_a, e, out=e_a)
         np.add(e_a, x_a, out=e_a)
@@ -854,14 +866,14 @@ def _blocks(sc: Scenario, matrices, p_block: np.ndarray, energy: _EnergyMonitor,
                                      ahead[:, n:n + p]))
         return SimTrace(
             times=times,
-            x=states[:, :ln].reshape(-1, ell, n),
+            x=x,
             x_m=x_m,
             x_a=x_a,
             e=e,
             e_a=e_a,
             u=u,
-            u_aux=u_aux,
-            phi=phi,
+            u_aux=signals[:, 1],
+            phi=signals[:, 0],
             theta=theta,
             phi_phi=phi_phi,
             v_d=energy(e_a, theta, phi_phi),
@@ -897,28 +909,29 @@ def _blocks(sc: Scenario, matrices, p_block: np.ndarray, energy: _EnergyMonitor,
     th_line = np.empty((min(total, du) + 1, ell, q, p))
     x_line[0] = sc.x0.reshape(ell, n)
     th_line[0] = sc.theta0
-    # Each block's whole states, seeded with the last row of the block
-    # before; row k's phi, u_aux and L x, as stage 0 of step k evaluates
-    # them, go in signals[k - a].
-    last = z0
+    # Each block's whole states, the first the last of the block before;
+    # row k's phi and u_aux, as stage 0 of step k evaluates them, go in
+    # signals[k - a].  y, row 0 of the kernel's work rows, holds the state
+    # the next step starts from.
+    y[:] = z0
     for a in range(0, end, span):
         stop = min(a + span, end)
         states = np.empty((stop - a + 1, z0.shape[0]))
-        states[0] = last
-        signals = np.empty((stop - a, ell * (2 * p + n)))
+        states[0] = y
+        signals = np.empty((stop - a,) + stage0_signals.shape)
         with np.errstate(over="ignore", invalid="ignore"):
             kernel.load(table, x_line, th_line, a, stop)
             for k in range(a, stop):
                 i = 4 * (k - a)
-                states[k + 1 - a] = step_rk4(kernel, k * h, states[k - a], h, range(i, i + 4))
-                signals[k - a] = kernel.signals[0]
+                step_rk4(stage, k * h, h, work, range(i, i + 4))
+                states[k + 1 - a] = y
+                signals[k - a] = stage0_signals
             fleet_bad = _diverged(states[1:], a + 1, h)
         if fleet_bad:
             raise fleet_bad[1]
         rows = np.arange(a + 1, stop + 1)
         x_line[rows % len(x_line)] = states[1:, :ln].reshape(-1, ell, n)
         th_line[rows % len(th_line)] = states[1:, i_th:i_ph].reshape(-1, ell, q, p)
-        last = states[-1]
         if not leader_bad:
             yield record(a, stop, states[:-1], signals)
     if leader_bad:
@@ -926,8 +939,8 @@ def _blocks(sc: Scenario, matrices, p_block: np.ndarray, energy: _EnergyMonitor,
     # The last row starts no step: evaluate stage 0 of step total alone.
     with np.errstate(over="ignore", invalid="ignore"):
         kernel.load(table, x_line, th_line, total, total + 1)
-        kernel(total * h, last, 0)
-    yield record(total, total + 1, last[None], kernel.signals[0][None].copy())
+        stage(total * h, y, work[1], 0)
+    yield record(total, total + 1, y[None].copy(), stage0_signals[None].copy())
 
 
 def run_scenario(sc: Scenario) -> SimTrace:

@@ -104,15 +104,19 @@ class LeaderModel:
         to rounding.
         """
         n, p = self.state_dim, self.input_dim
-        basis = np.eye(n + 4 * p)
+        width = n + 4 * p
+        basis = np.eye(width)
+        work = np.empty((6, n * width))
+        work[0] = basis[:n].ravel()
         stages = []
 
-        def f(_, y, r):
-            stages.append(y)
-            return self.a_m @ y + self.b_m @ r
+        def f(_, z, out, r):
+            y = z.reshape(n, width)
+            stages.append(y.copy())
+            np.add(self.a_m @ y, self.b_m @ r, out=out.reshape(n, width))
 
-        step = step_rk4(f, 0.0, basis[:n], h, basis[n:].reshape(4, p, n + 4 * p))
-        return step, np.stack(stages)
+        step_rk4(f, 0.0, h, work, basis[n:].reshape(4, p, width))
+        return work[0].reshape(n, width).copy(), np.stack(stages)
 
 
 @dataclass(frozen=True)

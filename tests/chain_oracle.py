@@ -6,7 +6,8 @@ axes in front of the per-agent ones, so the tests can check the kernel and
 the recorded traces against them.  Beside them are the float-time
 references of what a run reads by row: a stored history sampled at any
 time (``sample``) and the leader regressor forecast ``tau_u`` ahead by
-stepping the leader block (``predict_leader_regressor``).
+stepping the leader block (``predict_leader_regressor``), each step one
+``step_rk4`` call on a right-hand side that returns its slope (``rk4``).
 """
 
 import math
@@ -32,10 +33,25 @@ def sample(rows, h: float, t: float) -> np.ndarray:
     return (1.0 - w) * rows[j] + w * rows[j + 1]
 
 
+def rk4(f, t: float, y, h: float, stages) -> np.ndarray:
+    """The state after one :func:`delaysync.dde.step_rk4` step of size
+    ``h`` from ``y`` at time ``t``, for a right-hand side ``f(t, y, s)``
+    that returns its slope rather than writing it into a row."""
+    y = np.asarray(y, dtype=float)
+    work = np.empty((6, y.size))
+    work[0] = y.ravel()
+
+    def write(tt, z, out, s):
+        out[:] = np.ravel(f(tt, z.reshape(y.shape), s))
+
+    step_rk4(write, t, h, work, stages)
+    return work[0].reshape(y.shape)
+
+
 def leader_block_derivative(m, x_m: np.ndarray, r_value: np.ndarray) -> np.ndarray:
     """Single leader block derivative ``a_m x_m + b_m r`` of the
     ``LeaderModel`` ``m``, as :func:`predict_leader_regressor` integrates
-    it through ``step_rk4``; a run steps the leader by
+    it through :func:`rk4`; a run steps the leader by
     ``LeaderModel.rk4_matrices``, the same RK4 step written as matrices."""
     return m.a_m @ x_m + m.b_m @ r_value
 
@@ -47,7 +63,11 @@ def predict_leader_regressor(m, x_m_now, r_of, t, tau_u, tau_x, h, hold_referenc
     ``x_m(t)`` with step ``h``; every reference value needed lies in
     ``(t - tau_u, t]`` and is exactly known, so the returned
     ``[x_m(t + tau_u); x_m(t + tau_u - tau_x); r(t)]`` matches the future
-    regressor up to integration error.
+    regressor up to integration error.  The input of step j after ``t =
+    k h`` is read on the step grid, as a run reads it: at ``(k + j - du) h
+    + c h`` for stage offset c, with du = tau_u / h a whole number of steps,
+    so the first commanded step reads r(0) wherever the float time
+    ``t + j h - tau_u`` rounds.
 
     With ``hold_reference`` the input is sampled once per step (at the
     step's left endpoint) and held through the RK4 stages.  A square wave
@@ -65,18 +85,19 @@ def predict_leader_regressor(m, x_m_now, r_of, t, tau_u, tau_x, h, hold_referenc
         raise ValidationError(f"tau_x={tau_x} exceeds tau_u={tau_u}")
     steps = int(round(tau_u / h))
     mid = steps - int(round(tau_x / h))
+    k = round(t / h)
 
     f = lambda _, yy, r: leader_block_derivative(m, yy, r)
     y = np.asarray(x_m_now, dtype=float).copy()
     x_mid = y.copy() if mid == 0 else None
     for j in range(steps):
-        s = t + j * h
+        s = (k + j - steps) * h  # the input's time, whole steps of it
         if hold_reference:
-            r_in = (r_of(s - tau_u),) * 4
+            r_in = (r_of(s),) * 4
         else:
-            r_mid = r_of(s + 0.5 * h - tau_u)
-            r_in = (r_of(s - tau_u), r_mid, r_mid, r_of(s + h - tau_u))
-        y = step_rk4(f, s, y, h, r_in)
+            r_mid = r_of(s + 0.5 * h)
+            r_in = (r_of(s), r_mid, r_mid, r_of(s + h))
+        y = rk4(f, (k + j) * h, y, h, r_in)
         if j + 1 == mid:
             x_mid = y.copy()
     return np.concatenate([y, x_mid, np.asarray(r_of(t), dtype=float).reshape(-1)])

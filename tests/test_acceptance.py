@@ -185,13 +185,18 @@ def delayed_decay(h, t_end):
     polynomial on unit intervals (0 at t=1, -1/2 at t=2, -1/6 at t=3).
 
     It is stepped as a run steps its closed loop: one ``step_rk4`` call per
-    step, the lag read as rows back by ``dde.delayed`` (start, midpoint
-    twice, end), with row 0 as the pre-history."""
+    step in one reused work array, the lag read as rows back by
+    ``dde.delayed`` (start, midpoint twice, end), with row 0 as the
+    pre-history."""
     lag, steps = round(1.0 / h), round(t_end / h)
     rows = np.ones((steps + 1, 1))
+    work = np.empty((6, 1))
+    work[0] = rows[0]
     for k in range(steps):
         lo, mid, hi = delayed(rows, k, k + 1, lag)
-        rows[k + 1] = step_rk4(lambda t, y, x_lag: -x_lag[0], k * h, rows[k], h, (lo, mid, mid, hi))
+        step_rk4(lambda t, z, out, x_lag: np.negative(x_lag[0], out=out), k * h, h, work,
+                 (lo, mid, mid, hi))
+        rows[k + 1] = work[0]
     return rows[-1, 0]
 
 

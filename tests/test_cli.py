@@ -934,7 +934,7 @@ def start(request, monkeypatch):
 def test_divergence_after_rows_were_sent_exits_two(start, tmp_path, capsys, monkeypatch):
     """A loop that diverges after the formatter has been sent rows stops
     it, reaps it and leaves no file: an unstable agent passes the limit at
-    t=8.935, after ten blocks of 166 rows (1660 rows) were sent."""
+    t=8.935, after eleven blocks of 152 rows (1672 rows) were sent."""
     rows = cli._rows
     sent = []
 

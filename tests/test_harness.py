@@ -25,12 +25,13 @@ from chain_oracle import (
     leader_pinning,
     mismatch,
     pinned_error,
+    rk4,
     sample,
 )
 from delaysync.adaptive import applied_input, control, regressor
 from delaysync import harness
 from delaysync.cli import load_scenario, main
-from delaysync.dde import GRID_TOL, delayed, step_rk4
+from delaysync.dde import GRID_TOL, delayed
 from delaysync.harness import (
     OPERAND_VALUES,
     ReferenceSignal,
@@ -614,27 +615,32 @@ def random_fleet_scenario(rng, ell, p, n=2):
 def test_stage_kernel_matches_the_chain_functions(ell, p):
     """The run's right-hand side equals the reference chain functions on
     random stage states and operands, at every stage index of a block of
-    two steps, to 1e-13 relative, and so do the mismatch, auxiliary input
-    and graph term ``L x`` it records; and the four results of a step's
-    stages, derivatives and signals, all keep their values until the step
-    is taken."""
+    two steps, to 1e-13 relative, and so do the mismatch and auxiliary
+    input it records; and the four results of a step's stages, derivatives
+    and signals, all keep their values until the step is taken.  Each
+    stage reads its state from the row of ``work`` that ``step_rk4`` hands
+    it and its operands from its row of ``operands``."""
     rng = np.random.default_rng(10 * ell + p)
     sc = random_fleet_scenario(rng, ell, p)
     n, q = sc.state_dim, sc.regressor_dim
     ln = ell * n
     matrices = build_matrices(sc.topology)
-    kernel = _StageKernel(sc, matrices, P_BLOCK)
+    kernel = _StageKernel(sc, matrices, P_BLOCK, 2)
     stages = 8
     u_app = rng.normal(size=(stages, ell, p))
     drive = rng.normal(size=(stages, ell, n))
     eta_del = rng.normal(size=(stages, ell, n + p))
     x_m = rng.normal(size=(stages, n))
-    kernel.u_app, kernel.drive, kernel.eta_del = u_app, drive, eta_del
-    kernel.g_off = kernel.leader_offset(x_m)
+    kernel.eta_ops[..., n:] = eta_del
+    kernel.u_app_ops[...] = u_app
+    kernel.drive_ops[...] = drive
+    kernel.leader_ops[...] = x_m @ (P_BLOCK @ sc.leader.b_m)
+    work = kernel.work
     for step in range(0, stages, 4):
         results = []
         for i in range(step, step + 4):
-            y = rng.normal(size=2 * ln + ell * (q * p + p * p))
+            z = work[0 if i % 4 == 0 else 5]
+            z[:] = y = rng.normal(size=2 * ln + ell * (q * p + p * p))
             x, x_a = y[:ln].reshape(ell, n), y[ln:2 * ln].reshape(ell, n)
             theta = y[2 * ln:2 * ln + ell * q * p].reshape(ell, q, p)
             phi_phi = y[2 * ln + ell * q * p:].reshape(ell, p, p)
@@ -652,23 +658,41 @@ def test_stage_kernel_matches_the_chain_functions(ell, p):
                 d_theta.ravel(),
                 d_phi_phi.ravel(),
             ])
-            got = kernel(0.0, y, i)
+            got = work[1 + i % 4]
+            kernel.stage(0.0, z, got, i)
             assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want)), i
             signals = kernel.signals[i & 3]
-            want = np.concatenate([phi.ravel(), u_aux.ravel(), (matrices.laplacian_like @ x).ravel()])
+            want = np.stack([phi, u_aux])
             assert np.max(np.abs(signals - want)) <= 1e-13 * np.max(np.abs(want)), i
             results += [(got, got.copy()), (signals, signals.copy())]
         for got, kept in results:
             assert np.array_equal(got, kept)
 
 
+@pytest.mark.parametrize("ell", [4, 128])
+def test_recorded_graph_error_matches_the_chain_function(ell):
+    """The loop records ``L x`` a block of rows at a time, not per stage:
+    every row of a ring run's augmented error equals
+    ``chain_oracle.augmented_error`` of its states to 1e-13 relative, and
+    its graph error that minus the auxiliary state."""
+    sc = ring_scenario(ell, tau_x=0.05, tau_u=0.1, duration=0.5)
+    trace = run_scenario(sc)
+    want = augmented_error(build_matrices(sc.topology), trace.x, trace.x_m, trace.x_a)
+    scale = np.max(np.abs(want))
+    assert scale > 1e-3
+    assert np.max(np.abs(trace.e_a - want)) <= 1e-13 * scale
+    assert np.array_equal(trace.e, trace.e_a - trace.x_a)
+
+
 def per_step_oracle(sc: Scenario) -> np.ndarray:
     """Integrate the closed loop of ``sc`` by one step_rk4 call per step on
     the stacked state [x; x_a; theta; phi_phi; x_m], with every delayed
-    value sampled from the rows stored so far at its stage time, linearly
+    state sampled from the rows stored so far at its stage time, linearly
     interpolated off the grid (``chain_oracle.sample``), and the right-hand
-    side assembled per stage from the reference chain functions.  Returns
-    the stored rows."""
+    side assembled per stage from the reference chain functions.  The
+    reference one input delay back is read on the step grid, at ``(k - du)
+    h + c h`` for stage offset c, held at c = 0 for a piecewise-constant
+    reference.  Returns the stored rows."""
     ell, n, p = sc.num_agents, sc.state_dim, sc.input_dim
     q = 2 * n + p
     h, tau_x, tau_u = sc.step, sc.tau_x, sc.tau_u
@@ -683,11 +707,11 @@ def per_step_oracle(sc: Scenario) -> np.ndarray:
     y = np.concatenate([sc.x0, sc.xa0, sc.theta0.ravel(), sc.phi_phi0.ravel(), sc.xm0])
     rows = [y]
 
-    def rhs(t, v, _):
+    def rhs(t, v, r_value):
         x, x_a, theta, phi_phi, x_m = split(v)
         x_del, _, _, _, xm_del = split(sample(rows, h, t - tau_x))
         theta_del = split(sample(rows, h, t - tau_u))[2]
-        r_del = np.full(p, sc.reference(t - tau_u))
+        r_del = np.full(p, r_value)
         u_app = applied_input(theta_del, regressor(x_m, xm_del, r_del), t, tau_u)
         eta = regressor(x, x_del, r_del)
         phi = mismatch(theta, eta, u_app)
@@ -706,10 +730,21 @@ def per_step_oracle(sc: Scenario) -> np.ndarray:
         )
         return np.concatenate([d.ravel() for d in parts])
 
+    du = round(tau_u / h)
+    offsets = (0.0,) * 4 if sc.reference.piecewise_constant else (0.0, 0.5 * h, 0.5 * h, h)
     for k in range(round(sc.duration / h)):
-        y = step_rk4(rhs, k * h, y, h, (None,) * 4)
+        y = rk4(rhs, k * h, y, h, [sc.reference((k - du) * h + c) for c in offsets])
         rows.append(y)
     return np.array(rows)
+
+
+def oracle_rows(trace: SimTrace) -> np.ndarray:
+    """A trace's rows laid out as :func:`per_step_oracle` stores them."""
+    return np.concatenate([
+        trace.x.reshape(trace.num_rows, -1), trace.x_a.reshape(trace.num_rows, -1),
+        trace.theta.reshape(trace.num_rows, -1), trace.phi_phi.reshape(trace.num_rows, -1),
+        trace.x_m,
+    ], axis=1)
 
 
 # A two-input fleet of three agents, a shape no builtin has.
@@ -767,14 +802,27 @@ def test_run_matches_a_per_step_oracle_with_two_inputs():
     assert all(c.passed for c in validate_scenario(sc))
     trace = run_scenario(sc)
     rows = per_step_oracle(sc)
-    ln = ell * n
-    got = np.concatenate([
-        trace.x.reshape(-1, ln), trace.x_a.reshape(-1, ln), trace.theta.reshape(trace.num_rows, -1),
-        trace.phi_phi.reshape(trace.num_rows, -1), trace.x_m,
-    ], axis=1)
+    got = oracle_rows(trace)
     assert got.shape == rows.shape == (201, rows.shape[1])
     assert np.max(np.abs(got - rows)) <= 1e-12
     assert np.max(np.abs(trace.theta[-1] - trace.theta[0])) > 1e-3  # the gains adapted
+
+
+def test_late_start_run_matches_the_per_step_oracle():
+    """``example1`` with h = 0.009 and tau_u = 0.054 runs within 1e-12 of
+    the per-step oracle.  There the float time ``du h - tau_u`` of the
+    first commanded step rounds below zero, so an oracle that read the
+    reference at ``t - tau_u`` would start the leader a step late."""
+    sc = load_scenario("example1", (
+        "simulation.step=0.009", "simulation.tau_x=0.027", "simulation.tau_u=0.054",
+        "simulation.duration=0.9"))
+    h, du = sc.step, round(sc.tau_u / sc.step)
+    assert du * h - sc.tau_u < 0.0
+    trace = run_scenario(sc)
+    rows = per_step_oracle(sc)
+    assert rows.shape == (101, rows.shape[1])
+    assert np.max(np.abs(oracle_rows(trace) - rows)) <= 1e-12
+    assert np.max(np.abs(trace.x_m[du + 1])) > 1e-3  # the leader moved at the first command
 
 
 @pytest.mark.parametrize("kind", ["square", "sine"])
@@ -806,18 +854,18 @@ def test_leader_steps_by_its_rk4_matrices(kind):
     seen = []
 
     def f(t, yy, r):
-        seen.append(yy)
+        seen.append(yy.copy())
         return leader_block_derivative(m, yy, r)
 
     for k in range(steps):
         r = r_in[k]
-        y = step_rk4(f, k * h, y, h, r)
+        y = rk4(f, k * h, y, h, r)
         assert np.max(np.abs(y - trace.x_m[k + 1])) <= 1e-12
         if k % 200 == 0:
             z = rng.normal(size=n)
             operand = np.concatenate((z, r.ravel()))
             seen.clear()
-            want = step_rk4(f, k * h, z, h, r)
+            want = rk4(f, k * h, z, h, r)
             assert np.max(np.abs(step @ operand - want)) <= 1e-14 * np.max(np.abs(want))
             for got, ref in zip(stages @ operand, seen):
                 assert np.max(np.abs(got - ref)) <= 1e-14 * np.max(np.abs(ref))
@@ -872,17 +920,19 @@ def test_stage_operands_stay_within_their_budget():
     _stage_inputs(sc.reference, table[:, n:], du, sc.step)
     x_arr = rng.normal(size=(rows, ell, n))
     th_arr = rng.normal(size=(rows, ell, q, p))
-    kernel = _StageKernel(sc, build_matrices(sc.topology), P_BLOCK)
-    for a in (0, du):  # reads of the pre-history row, and of stored rows
-        tracemalloc.start()
-        try:
+    tracemalloc.start()
+    try:
+        kernel = _StageKernel(sc, build_matrices(sc.topology), P_BLOCK, span)
+        held = tracemalloc.get_traced_memory()[0]
+        for a in (0, du):  # reads of the pre-history row, and of stored rows
+            tracemalloc.reset_peak()
             kernel.load(table, x_arr, th_arr, a, a + span)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        operands = (kernel.u_app, kernel.drive, kernel.eta_del, kernel.g_off)
-        assert [o.shape[0] for o in operands] == [4 * span] * 4
-        assert peak <= 8 * OPERAND_VALUES
+            # the operand rows the kernel reserves, and what loading forms
+            peak = kernel.operands.nbytes + tracemalloc.get_traced_memory()[1] - held
+            assert len(kernel.operands) == 4 * span
+            assert peak <= 8 * OPERAND_VALUES
+    finally:
+        tracemalloc.stop()
 
 
 def test_run_memory_grows_with_the_input_delay_by_a_line_of_gains():
