@@ -249,16 +249,17 @@ def _apply_overrides(
 
 
 def _floats(raw: str, lineno: int, key: str, count: int | None = None) -> np.ndarray:
-    parts = [p.strip() for p in raw.split(",")]
+    """The comma-separated numbers of ``raw``, each read by ``float()``,
+    which strips the whitespace around it."""
     try:
-        values = [float(p) for p in parts]
+        values = np.fromiter(map(float, raw.split(",")), float)
     except ValueError:
         raise ParseError(f"{key} contains a non-numeric entry", line=lineno or None)
-    if not all(map(math.isfinite, values)):
+    if not np.isfinite(values).all():
         raise ParseError(f"{key} contains a non-finite entry", line=lineno or None)
     if count is not None and len(values) != count:
         raise ParseError(f"{key} needs {count} numbers, got {len(values)}", line=lineno or None)
-    return np.array(values)
+    return values
 
 
 def _scalar(raw: str, lineno: int, key: str) -> float:
@@ -302,6 +303,31 @@ def _read(sections, section: str, dims: dict) -> dict:
     return values
 
 
+def _fleet(sections, dims: dict) -> list[AgentDynamics]:
+    """The AgentDynamics of [agent.1] .. [agent.l].
+
+    Each agent key is read once for the whole fleet, its ``l`` values
+    joined by commas, once every value holds the schema's count of entries
+    by its commas: ``float()`` reads no comma, so the joined numbers split
+    back agent by agent.  When any of this fails, the sections are read
+    one by one with _read, which raises the message and line it names.
+    """
+    n, p, l = dims["state_dim"], dims["input_dim"], dims["l"]
+    names = [f"agent.{i}" for i in range(1, l + 1)]
+    keys = _SCHEMA["agent.N"]
+    rows = {}
+    with contextlib.suppress(KeyError, ParseError):
+        for key, shape in keys.items():
+            shape = shape(n, p, l)
+            raws = [sections[name][key][0] for name in names]
+            if any(raw.count(",") != math.prod(shape) - 1 for raw in raws):
+                break
+            rows[key] = _floats(",".join(raws), 0, key).reshape(l, *shape)
+    if len(rows) < len(keys):
+        return [AgentDynamics(**_read(sections, name, dims)) for name in names]
+    return [AgentDynamics(**{key: rows[key][i] for key in keys}) for i in range(l)]
+
+
 def parse_scenario_file(text: str, name: str = "scenario") -> Scenario:
     """Strict parse of the scenario format; see the module docstring."""
     return build_scenario(_tokenize(text), name)
@@ -320,7 +346,7 @@ def build_scenario(sections, name: str = "scenario") -> Scenario:
         raise ParseError(f"agent sections must be numbered 1..{len(indices)} without gaps")
     dims = {"l": len(indices)}
     leader = LeaderModel(**_read(sections, "leader", dims))
-    agents = [AgentDynamics(**_read(sections, f"agent.{i}", dims)) for i in indices]
+    agents = _fleet(sections, dims)
     topology = Topology(num_agents=dims["l"], **_read(sections, "topology", dims))
     return Scenario(
         fleet=agents,

@@ -57,6 +57,7 @@ the whole trace bit for bit.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 from typing import Iterator
@@ -573,8 +574,10 @@ class _StageKernel:
 
         # A stage's operands, one row: [eta | u_app | drive | projected].
         # The current state's part of eta and the fleet's part of the
-        # projected errors are written per stage.
-        cuts = np.cumsum([ell * q, ell * p, ln])
+        # projected errors are written per stage.  The cuts are Python ints:
+        # np.cumsum of a list allocates through numpy's caches, so whether
+        # its objects count in a tracemalloc peak depended on earlier calls.
+        cuts = list(itertools.accumulate((ell * q, ell * p, ln)))
         width = cuts[-1] + (2 * ell + 1) * p
 
         def operand_views(rows):

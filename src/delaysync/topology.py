@@ -9,7 +9,6 @@ controller is ``L = I - W`` with ``W`` the follower weight matrix.
 from __future__ import annotations
 
 import math
-from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -148,14 +147,12 @@ def leader_reachable(topo: Topology) -> bool:
     Edges are ``leader -> i`` for positive leader weight and ``j -> i``
     for positive follower weight ``w[i, j]``.
     """
-    n = topo.num_agents
-    frontier = deque(int(i) for i in np.flatnonzero(topo.leader_weights > 0.0))
-    seen = set(frontier)
-    while frontier:
-        j = frontier.popleft()
-        for i in np.flatnonzero(topo.follower_weights[:, j] > 0.0):
-            i = int(i)
-            if i not in seen:
-                seen.add(i)
-                frontier.append(i)
-    return len(seen) == n
+    adjacent = topo.follower_weights > 0.0
+    seen = topo.leader_weights > 0.0
+    frontier = seen
+    # One BFS level per pass: the agents that listen to the last level and
+    # were not reached before; O(l^2) over all levels.
+    while frontier.any():
+        frontier = adjacent[:, frontier].any(axis=1) & ~seen
+        seen |= frontier
+    return bool(seen.all())

@@ -1,6 +1,8 @@
 """Graph construction, balance and connectivity checks, reachability."""
 
 import math
+import time
+from collections import deque
 
 import numpy as np
 import pytest
@@ -210,3 +212,57 @@ def test_reachability_is_relabeling_invariant():
 def test_builtin_graphs_are_reachable():
     assert leader_reachable(ring4())
     assert leader_reachable(pinned4())
+
+
+def _reference_reachable(topo):
+    """leader_reachable as a deque BFS that visits one agent at a time."""
+    frontier = deque(int(i) for i in np.flatnonzero(topo.leader_weights > 0.0))
+    seen = set(frontier)
+    while frontier:
+        j = frontier.popleft()
+        for i in np.flatnonzero(topo.follower_weights[:, j] > 0.0):
+            i = int(i)
+            if i not in seen:
+                seen.add(i)
+                frontier.append(i)
+    return len(seen) == topo.num_agents
+
+
+def _random_topology(rng, ell):
+    """A seeded digraph on ``ell`` agents with sparse links and few pinned
+    agents, rows normalised to one; an agent nothing links to is pinned."""
+    w = rng.random((ell, ell)) * (rng.random((ell, ell)) < 2.0 / ell)
+    np.fill_diagonal(w, 0.0)
+    g = rng.random(ell) * (rng.random(ell) < 0.1)
+    g[w.sum(axis=1) + g == 0.0] = 1.0
+    total = w.sum(axis=1) + g
+    return Topology(ell, w / total[:, None], g / total, 0.01)
+
+
+def test_reachability_matches_the_reference_bfs():
+    rng = np.random.default_rng(11)
+    outcomes = []
+    for ell in range(1, 41):
+        for _ in range(5):
+            topo = _random_topology(rng, ell)
+            want = _reference_reachable(topo)
+            assert leader_reachable(topo) is want
+            outcomes.append(want)
+    assert 0 < sum(outcomes) < len(outcomes)  # both kinds of graph are drawn
+
+
+def test_reachability_of_a_deep_chain_is_fast():
+    # leader -> 1 -> 2 -> ... -> 2000: one BFS level per agent
+    ell = 2000
+    w = np.zeros((ell, ell))
+    w[np.arange(1, ell), np.arange(ell - 1)] = 1.0
+    g = np.zeros(ell)
+    g[0] = 1.0
+    topo = Topology(ell, w, g, 0.1)
+    start = time.perf_counter()
+    assert leader_reachable(topo)
+    assert time.perf_counter() - start < 0.5
+    # cut after agent 1000: the rest only listen along the chain
+    w[1000, 999] = 0.0
+    w[1000, 1001] = 1.0
+    assert not leader_reachable(Topology(ell, w, g, 0.1))
