@@ -25,15 +25,14 @@ for i in range(sc.fleet.num_agents):
         )
     )
 
-worst = 0.0
-for i, ag in enumerate(sc.fleet.agents):
-    worst = max(
-        worst,
-        np.max(np.abs(ag.a + ag.b @ gains.theta_x[i].T - sc.leader.a_m)),
-        np.max(np.abs(ag.a_zeta + ag.b @ gains.theta_zeta[i].T)),
-        np.max(np.abs(ag.b @ gains.theta_r[i] - sc.leader.b_m)),
-        np.max(np.abs(sc.leader.b_m @ gains.theta_phi[i] - ag.b)),
-    )
+# the four conditions for every agent at once, on the stacked (l, ...) arrays
+a, a_zeta, b = sc.fleet.a, sc.fleet.a_zeta, sc.fleet.b
+worst = max(
+    np.max(np.abs(a + b @ np.swapaxes(gains.theta_x, 1, 2) - sc.leader.a_m)),
+    np.max(np.abs(a_zeta + b @ np.swapaxes(gains.theta_zeta, 1, 2))),
+    np.max(np.abs(b @ gains.theta_r - sc.leader.b_m)),
+    np.max(np.abs(sc.leader.b_m @ gains.theta_phi - b)),
+)
 print("worst residual over all four matching conditions: %.3e" % worst)
 
 ell = sc.fleet.num_agents

@@ -44,7 +44,6 @@ from .linalg import (
     symmetric_eigenvalues,
 )
 from .plant import (
-    AgentDynamics,
     FleetDynamics,
     LeaderModel,
     MatchingGains,
@@ -63,7 +62,6 @@ from .topology import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "AgentDynamics",
     "CheckResult",
     "DelaySyncError",
     "DimensionMismatch",

@@ -1,15 +1,15 @@
 """Command line front end: scenario files, builtin examples, CSV traces.
 
 Scenario files are strict line-oriented key = value text, in sections
-[simulation], [reference], [leader], [agent.N] (N = 1, 2, ... with no
-gaps), [topology] and [controller]; _SCHEMA declares every key and how it
-is read.  Matrices are flat row-major comma-separated numbers; shapes come
-from state_dim, input_dim, and the agent count.  Unknown sections or keys,
+[simulation], [reference], [leader], [agent.N] (N = 1, 2, ... in ASCII
+digits, with no gaps), [topology] and [controller]; _SCHEMA declares every
+key and how it is read.  Matrices are flat row-major comma-separated
+numbers; shapes come from state_dim, input_dim, and the agent count.  Unknown sections or keys,
 nan/inf numbers and non-integer dimensions are hard errors; the only
 defaults are the reference waveform (square, amplitude 1, period 40,
 offset 0) and zero initial states.  Every value is checked once, by the
-constructor it feeds: Scenario, Topology, ReferenceSignal and the plant
-models.
+constructor it feeds: Scenario, Topology, ReferenceSignal, LeaderModel
+and FleetDynamics.
 
     delaysync run <builtin|file> [--out DIR] [--set section.key=value ...]
     delaysync validate <builtin|file> [--set ...]
@@ -53,7 +53,7 @@ from .harness import (
     run_blocks,
     validate_scenario,
 )
-from .plant import AgentDynamics, LeaderModel
+from .plant import FleetDynamics, LeaderModel
 from .topology import Topology
 
 # trace.csv is formatted in chunks of rows holding about this many values,
@@ -220,11 +220,12 @@ def _tokenize(text: str) -> dict[str, dict[str, tuple[str, int]]]:
 
 
 def _keys(name: str, lineno: int | None = None) -> dict:
-    """The schema entries of section ``name``, one for every [agent.N];
-    raises ParseError for a name that is no section's."""
+    """The schema entries of section ``name``, one for every [agent.N]
+    whose N is ASCII digits without a leading zero; raises ParseError for
+    a name that is no section's."""
     if name.startswith("agent."):
         tail = name[len("agent.") :]
-        if tail.isdigit() and int(tail) >= 1:
+        if tail.isascii() and tail.isdigit() and not tail.startswith("0"):
             return _SCHEMA["agent.N"]
         raise ParseError(f"agent sections are [agent.1], [agent.2], ...; got [{name}]", line=lineno)
     if name not in _SCHEMA:
@@ -303,14 +304,15 @@ def _read(sections, section: str, dims: dict) -> dict:
     return values
 
 
-def _fleet(sections, dims: dict) -> list[AgentDynamics]:
-    """The AgentDynamics of [agent.1] .. [agent.l].
+def _fleet(sections, dims: dict) -> FleetDynamics:
+    """The FleetDynamics of [agent.1] .. [agent.l].
 
     Each agent key is read once for the whole fleet, its ``l`` values
     joined by commas, once every value holds the schema's count of entries
-    by its commas: ``float()`` reads no comma, so the joined numbers split
-    back agent by agent.  When any of this fails, the sections are read
-    one by one with _read, which raises the message and line it names.
+    by its commas: ``float()`` reads no comma, so the joined numbers stack
+    back agent by agent.  Each way this can fail is also a failure of
+    _read on some section, so then the sections are read one by one with
+    _read, which raises the message and line it names.
     """
     n, p, l = dims["state_dim"], dims["input_dim"], dims["l"]
     names = [f"agent.{i}" for i in range(1, l + 1)]
@@ -324,8 +326,9 @@ def _fleet(sections, dims: dict) -> list[AgentDynamics]:
                 break
             rows[key] = _floats(",".join(raws), 0, key).reshape(l, *shape)
     if len(rows) < len(keys):
-        return [AgentDynamics(**_read(sections, name, dims)) for name in names]
-    return [AgentDynamics(**{key: rows[key][i] for key in keys}) for i in range(l)]
+        for name in names:
+            _read(sections, name, dims)
+    return FleetDynamics(**rows)
 
 
 def parse_scenario_file(text: str, name: str = "scenario") -> Scenario:
@@ -346,10 +349,10 @@ def build_scenario(sections, name: str = "scenario") -> Scenario:
         raise ParseError(f"agent sections must be numbered 1..{len(indices)} without gaps")
     dims = {"l": len(indices)}
     leader = LeaderModel(**_read(sections, "leader", dims))
-    agents = _fleet(sections, dims)
+    fleet = _fleet(sections, dims)
     topology = Topology(num_agents=dims["l"], **_read(sections, "topology", dims))
     return Scenario(
-        fleet=agents,
+        fleet=fleet,
         leader=leader,
         topology=topology,
         **_read(sections, "controller", dims),

@@ -160,9 +160,10 @@ class ReferenceSignal:
 class Scenario:
     """Everything one closed-loop run needs.
 
-    fleet may be given as a list of AgentDynamics or a prebuilt
-    FleetDynamics.  theta0 is (l, 2n+p, p), phi_phi0 (l, p, p), r_signs (l,)
-    of +-1, x0 and xa0 stacked fleet vectors (l*n), xm0 the leader state (n).
+    fleet is the followers' FleetDynamics, stacked (l, ...) arrays; any
+    other value raises a ValidationError naming it.  theta0 is (l, 2n+p, p),
+    phi_phi0 (l, p, p), r_signs (l,) of +-1, x0 and xa0 stacked fleet
+    vectors (l*n), xm0 the leader state (n).
     q_tilde is the positive definite weight whose Lyapunov solution supplies
     the error metric of the adaptation laws.  The (l, l) adaptation rates
     gamma_theta and gamma_phi are diagonal, one nonnegative rate per agent,
@@ -195,8 +196,7 @@ class Scenario:
     def __post_init__(self):
         fleet = self.fleet
         if not isinstance(fleet, FleetDynamics):
-            fleet = FleetDynamics(fleet)
-        object.__setattr__(self, "fleet", fleet)
+            raise ValidationError(f"fleet must be a FleetDynamics, got {type(fleet).__name__}")
         ell = fleet.num_agents
         n = fleet.state_dim
         p = fleet.input_dim
@@ -314,7 +314,8 @@ class SimTrace:
     mismatches, theta (t, l, 2n+p, p) and phi_phi (t, l, p, p) gains, v_d
     the scalar energy monitor.  run_blocks yields a run as SimTraces of a
     block of consecutive rows each; ROW_FIELDS names the fields with a row
-    axis.
+    axis.  tau_u is the run's input delay, after twice which metrics reads
+    the slope of v_d.
     """
 
     times: np.ndarray
@@ -329,7 +330,6 @@ class SimTrace:
     theta: np.ndarray
     phi_phi: np.ndarray
     v_d: np.ndarray
-    tau_x: float
     tau_u: float
 
     @property
@@ -554,6 +554,11 @@ class _StageKernel:
     the signs its declared ones; ``p_block`` is the leader's Lyapunov
     block ``P`` that validation solved.
     """
+
+    # Slots, not an instance dict: CPython shrinks a class's shared-key dict
+    # over its first instances, which a tracemalloc peak would count.
+    __slots__ = ("sc", "leader_step", "stages", "p_b", "operands", "eta_ops", "u_app_ops",
+                 "drive_ops", "leader_ops", "work", "signals", "stage")
 
     def __init__(self, sc: Scenario, matrices, p_block: np.ndarray, steps: int):
         ell, n, p = sc.num_agents, sc.state_dim, sc.input_dim
@@ -880,7 +885,6 @@ def _blocks(sc: Scenario, matrices, p_block: np.ndarray, energy: _EnergyMonitor,
             theta=theta,
             phi_phi=phi_phi,
             v_d=energy(e_a, theta, phi_phi),
-            tau_x=sc.tau_x,
             tau_u=sc.tau_u,
         )
 
@@ -952,7 +956,6 @@ def run_scenario(sc: Scenario) -> SimTrace:
     blocks = list(run_blocks(sc))
     return SimTrace(
         **{name: np.concatenate([getattr(b, name) for b in blocks]) for name in ROW_FIELDS},
-        tau_x=sc.tau_x,
         tau_u=sc.tau_u,
     )
 

@@ -13,7 +13,7 @@ they exist only when the agent's input matrix spans the required corrections.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -26,38 +26,6 @@ MATCHING_TOL = 1e-9
 
 # Largest ideal gain whose square, which the energy monitor weighs, is finite.
 MAX_GAIN = float(np.sqrt(np.finfo(float).max))
-
-
-@dataclass(frozen=True)
-class AgentDynamics:
-    """One follower: instantaneous ``a``, delayed-state ``a_zeta``, input ``b``."""
-
-    a: np.ndarray
-    a_zeta: np.ndarray
-    b: np.ndarray
-
-    def __post_init__(self):
-        a = np.asarray(self.a, dtype=float)
-        az = np.asarray(self.a_zeta, dtype=float)
-        b = np.asarray(self.b, dtype=float)
-        n = a.shape[0] if a.ndim == 2 else 0
-        if a.ndim != 2 or a.shape != (n, n):
-            raise DimensionMismatch(f"a must be square, got {a.shape}")
-        if az.shape != (n, n):
-            raise DimensionMismatch(f"a_zeta shape {az.shape}, expected {(n, n)}")
-        if b.ndim != 2 or b.shape[0] != n:
-            raise DimensionMismatch(f"b shape {b.shape}, expected ({n}, p)")
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "a_zeta", az)
-        object.__setattr__(self, "b", b)
-
-    @property
-    def state_dim(self) -> int:
-        return self.a.shape[0]
-
-    @property
-    def input_dim(self) -> int:
-        return self.b.shape[1]
 
 
 @dataclass(frozen=True)
@@ -141,30 +109,48 @@ class MatchingGains:
         return np.concatenate((self.theta_x[i], self.theta_zeta[i], self.theta_r[i]), axis=-2)
 
 
+@dataclass(frozen=True)
 class FleetDynamics:
-    """Stacked array form of a follower fleet for blockwise evaluation.
-
-    ``a``, ``a_zeta`` and ``b`` stack the agents' matrices, (l, n, n),
-    (l, n, n) and (l, n, p); ``delayed`` is ``[a_zeta | b]`` per agent,
-    (l, n, n+p), so one product evaluates the delayed drive.
+    """The follower fleet, stacked along a leading agent axis: agent i is
+    ``a[i]``, ``a_zeta[i]`` and ``b[i]`` of ``a`` (l, n, n), ``a_zeta``
+    (l, n, n) and ``b`` (l, n, p).  ``delayed`` is ``[a_zeta | b]`` per
+    agent, (l, n, n+p), so one product evaluates the delayed drive.  A
+    shape that does not fit raises DimensionMismatch naming the field.
     """
 
-    def __init__(self, fleet: list[AgentDynamics] | tuple[AgentDynamics, ...]):
-        if not fleet:
-            raise DimensionMismatch("fleet must contain at least one agent")
-        n = fleet[0].state_dim
-        p = fleet[0].input_dim
-        for idx, agent in enumerate(fleet):
-            if agent.state_dim != n or agent.input_dim != p:
-                raise DimensionMismatch(f"agent {idx + 1} dimensions differ from agent 1")
-        self.agents = tuple(fleet)
-        self.num_agents = len(fleet)
-        self.state_dim = n
-        self.input_dim = p
-        self.a = np.stack([ag.a for ag in fleet])
-        self.a_zeta = np.stack([ag.a_zeta for ag in fleet])
-        self.b = np.stack([ag.b for ag in fleet])
-        self.delayed = np.concatenate([self.a_zeta, self.b], axis=2)
+    a: np.ndarray
+    a_zeta: np.ndarray
+    b: np.ndarray
+    delayed: np.ndarray = field(init=False, repr=False)
+
+    def __post_init__(self):
+        a = np.asarray(self.a, dtype=float)
+        az = np.asarray(self.a_zeta, dtype=float)
+        b = np.asarray(self.b, dtype=float)
+        if a.ndim != 3 or a.shape[1] != a.shape[2]:
+            raise DimensionMismatch(f"a must be (l, n, n), got {a.shape}")
+        if not len(a):
+            raise DimensionMismatch("a holds no agent: a fleet needs at least one")
+        if az.shape != a.shape:
+            raise DimensionMismatch(f"a_zeta shape {az.shape}, expected {a.shape}")
+        if b.ndim != 3 or b.shape[:2] != a.shape[:2]:
+            raise DimensionMismatch(f"b shape {b.shape}, expected ({len(a)}, {a.shape[1]}, p)")
+        object.__setattr__(self, "a", a)
+        object.__setattr__(self, "a_zeta", az)
+        object.__setattr__(self, "b", b)
+        object.__setattr__(self, "delayed", np.concatenate([az, b], axis=2))
+
+    @property
+    def num_agents(self) -> int:
+        return self.a.shape[0]
+
+    @property
+    def state_dim(self) -> int:
+        return self.a.shape[1]
+
+    @property
+    def input_dim(self) -> int:
+        return self.b.shape[2]
 
     def delayed_drive(self, x_delayed: np.ndarray, u_delayed: np.ndarray) -> np.ndarray:
         """The delayed part ``a_zeta x(t - tau_x) + b u(t - tau_u)`` of the
@@ -177,7 +163,7 @@ class FleetDynamics:
         return (self.delayed @ operand[..., None])[..., 0]
 
 
-def matching_gains(fleet, leader: LeaderModel) -> MatchingGains:
+def matching_gains(fleet: FleetDynamics, leader: LeaderModel) -> MatchingGains:
     """Least-squares ideal gains of the whole fleet, verified to 1e-9 residuals.
 
     Each condition is solved for all agents at once with the LAPACK
@@ -185,8 +171,6 @@ def matching_gains(fleet, leader: LeaderModel) -> MatchingGains:
     agent with a condition whose residual exceeds the tolerance, or whose
     gain exceeds ``MAX_GAIN``, raises :class:`NoMatchingSolution`.
     """
-    if not isinstance(fleet, FleetDynamics):
-        fleet = FleetDynamics(fleet)
     if (fleet.state_dim, fleet.input_dim) != (leader.state_dim, leader.input_dim):
         raise DimensionMismatch("fleet dimensions differ from the leader's")
     b, b_m = fleet.b, leader.b_m

@@ -170,7 +170,7 @@ def test_overrides_touch_reference_section():
 
 def test_overrides_split_on_last_dot():
     sc = load_scenario("example1", overrides=("agent.1.b=0, 7",))
-    assert sc.fleet.agents[0].b[1, 0] == 7.0
+    assert sc.fleet.b[0, 1, 0] == 7.0
 
 
 def test_override_validation():
@@ -307,6 +307,33 @@ def test_unreadable_scenario_file_exits_one(tmp_path, capsys, monkeypatch, comma
     assert captured.out == ""
     assert captured.err.splitlines() == [captured.err.strip()]
     assert captured.err.startswith(f"error: cannot read scenario file {str(path)!r}: ")
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("command", ["validate", "run"])
+@pytest.mark.parametrize("source", ["file", "override"])
+@pytest.mark.parametrize("number", ["\u00b2", "01", "\u0661"], ids=["superscript", "leading_zero", "arabic_indic"])
+def test_agent_section_number_other_than_ascii_digits_exits_one(tmp_path, capsys, command, source, number):
+    """An agent section is numbered in ASCII digits without a leading zero.
+    Any other number, from a file (with its line) or through --set, gets
+    the one parse error that names the section: exit 1, one error line."""
+    path = tmp_path / "tiny.cfg"
+    lines = TINY.splitlines()
+    expected = f"agent sections are [agent.1], [agent.2], ...; got [agent.{number}]"
+    if source == "file":
+        lineno = lines.index("[agent.1]") + 1
+        lines[lineno - 1] = f"[agent.{number}]"
+        expected = f"line {lineno}: {expected}"
+        argv = [command, str(path)]
+    else:
+        argv = [command, str(path), "--set", f"agent.{number}.a=-2"]
+    path.write_text("\n".join(lines) + "\n")
+    if command == "run":
+        argv += ["--out", str(tmp_path / "o")]
+    assert run_cli(*argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [f"error: {expected}"]
     assert not (tmp_path / "o").exists()
 
 
@@ -832,7 +859,7 @@ def test_trace_csv_of_non_finite_and_signed_zero_values_matches_savetxt(tmp_path
         x=values(ell, n), x_m=values(n), x_a=values(ell, n), e=values(ell, n),
         e_a=values(ell, n), u=values(ell, p), u_aux=values(ell, p), phi=values(ell, p),
         theta=values(ell, q, p), phi_phi=values(ell, p, p), v_d=np.array([np.nan, np.inf, -0.0]),
-        tau_x=1.0, tau_u=2.0,
+        tau_u=2.0,
     )
     trace.x[0, 0] = [-np.inf, 0.0]
     trace.x_m[1] = [-0.0, np.nan]

@@ -46,7 +46,7 @@ from delaysync.harness import (
     validate_scenario,
 )
 from delaysync.linalg import solve_lyapunov
-from delaysync.plant import AgentDynamics, LeaderModel, MatchingGains, matching_gains
+from delaysync.plant import FleetDynamics, LeaderModel, MatchingGains, matching_gains
 from delaysync.topology import Topology, build_matrices
 
 P_BLOCK = np.array([[0.25, 0.05], [0.05, 0.05]])
@@ -56,7 +56,7 @@ def tiny_scenario(**over):
     """One scalar agent pinned to a scalar leader; cheap enough to run in
     a fraction of a second."""
     base = dict(
-        fleet=[AgentDynamics(a=[[-2.0]], a_zeta=[[0.1]], b=[[1.0]])],
+        fleet=FleetDynamics(a=[[[-2.0]]], a_zeta=[[[0.1]]], b=[[[1.0]]]),
         leader=LeaderModel(a_m=[[-1.0]], b_m=[[1.0]]),
         topology=Topology(1, np.zeros((1, 1)), np.ones(1), 0.1),
         gamma_theta=np.eye(1),
@@ -144,6 +144,14 @@ def test_reference_validation():
 def test_scenario_rejects_delay_disorder():
     with pytest.raises(ValidationError):
         tiny_scenario(tau_x=3.0, tau_u=2.0)
+
+
+def test_scenario_rejects_a_fleet_that_is_not_stacked():
+    """A fleet is a FleetDynamics only: a list of per-agent matrices is a
+    ValidationError naming the field, not an AttributeError further on."""
+    fleet = tiny_scenario().fleet
+    with pytest.raises(ValidationError, match="^fleet must be a FleetDynamics, got list$"):
+        tiny_scenario(fleet=[fleet])
 
 
 def test_scenario_rejects_non_dividing_step():
@@ -355,7 +363,7 @@ def test_divergence_is_reported_at_the_step_that_crossed_mid_block():
     frozen at their ideal values, as validation demands, and the leader
     rests at zero, so that no input arrives."""
     sc = tiny_scenario(
-        fleet=[AgentDynamics(a=[[1.0]], a_zeta=[[0.0]], b=[[1.0]])],
+        fleet=FleetDynamics(a=[[[1.0]]], a_zeta=[[[0.0]]], b=[[[1.0]]]),
         gamma_theta=np.zeros((1, 1)),
         gamma_phi=np.zeros((1, 1)),
         theta0=np.array([[[-2.0], [0.0], [1.0]]]),
@@ -405,9 +413,8 @@ def test_recorded_signals_match_the_chain_functions(tau_x, tau_u, duration):
     is checked where those rows are in the trace.  The delay lines hold
     tau_x / h + 1 and tau_u / h + 1 rows (2 rows at a one-step tau_x), and
     never wrap in a run shorter than tau_x."""
-    two = AgentDynamics(a=[[-1.0]], a_zeta=[[0.2]], b=[[2.0]])
     sc = tiny_scenario(
-        fleet=[AgentDynamics(a=[[-2.0]], a_zeta=[[0.1]], b=[[1.0]]), two],
+        fleet=FleetDynamics(a=[[[-2.0]], [[-1.0]]], a_zeta=[[[0.1]], [[0.2]]], b=[[[1.0]], [[2.0]]]),
         topology=Topology(2, np.array([[0.0, 0.5], [0.5, 0.0]]), np.full(2, 0.5), 0.1),
         gamma_theta=np.eye(2),
         gamma_phi=np.eye(2),
@@ -591,11 +598,10 @@ def random_fleet_scenario(rng, ell, p, n=2):
     total = w.sum(axis=1) + g
     rates = [np.diag(r) for r in rng.uniform(0.5, 2.0, size=(2, ell))]
     return tiny_scenario(
-        fleet=[
-            AgentDynamics(a=rng.normal(size=(n, n)), a_zeta=rng.normal(size=(n, n)),
-                          b=rng.normal(size=(n, p)))
+        fleet=FleetDynamics(*map(np.stack, zip(*(
+            (rng.normal(size=(n, n)), rng.normal(size=(n, n)), rng.normal(size=(n, p)))
             for _ in range(ell)
-        ],
+        )))),
         leader=LeaderModel(a_m=rng.normal(size=(n, n)), b_m=rng.normal(size=(n, p))),
         topology=Topology(ell, w / total[:, None], g / total, 0.1),
         gamma_theta=rates[0],
@@ -748,25 +754,26 @@ def oracle_rows(trace: SimTrace) -> np.ndarray:
 
 
 # A two-input fleet of three agents, a shape no builtin has.
-TWO_INPUT_AGENTS = [
-    AgentDynamics(a=[[0.0, 1.0], [-1.0 - 0.2 * i, -1.0]], a_zeta=[[0.0, 0.1], [0.2, -0.1 * i]],
-                  b=[[1.0, 0.2 * i], [0.1, 1.5]])
-    for i in range(3)
-]
+TWO_INPUT_FLEET = FleetDynamics(
+    a=[[[0.0, 1.0], [-1.0 - 0.2 * i, -1.0]] for i in range(3)],
+    a_zeta=[[[0.0, 0.1], [0.2, -0.1 * i]] for i in range(3)],
+    b=[[[1.0, 0.2 * i], [0.1, 1.5]] for i in range(3)],
+)
 TWO_INPUT_LEADER = LeaderModel(a_m=[[0.0, 1.0], [-2.0, -3.0]], b_m=[[1.0, 0.0], [0.0, -2.0]])
 
 
 def test_matching_gains_agree_with_per_agent_least_squares():
     """The fleet-wide solve gives each agent of the two-input fleet the
     gains of its own least-squares solve of each condition, to 1e-14."""
-    g = matching_gains(TWO_INPUT_AGENTS, TWO_INPUT_LEADER)
+    g = matching_gains(TWO_INPUT_FLEET, TWO_INPUT_LEADER)
     a_m, b_m = TWO_INPUT_LEADER.a_m, TWO_INPUT_LEADER.b_m
-    for i, ag in enumerate(TWO_INPUT_AGENTS):
+    f = TWO_INPUT_FLEET
+    for i in range(f.num_agents):
         for got, basis, target in (
-            (g.theta_x[i].T, ag.b, a_m - ag.a),
-            (g.theta_zeta[i].T, ag.b, -ag.a_zeta),
-            (g.theta_r[i], ag.b, b_m),
-            (g.theta_phi[i], b_m, ag.b),
+            (g.theta_x[i].T, f.b[i], a_m - f.a[i]),
+            (g.theta_zeta[i].T, f.b[i], -f.a_zeta[i]),
+            (g.theta_r[i], f.b[i], b_m),
+            (g.theta_phi[i], b_m, f.b[i]),
         ):
             want = np.linalg.lstsq(basis, target, rcond=None)[0]
             assert np.max(np.abs(got - want)) <= 1e-14
@@ -778,7 +785,7 @@ def test_run_matches_a_per_step_oracle_with_two_inputs():
     auxiliary, gain and leader states."""
     ell, n, p = 3, 2, 2
     sc = tiny_scenario(
-        fleet=TWO_INPUT_AGENTS,
+        fleet=TWO_INPUT_FLEET,
         leader=TWO_INPUT_LEADER,
         topology=Topology(
             ell, np.array([[0.0, 0.3, 0.2], [0.25, 0.0, 0.25], [0.2, 0.3, 0.0]]),
@@ -871,6 +878,13 @@ def test_leader_steps_by_its_rk4_matrices(kind):
                 assert np.max(np.abs(got - ref)) <= 1e-14 * np.max(np.abs(ref))
 
 
+def identical_fleet(ell):
+    """``ell`` copies of one second-order agent (n = 2, p = 1)."""
+    return FleetDynamics(*(np.tile(m, (ell, 1, 1)) for m in (
+        [[0.0, 1.0], [-4.0, -3.0]], [[0.0, 0.0], [0.4, 0.2]], [[0.0], [4.0]]
+    )))
+
+
 def ring_scenario(ell, **over):
     """A ring of ``ell`` identical second-order agents at h = 0.01, a square
     reference, tau_x = 3 and tau_u = 5; ``over`` replaces fields."""
@@ -878,11 +892,8 @@ def ring_scenario(ell, **over):
     ring = np.zeros((ell, ell))
     for i in range(ell):
         ring[i, i - 1] = ring[i, (i + 1) % ell] = 0.3
-    agent = AgentDynamics(
-        a=[[0.0, 1.0], [-4.0, -3.0]], a_zeta=[[0.0, 0.0], [0.4, 0.2]], b=[[0.0], [4.0]]
-    )
     base = dict(
-        fleet=[agent] * ell,
+        fleet=identical_fleet(ell),
         leader=LeaderModel(a_m=[[0.0, 1.0], [-2.0, -3.0]], b_m=[[0.0], [-2.0]]),
         topology=Topology(ell, ring, np.full(ell, 0.4), 0.1),
         gamma_theta=np.eye(ell),
@@ -1051,11 +1062,8 @@ def monitor_scenario(ell, **over):
     """``ell`` second-order agents (n = 2, p = 1) pinned to the leader, with
     unit rates, negative declared signs and zero initial gains: what the
     energy monitor reads of a scenario.  ``over`` replaces fields."""
-    agent = AgentDynamics(
-        a=[[0.0, 1.0], [-4.0, -3.0]], a_zeta=[[0.0, 0.0], [0.4, 0.2]], b=[[0.0], [4.0]]
-    )
     base = dict(
-        fleet=[agent] * ell,
+        fleet=identical_fleet(ell),
         leader=LeaderModel(a_m=[[0.0, 1.0], [-2.0, -3.0]], b_m=[[0.0], [-2.0]]),
         topology=Topology(ell, np.zeros((ell, ell)), np.ones(ell), 0.1),
         gamma_theta=np.eye(ell),
@@ -1232,7 +1240,6 @@ def synthetic_trace(norms, times, tau_u=1.0):
         theta=np.zeros((rows, 1, 3, 1)),
         phi_phi=np.zeros((rows, 1, 1, 1)),
         v_d=norms**2,
-        tau_x=0.5,
         tau_u=tau_u,
     )
 

@@ -95,8 +95,8 @@ def _by_sections(monkeypatch, load, *args):
     reader before a key was read once for the whole fleet."""
 
     def fleet(sections, dims):
-        names = [f"agent.{i}" for i in range(1, dims["l"] + 1)]
-        return [cli.AgentDynamics(**cli._read(sections, name, dims)) for name in names]
+        agents = [cli._read(sections, f"agent.{i}", dims) for i in range(1, dims["l"] + 1)]
+        return cli.FleetDynamics(**{key: np.stack([ag[key] for ag in agents]) for key in agents[0]})
 
     with monkeypatch.context() as patch:
         patch.setattr(cli, "_floats", _reference_floats)
@@ -110,8 +110,8 @@ def _scenario_numbers(sc):
         "gamma_theta", "gamma_phi", "q_tilde", "theta0", "phi_phi0", "r_signs", "x0", "xm0", "xa0"
     )}
     arrays |= {
-        f"agent.{i}.{key}": getattr(agent, key)
-        for i, agent in enumerate(sc.fleet.agents, start=1)
+        f"agent.{i + 1}.{key}": getattr(sc.fleet, key)[i]
+        for i in range(sc.fleet.num_agents)
         for key in ("a", "a_zeta", "b")
     }
     arrays |= {key: getattr(sc.fleet, key) for key in ("a", "a_zeta", "b")}

@@ -5,46 +5,61 @@ import pytest
 
 from chain_oracle import aux_derivative, fleet_derivative
 from delaysync.errors import DimensionMismatch, NoMatchingSolution
-from delaysync.plant import (
-    AgentDynamics,
-    FleetDynamics,
-    LeaderModel,
-    matching_gains,
-)
+from delaysync.plant import FleetDynamics, LeaderModel, matching_gains
 from delaysync.topology import Topology, build_matrices
 
 LEADER = LeaderModel(a_m=np.array([[0.0, 1.0], [-2.0, -3.0]]), b_m=np.array([[0.0], [-2.0]]))
 
 
-def second_order_agent(k, d, zk, zd, bg):
-    return AgentDynamics(
-        a=np.array([[0.0, 1.0], [-k, -d]]),
-        a_zeta=np.array([[0.0, 0.0], [zk, zd]]),
-        b=np.array([[0.0], [bg]]),
+def second_order_fleet(*agents):
+    """FleetDynamics of second-order agents, one (k, d, zk, zd, bg) each."""
+    return FleetDynamics(
+        a=[[[0.0, 1.0], [-k, -d]] for k, d, _, _, _ in agents],
+        a_zeta=[[[0.0, 0.0], [zk, zd]] for _, _, zk, zd, _ in agents],
+        b=[[[0.0], [bg]] for *_, bg in agents],
     )
 
 
-FLEET = [
-    second_order_agent(3.0, 2.0, 0.3, 0.15, 3.0),
-    second_order_agent(4.0, 3.0, 0.4, 0.2, 4.0),
-    second_order_agent(5.0, 4.0, 0.5, 0.25, 5.0),
-    second_order_agent(6.0, 5.0, 0.6, 0.3, 6.0),
-]
+FLEET = second_order_fleet(
+    (3.0, 2.0, 0.3, 0.15, 3.0),
+    (4.0, 3.0, 0.4, 0.2, 4.0),
+    (5.0, 4.0, 0.5, 0.25, 5.0),
+    (6.0, 5.0, 0.6, 0.3, 6.0),
+)
 
 
 # ------------------------------------------------------------------- models
 
 
-def test_agent_validation():
-    with pytest.raises(DimensionMismatch):
-        AgentDynamics(a=np.ones((2, 3)), a_zeta=np.zeros((2, 2)), b=np.ones((2, 1)))
-    with pytest.raises(DimensionMismatch):
-        AgentDynamics(a=np.eye(2), a_zeta=np.zeros((3, 3)), b=np.ones((2, 1)))
-    with pytest.raises(DimensionMismatch):
-        AgentDynamics(a=np.eye(2), a_zeta=np.zeros((2, 2)), b=np.ones(2))
-    ag = FLEET[0]
-    assert ag.state_dim == 2
-    assert ag.input_dim == 1
+def test_fleet_stacking():
+    assert (FLEET.num_agents, FLEET.state_dim, FLEET.input_dim) == (4, 2, 1)
+    assert np.array_equal(FLEET.a[2], [[0.0, 1.0], [-5.0, -4.0]])
+    assert np.array_equal(FLEET.delayed, np.concatenate([FLEET.a_zeta, FLEET.b], axis=2))
+    assert FLEET.a.dtype == FLEET.a_zeta.dtype == FLEET.b.dtype == float
+
+
+def test_fleet_rejects_a_that_is_not_square():
+    with pytest.raises(DimensionMismatch, match=r"^a must be \(l, n, n\), got \(1, 2, 3\)$"):
+        FleetDynamics(a=np.ones((1, 2, 3)), a_zeta=np.zeros((1, 2, 2)), b=np.ones((1, 2, 1)))
+    with pytest.raises(DimensionMismatch, match=r"^a must be \(l, n, n\), got \(2, 2\)$"):
+        FleetDynamics(a=np.eye(2), a_zeta=np.zeros((2, 2)), b=np.ones((2, 1)))
+
+
+def test_fleet_rejects_no_agent():
+    with pytest.raises(DimensionMismatch, match="^a holds no agent"):
+        FleetDynamics(a=np.zeros((0, 2, 2)), a_zeta=np.zeros((0, 2, 2)), b=np.zeros((0, 2, 1)))
+
+
+def test_fleet_rejects_a_zeta_shaped_unlike_a():
+    with pytest.raises(DimensionMismatch, match=r"^a_zeta shape \(1, 3, 3\), expected \(1, 2, 2\)$"):
+        FleetDynamics(a=np.eye(2)[None], a_zeta=np.zeros((1, 3, 3)), b=np.ones((1, 2, 1)))
+
+
+def test_fleet_rejects_b_off_a_leading_axes():
+    with pytest.raises(DimensionMismatch, match=r"^b shape \(1, 2\), expected \(1, 2, p\)$"):
+        FleetDynamics(a=np.eye(2)[None], a_zeta=np.zeros((1, 2, 2)), b=np.ones((1, 2)))
+    with pytest.raises(DimensionMismatch, match=r"^b shape \(2, 2, 1\), expected \(1, 2, p\)$"):
+        FleetDynamics(a=np.eye(2)[None], a_zeta=np.zeros((1, 2, 2)), b=np.ones((2, 2, 1)))
 
 
 def test_leader_validation():
@@ -56,26 +71,11 @@ def test_leader_validation():
     assert LEADER.input_dim == 1
 
 
-def test_fleet_stacking():
-    dyn = FleetDynamics(FLEET)
-    assert dyn.num_agents == 4
-    assert dyn.state_dim == 2
-    assert dyn.input_dim == 1
-    assert np.array_equal(dyn.a[2], FLEET[2].a)
-    assert all(got is ag for got, ag in zip(dyn.agents, FLEET))
-    with pytest.raises(DimensionMismatch):
-        FleetDynamics([])
-    scalar = AgentDynamics(a=[[-1.0]], a_zeta=[[0.0]], b=[[1.0]])
-    with pytest.raises(DimensionMismatch):
-        FleetDynamics([FLEET[0], scalar])
-
-
 # -------------------------------------------------------------- derivatives
 
 
 def test_agent_derivative_scalar_hand_case():
-    ag = AgentDynamics(a=[[-1.0]], a_zeta=[[0.5]], b=[[2.0]])
-    dyn = FleetDynamics([ag])
+    dyn = FleetDynamics(a=[[[-1.0]]], a_zeta=[[[0.5]]], b=[[[2.0]]])
     drive = dyn.delayed_drive(np.array([[2.0]]), np.array([[3.0]]))
     # 0.5*2 + 2*3, then -1*1 on top
     assert drive[0, 0] == 7.0
@@ -84,20 +84,20 @@ def test_agent_derivative_scalar_hand_case():
 
 def test_agent_derivative_matches_per_agent_loop():
     rng = np.random.default_rng(31)
-    dyn = FleetDynamics(FLEET)
+    dyn = FLEET
     for _ in range(10):
         x = rng.normal(size=(4, 2))
         xd = rng.normal(size=(4, 2))
         ud = rng.normal(size=(4, 1))
         stacked = fleet_derivative(dyn, x, dyn.delayed_drive(xd, ud))
-        for i, ag in enumerate(FLEET):
-            direct = ag.a @ x[i] + ag.a_zeta @ xd[i] + ag.b @ ud[i]
+        for i in range(4):
+            direct = dyn.a[i] @ x[i] + dyn.a_zeta[i] @ xd[i] + dyn.b[i] @ ud[i]
             assert np.max(np.abs(stacked[i] - direct)) < 1e-14
 
 
 def test_fleet_derivative_accepts_leading_axes():
     rng = np.random.default_rng(5)
-    dyn = FleetDynamics(FLEET)
+    dyn = FLEET
     x, xd = rng.normal(size=(2, 3, 4, 2))
     ud = rng.normal(size=(3, 4, 1))
     drives = dyn.delayed_drive(xd, ud)
@@ -135,11 +135,12 @@ def test_matching_gains_hand_values():
 
 def test_matching_conditions_hold_for_whole_fleet():
     g = matching_gains(FLEET, LEADER)
-    for i, ag in enumerate(FLEET):
-        assert np.max(np.abs(ag.a + ag.b @ g.theta_x[i].T - LEADER.a_m)) <= 1e-9
-        assert np.max(np.abs(ag.a_zeta + ag.b @ g.theta_zeta[i].T)) <= 1e-9
-        assert np.max(np.abs(ag.b @ g.theta_r[i] - LEADER.b_m)) <= 1e-9
-        assert np.max(np.abs(LEADER.b_m @ g.theta_phi[i] - ag.b)) <= 1e-9
+    a, a_zeta, b = FLEET.a, FLEET.a_zeta, FLEET.b
+    for i in range(4):
+        assert np.max(np.abs(a[i] + b[i] @ g.theta_x[i].T - LEADER.a_m)) <= 1e-9
+        assert np.max(np.abs(a_zeta[i] + b[i] @ g.theta_zeta[i].T)) <= 1e-9
+        assert np.max(np.abs(b[i] @ g.theta_r[i] - LEADER.b_m)) <= 1e-9
+        assert np.max(np.abs(LEADER.b_m @ g.theta_phi[i] - b[i])) <= 1e-9
 
 
 def test_stacked_regressor_gain_layout():
@@ -152,23 +153,24 @@ def test_stacked_regressor_gain_layout():
 def test_matching_rejects_misaligned_input_direction():
     # input enters on the first state only, leader drives the second: the
     # reference condition b theta_r = b_m has no solution
-    bad = AgentDynamics(a=np.array([[0.0, 1.0], [-1.0, -1.0]]), a_zeta=np.zeros((2, 2)), b=np.array([[1.0], [0.0]]))
+    bad = FleetDynamics(a=[[[0.0, 1.0], [-1.0, -1.0]]], a_zeta=np.zeros((1, 2, 2)), b=[[[1.0], [0.0]]])
     with pytest.raises(NoMatchingSolution):
-        matching_gains([bad], LEADER)
+        matching_gains(bad, LEADER)
 
 
 def test_matching_names_the_first_agent_that_cannot_match():
     # agent 3's delayed coupling acts on the first state, which its input
     # cannot reach; agent 4 also fails, on an earlier condition
-    third = AgentDynamics(a=FLEET[2].a, a_zeta=[[0.1, 0.0], [0.5, 0.25]], b=FLEET[2].b)
-    fourth = AgentDynamics(a=FLEET[3].a, a_zeta=FLEET[3].a_zeta, b=[[1.0], [0.0]])
+    a_zeta, b = FLEET.a_zeta.copy(), FLEET.b.copy()
+    a_zeta[2] = [[0.1, 0.0], [0.5, 0.25]]
+    b[3] = [[1.0], [0.0]]
     with pytest.raises(
         NoMatchingSolution, match=r"^agent 3: delayed-state matching residual 1\.000e-01 exceeds 1e-09$"
     ):
-        matching_gains(FLEET[:2] + [third, fourth], LEADER)
+        matching_gains(FleetDynamics(a=FLEET.a, a_zeta=a_zeta, b=b), LEADER)
 
 
 def test_matching_rejects_dimension_mismatch():
-    scalar = AgentDynamics(a=[[-1.0]], a_zeta=[[0.0]], b=[[1.0]])
+    scalar = FleetDynamics(a=[[[-1.0]]], a_zeta=[[[0.0]]], b=[[[1.0]]])
     with pytest.raises(DimensionMismatch):
-        matching_gains([scalar], LEADER)
+        matching_gains(scalar, LEADER)
